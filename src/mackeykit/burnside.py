@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, GSet, gset_from_subgroup, gset_induce, gset_restrict
 from .linalg import Field, GF, Mat, QQ
 
 __all__ = [
@@ -50,94 +50,7 @@ class NotSplitOverRationals(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# G-sets and the Burnside ring
-
-
-class GSet:
-    """A finite left G-set given by its action table (|G| x points)."""
-
-    def __init__(self, group: FiniteGroup, action: np.ndarray, check: bool = True):
-        self.group = group
-        self.action = np.asarray(action, dtype=np.int64)
-        if self.action.ndim != 2 or self.action.shape[0] != group.order:
-            raise ValueError("action table must be |G| x points")
-        if check:
-            n = group.order
-            pts = self.action.shape[1]
-            if not np.array_equal(self.action[group.identity], np.arange(pts)):
-                raise ValueError("identity must act trivially")
-            A = self.action
-            for g in range(n):
-                if not np.array_equal(A[g][A], A[group.table[g]]):
-                    raise ValueError("action is not a homomorphism")
-
-    @property
-    def size(self) -> int:
-        return self.action.shape[1]
-
-    def orbits(self) -> List[Tuple[int, ...]]:
-        seen = np.zeros(self.size, dtype=bool)
-        out = []
-        for x in range(self.size):
-            if not seen[x]:
-                orb = np.unique(self.action[:, x])
-                seen[orb] = True
-                out.append(tuple(int(y) for y in orb))
-        return out
-
-    def stabilizer(self, x: int) -> Subgroup:
-        els = np.nonzero(self.action[:, x] == x)[0]
-        return self.group.subgroup(int(g) for g in els)
-
-    def fixed_points(self, S: Subgroup) -> int:
-        rows = self.action[list(S.elements)]
-        return int(np.sum(np.all(rows == np.arange(self.size), axis=0)))
-
-    def disjoint_union(self, other: "GSet") -> "GSet":
-        if other.group is not self.group:
-            raise ValueError("union needs a common group")
-        return GSet(self.group,
-                    np.hstack([self.action, other.action + self.size]), check=False)
-
-    def product(self, other: "GSet") -> "GSet":
-        """Cartesian product with the diagonal action; point (x, y) has
-        index x * other.size + y."""
-        if other.group is not self.group:
-            raise ValueError("product needs a common group")
-        act = self.action[:, :, None] * other.size + other.action[:, None, :]
-        return GSet(self.group, act.reshape(self.group.order, -1), check=False)
-
-
-def gset_from_subgroup(G: FiniteGroup, H: Subgroup) -> GSet:
-    reps, coset_of = G.left_transversal(H)
-    return GSet(G, coset_of[G.table[:, reps]], check=False)
-
-
-def gset_restrict(S: Subgroup, X: GSet) -> GSet:
-    """Restriction of a G-set to a subgroup, as a set over S-as-a-group."""
-    if X.group is not S.parent:
-        raise ValueError("G-set does not live over the subgroup's parent")
-    Sgrp, Sel = S.as_group()
-    return GSet(Sgrp, X.action[list(Sel)], check=False)
-
-
-def gset_induce(G: FiniteGroup, H: Subgroup, X: GSet) -> GSet:
-    """G x_H X: points (coset c, x) indexed c * |X| + x, with
-    g.(t, x) = (t', h.x) where g t = t' h."""
-    Hgrp, Hel = H.as_group()
-    if X.group is not Hgrp:
-        raise ValueError("G-set does not live over H")
-    reps, coset_of = G.left_transversal(H)
-    pos = {g: i for i, g in enumerate(Hel)}
-    nc, m = len(reps), X.size
-    act = np.empty((G.order, nc * m), dtype=np.int64)
-    for g in range(G.order):
-        for c in range(nc):
-            u = G.mul(g, reps[c])
-            c2 = int(coset_of[u])
-            h = pos[G.mul(G.inv(reps[c2]), u)]
-            act[g, c * m : (c + 1) * m] = c2 * m + X.action[h]
-    return GSet(G, act, check=False)
+# the Burnside ring
 
 
 _marks_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -387,10 +300,8 @@ def _krylov_minpoly(alg: CommutativeAlgebra, z: Mat, e: Mat,
     powers = [e]
     cur = e
     while True:
-        stack = powers[0]
-        for v in powers[1:]:
-            stack = stack.hstack(v)
         k = len(powers)
+        stack = Mat.from_blocks(f, alg.dim, k, [(0, j, v) for j, v in enumerate(powers)])
         cur = Mz @ cur
         rhs = cur
         sysm = stack if modulo is None or modulo.ncols == 0 else stack.hstack(modulo)
@@ -489,13 +400,8 @@ def primitive_idempotents(alg: CommutativeAlgebra) -> List[Mat]:
 
 def _frobenius_matrix(alg: CommutativeAlgebra) -> Mat:
     p = alg.field.p
-    cols = []
-    for i in range(alg.dim):
-        cols.append(alg.left_mult[i].pow(p) @ alg.unit)
-    out = cols[0]
-    for c in cols[1:]:
-        out = out.hstack(c)
-    return out
+    return Mat.from_blocks(alg.field, alg.dim, alg.dim,
+                           [(0, i, alg.left_mult[i].pow(p) @ alg.unit) for i in range(alg.dim)])
 
 
 def _span_basis(vectors: Mat) -> Mat:

@@ -26,6 +26,10 @@ __all__ = [
     "Subgroup",
     "InjectiveHom",
     "DoubleCosetDecomposition",
+    "GSet",
+    "gset_from_subgroup",
+    "gset_induce",
+    "gset_restrict",
     "group_from_generators",
     "group_from_table",
     "perm_cycle_name",
@@ -450,6 +454,25 @@ class InjectiveHom:
             inv[b] = a
         return InjectiveHom(self.target, self.source, tuple(inv))
 
+    def induction_table(self) -> Tuple[List[int], np.ndarray, np.ndarray]:
+        """Coset bookkeeping for inducing along this hom, computed once.
+
+        Returns (reps, coset, source): reps are the minimal-element left coset
+        representatives of the image in the target G, and for every g in G
+        and coset index c, g * reps[c] = reps[coset[g, c]] * self(source[g, c]).
+        """
+        if not hasattr(self, "_induction_table"):
+            G = self.target
+            reps, coset_of = G.left_transversal(self.image_subgroup())
+            back = np.full(G.order, -1, dtype=np.int64)
+            back[list(self.map)] = np.arange(self.source.order)
+            r = np.asarray(reps, dtype=np.int64)
+            moved = G.table[:, r]  # moved[g, c] = g * reps[c]
+            coset = coset_of[moved]
+            source = back[G.table[G.inverse[r[coset]], moved]]
+            object.__setattr__(self, "_induction_table", (reps, coset, source))
+        return self._induction_table  # type: ignore[attr-defined]
+
 
 @dataclass(frozen=True)
 class DoubleCosetDecomposition:
@@ -470,6 +493,109 @@ class DoubleCosetDecomposition:
 
     def coset_sizes(self) -> List[int]:
         return [int(np.sum(self.assignment == i)) for i in range(len(self.representatives))]
+
+
+class GSet:
+    """A finite left G-set given by its action table: action[g, x] = g.x.
+
+    This is also the action of a permutation module, so restriction,
+    induction, products and disjoint unions of permutation actions are
+    defined here once.
+    """
+
+    def __init__(self, group: FiniteGroup, action: np.ndarray, check: bool = True):
+        self.group = group
+        self.action = np.asarray(action, dtype=np.int64)
+        if self.action.ndim != 2 or self.action.shape[0] != group.order:
+            raise ValueError("action table must be |G| x points")
+        if check:
+            self.verify()
+
+    def verify(self) -> None:
+        """Exact check that the table is an action: entries name points, the
+        identity acts trivially and s.(g.x) = (sg).x for every generator s
+        and every g, which gives (wg).x = w.(g.x) for every word w in the
+        generators."""
+        A, G = self.action, self.group
+        if A.size and (A.min() < 0 or A.max() >= self.size):
+            raise ValueError("action table entries out of range")
+        if not np.array_equal(A[G.identity], np.arange(self.size)):
+            raise ValueError("identity must act trivially")
+        for s in G.generators():
+            if not np.array_equal(A[s][A], A[G.table[s]]):
+                raise ValueError("action is not a homomorphism")
+
+    @property
+    def size(self) -> int:
+        return self.action.shape[1]
+
+    def orbits(self) -> List[Tuple[int, ...]]:
+        seen = np.zeros(self.size, dtype=bool)
+        out = []
+        for x in range(self.size):
+            if not seen[x]:
+                orb = np.unique(self.action[:, x])
+                seen[orb] = True
+                out.append(tuple(int(y) for y in orb))
+        return out
+
+    def stabilizer(self, x: int) -> Subgroup:
+        els = np.nonzero(self.action[:, x] == x)[0]
+        return self.group.subgroup(int(g) for g in els)
+
+    def fixed_points(self, S: Subgroup) -> int:
+        rows = self.action[list(S.elements)]
+        return int(np.sum(np.all(rows == np.arange(self.size), axis=0)))
+
+    def disjoint_union(self, *others: "GSet") -> "GSet":
+        """Points of each set in turn, shifted past the points before it."""
+        parts = (self,) + others
+        if any(X.group is not self.group for X in parts):
+            raise ValueError("union needs a common group")
+        offsets = np.cumsum([0] + [X.size for X in parts[:-1]])
+        return GSet(self.group, np.hstack([X.action + off for X, off in zip(parts, offsets)]),
+                    check=False)
+
+    def product(self, other: "GSet") -> "GSet":
+        """Cartesian product with the diagonal action; point (x, y) has
+        index x * other.size + y."""
+        if other.group is not self.group:
+            raise ValueError("product needs a common group")
+        act = self.action[:, :, None] * other.size + other.action[:, None, :]
+        return GSet(self.group, act.reshape(self.group.order, -1), check=False)
+
+    def restrict(self, hom: InjectiveHom) -> "GSet":
+        """Pull back along hom: a in hom.source acts as hom(a)."""
+        if self.group is not hom.target:
+            raise ValueError("G-set does not live over the hom's target")
+        return GSet(hom.source, self.action[list(hom.map)], check=False)
+
+    def induce(self, hom: InjectiveHom) -> "GSet":
+        """G x_H X along hom: H -> G.  Points (coset c, x) are indexed
+        c * |X| + x, and g.(t, x) = (t', h.x) where g t = t' hom(h)."""
+        if self.group is not hom.source:
+            raise ValueError("G-set does not live over the hom's source")
+        _, coset, source = hom.induction_table()
+        act = coset[:, :, None] * self.size + self.action[source]
+        return GSet(hom.target, act.reshape(hom.target.order, -1), check=False)
+
+
+def gset_from_subgroup(G: FiniteGroup, H: Subgroup) -> GSet:
+    """G/H with left translation, cosets numbered by their minimal element."""
+    reps, coset_of = G.left_transversal(H)
+    return GSet(G, coset_of[G.table[:, reps]], check=False)
+
+
+def gset_restrict(S: Subgroup, X: GSet) -> GSet:
+    """Restriction of a G-set to a subgroup, as a set over S-as-a-group."""
+    return X.restrict(S.inclusion_hom())
+
+
+def gset_induce(G: FiniteGroup, H: Subgroup, X: GSet) -> GSet:
+    """G x_H X for a set X over H-as-a-group."""
+    if H.parent is not G:
+        raise ValueError("H is not a subgroup of G")
+    return X.induce(H.inclusion_hom())
 
 
 def group_from_generators(

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,20 +224,41 @@ class Mat:
         return cls.from_rows(field, cols).T
 
     @classmethod
-    def block_diag(cls, field: Field, blocks: Sequence["Mat"]) -> "Mat":
-        rs = sum(b.nrows for b in blocks)
-        cs = sum(b.ncols for b in blocks)
+    def from_blocks(cls, field: Field, nrows: int, ncols: int,
+                    blocks: Iterable[Tuple[int, int, "Mat"]]) -> "Mat":
+        """The nrows x ncols matrix with each `(row, col, block)` added in at
+        offset (row, col); overlapping blocks are summed.
+
+        Blocks are brought to the lcm of their denominators exactly: entries
+        stay int64 while they fit and become Python integers otherwise.
+        """
+        blocks = list(blocks)
         den = 1
+        for _, _, b in blocks:
+            if b.field != field:
+                raise ValueError(f"field mismatch: {b.field!r} vs {field!r}")
+            den = math.lcm(den, b.den)
+        wide = any(b.num.dtype == object for _, _, b in blocks)
+        out = np.zeros((nrows, ncols), dtype=object if wide else np.int64)
+        for r, c, b in blocks:
+            s = den // b.den
+            a = b.num if s == 1 else _scale_arr(b.num, s)
+            region = (slice(r, r + a.shape[0]), slice(c, c + a.shape[1]))
+            if out[region].any():
+                a = _add_arr(out[region], a)
+            if a.dtype == object and out.dtype != object:
+                out = out.astype(object)
+            out[region] = a
+        return cls(field, out, den)
+
+    @classmethod
+    def block_diag(cls, field: Field, blocks: Sequence["Mat"]) -> "Mat":
+        placed, r, c = [], 0, 0
         for b in blocks:
-            den = den * b.den // math.gcd(den, b.den)
-        dtype = object if any(b.num.dtype == object for b in blocks) or den > 1 else np.int64
-        out = np.zeros((rs, cs), dtype=dtype)
-        r = c = 0
-        for b in blocks:
-            out[r : r + b.nrows, c : c + b.ncols] = _scale_arr(b.num, den // b.den)
+            placed.append((r, c, b))
             r += b.nrows
             c += b.ncols
-        return cls(field, out, den)
+        return cls.from_blocks(field, r, c, placed)
 
     # ---- basic queries -------------------------------------------------
 
@@ -333,16 +354,16 @@ class Mat:
         return Mat(self.field, self.num.T.copy(), self.den)
 
     def hstack(self, other: "Mat") -> "Mat":
-        self._check(other)
-        d = self.den * other.den // math.gcd(self.den, other.den)
-        a = _scale_arr(self.num, d // self.den)
-        b = _scale_arr(other.num, d // other.den)
-        if a.dtype != b.dtype:
-            a, b = a.astype(object), b.astype(object)
-        return Mat(self.field, np.hstack([a, b]), d)
+        if self.nrows != other.nrows:
+            raise ValueError("row count mismatch in hstack")
+        return Mat.from_blocks(self.field, self.nrows, self.ncols + other.ncols,
+                               [(0, 0, self), (0, self.ncols, other)])
 
     def vstack(self, other: "Mat") -> "Mat":
-        return self.T.hstack(other.T).T
+        if self.ncols != other.ncols:
+            raise ValueError("column count mismatch in vstack")
+        return Mat.from_blocks(self.field, self.nrows + other.nrows, self.ncols,
+                               [(0, 0, self), (self.nrows, 0, other)])
 
     def kron(self, other: "Mat") -> "Mat":
         self._check(other)

@@ -266,17 +266,19 @@ def cohomological_check(M: OrdinaryMackeyFunctor) -> CheckResult:
 # Hom decategorification
 
 
-def _coords_in_basis(basis: List[Mat], target: Mat, field: Field) -> Mat:
-    """Coordinates of a matrix in a list basis (by column-stacking); hard
-    error when the element is outside the span."""
+def _coords_in_basis(basis: List[Mat], targets: List[Mat], field: Field) -> Mat:
+    """Coordinates of matrices in a list basis (by column-stacking), one
+    column per target; hard error when a target is outside the span."""
     if not basis:
-        if target.is_zero():
-            return Mat.zeros(field, 0, 1)
+        if all(t.is_zero() for t in targets):
+            return Mat.zeros(field, 0, len(targets))
         raise ArithmeticError("element outside the (empty) hom space")
-    stack = basis[0].vec()
-    for b in basis[1:]:
-        stack = stack.hstack(b.vec())
-    sol = stack.solve(target.vec())
+    n = basis[0].nrows * basis[0].ncols
+
+    def stack(ms: List[Mat]) -> Mat:
+        return Mat.from_blocks(field, n, len(ms), [(0, j, m.vec()) for j, m in enumerate(ms)])
+
+    sol = stack(basis).solve(stack(targets))
     if sol is None:
         raise ArithmeticError("image left the expected hom space")
     return sol
@@ -308,37 +310,26 @@ def hom_decategorify(X: Module, Y: Module) -> OrdinaryMackeyFunctor:
         for H in subs:
             if not sets[K] <= sets[H]:
                 continue
-            cols = [_coords_in_basis(bases[K], b, f) for b in bases[H]]
-            res[(K, H)] = _cols_to_mat(cols, levels[K].dim, f)
+            res[(K, H)] = _coords_in_basis(bases[K], bases[H], f)
             Hgrp, Hel = H.as_group()
             Kin = Hgrp.subgroup(Hel.index(x) for x in K.elements)
             reps_h, _ = Hgrp.left_transversal(Kin)
             ts = [Hel[i] for i in reps_h]
-            cols = []
+            traces = []
             for b in bases[K]:
                 acc = None
                 for t in ts:
                     term = Y.action(t) @ b @ X.action_inv(t)
                     acc = term if acc is None else acc + term
-                cols.append(_coords_in_basis(bases[H], acc, f))
-            tr[(K, H)] = _cols_to_mat(cols, levels[H].dim, f)
+                traces.append(acc)
+            tr[(K, H)] = _coords_in_basis(bases[H], traces, f)
     conj: Dict[Tuple[int, Subgroup], Mat] = {}
     for g in range(G.order):
         for H in subs:
             tgt = H.conjugate_by(g)
-            cols = [_coords_in_basis(bases[tgt], Y.action(g) @ b @ X.action_inv(g), f)
-                    for b in bases[H]]
-            conj[(g, H)] = _cols_to_mat(cols, levels[tgt].dim, f)
+            conj[(g, H)] = _coords_in_basis(
+                bases[tgt], [Y.action(g) @ b @ X.action_inv(g) for b in bases[H]], f)
     return OrdinaryMackeyFunctor(G, f, levels, res, tr, conj)
-
-
-def _cols_to_mat(cols: List[Mat], nrows: int, field: Field) -> Mat:
-    if not cols:
-        return Mat.zeros(field, nrows, 0)
-    out = cols[0]
-    for c in cols[1:]:
-        out = out.hstack(c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +458,10 @@ def green_from_monoid(X: Module, Y: Module, mul: ModuleHom, unit: ModuleHom) -> 
     for S in M.subgroups:
         basis = [h.mat for h in hom_space(restrict_to(X, S), restrict_to(Y, S))]
         dS = len(basis)
-        Ls = []
-        for i in range(dS):
-            cols = []
-            for j in range(dS):
-                prod = mul.mat @ basis[i].kron(basis[j])  # k = k(x)k -> Y(x)Y -> Y
-                cols.append(_coords_in_basis(basis, prod, f))
-            Ls.append(_cols_to_mat(cols, dS, f))
-        products[S] = Ls
-        units[S] = _coords_in_basis(basis, unit.mat, f)
+        # k = k(x)k -> Y(x)Y -> Y
+        products[S] = [_coords_in_basis(basis, [mul.mat @ a.kron(b) for b in basis], f)
+                       for a in basis]
+        units[S] = _coords_in_basis(basis, [unit.mat], f)
     return GreenFunctorData(M, products, units)
 
 

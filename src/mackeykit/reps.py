@@ -24,14 +24,13 @@ directions are constructed and their composites checked to be identities.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import FiniteGroup, InjectiveHom, Subgroup
+from .groups import FiniteGroup, GSet, InjectiveHom, Subgroup, gset_from_subgroup
 from .linalg import Field, GF, Mat, QQ, perm_to_mat
 
 __all__ = [
@@ -89,12 +88,13 @@ class InductionBasisLabel:
 class Module:
     """A finite-dimensional kG-module given by its action on a chosen basis.
 
-    The action is stored either as permutations of the basis (permutation
-    modules and everything built from them stay in this form) or as one
-    exact matrix per group element.  A(g)A(h) = A(gh) is checked on all
-    pairs at construction for groups of order <= 24 (beyond that, on a
-    seeded sample); modules derived by the functors in this file are
-    homomorphic by construction and skip the re-check.
+    The action is either a `GSet` on the basis (a permutation module, whose
+    action table is the G-set's; permutation modules and everything built
+    from them stay in this form) or one exact matrix per group element.
+    Construction checks the action exactly: A(e) = I and A(s)A(g) = A(sg)
+    for every generator s and every g, which proves A is a homomorphism.
+    Modules derived by the functors in this file are homomorphic by
+    construction and skip the re-check.
     """
 
     def __init__(
@@ -102,21 +102,21 @@ class Module:
         group: FiniteGroup,
         field: Field,
         dim: int,
-        perms: Optional[np.ndarray] = None,
+        gset: Optional[GSet] = None,
         mats: Optional[List[Mat]] = None,
         basis_labels: Optional[List] = None,
         check: bool = True,
     ):
-        if (perms is None) == (mats is None):
-            raise ValueError("exactly one of perms/mats must be given")
+        if (gset is None) == (mats is None):
+            raise ValueError("exactly one of gset/mats must be given")
         self.group = group
         self.field = field
         self.dim = dim
-        self._perms = perms
+        self.gset = gset
         self._mats = mats
         self.basis_labels = basis_labels
-        if perms is not None and perms.shape != (group.order, dim):
-            raise ValueError("permutation action has wrong shape")
+        if gset is not None and (gset.group is not group or gset.size != dim):
+            raise ValueError("permutation action has wrong group or size")
         if mats is not None:
             if len(mats) != group.order:
                 raise ValueError("need one matrix per group element")
@@ -130,15 +130,11 @@ class Module:
 
     @property
     def is_permutation(self) -> bool:
-        return self._perms is not None
-
-    def act_perm(self, g: int) -> np.ndarray:
-        assert self._perms is not None
-        return self._perms[g]
+        return self.gset is not None
 
     def action(self, g: int) -> Mat:
-        if self._perms is not None:
-            return perm_to_mat(self.field, self._perms[g])
+        if self.gset is not None:
+            return perm_to_mat(self.field, self.gset.action[g])
         assert self._mats is not None
         return self._mats[g]
 
@@ -146,27 +142,19 @@ class Module:
         return self.action(self.group.inv(g))
 
     def verify_action(self) -> None:
-        G = self.group
-        n = G.order
-        if self._perms is not None:
-            P = self._perms
-            if not np.array_equal(P[G.identity], np.arange(self.dim)):
-                raise ValueError("identity does not act as the identity")
-            for g in range(n):
-                if not np.array_equal(P[g][P], P[G.table[g]]):
-                    raise ValueError("action is not a homomorphism")
+        """Exact check: A(e) = I and A(s)A(g) = A(sg) for every generator s
+        and every g."""
+        if self.gset is not None:
+            self.gset.verify()
             return
-        assert self._mats is not None
-        if not self._mats[G.identity].is_identity():
+        G, A = self.group, self._mats
+        assert A is not None
+        if not A[G.identity].is_identity():
             raise ValueError("identity does not act as the identity")
-        if n <= 24:
-            pairs = itertools.product(range(n), range(n))
-        else:
-            rng = np.random.default_rng(0)
-            pairs = ((int(a), int(b)) for a, b in rng.integers(0, n, size=(500, 2)))
-        for a, b in pairs:
-            if self._mats[a] @ self._mats[b] != self._mats[G.table[a, b]]:
-                raise ValueError(f"action is not a homomorphism at pair {(a, b)}")
+        for s in G.generators():
+            for g in range(G.order):
+                if A[s] @ A[g] != A[G.table[s, g]]:
+                    raise ValueError(f"action is not a homomorphism at pair {(s, g)}")
 
     def label(self, idx: int):
         return self.basis_labels[idx] if self.basis_labels is not None else idx
@@ -228,10 +216,9 @@ class ModuleHom:
 
 def permutation_module(G: FiniteGroup, H: Subgroup, field: Field) -> Module:
     """k[G/H] with the left translation action on cosets."""
-    reps, coset_of = G.left_transversal(H)
-    perms = coset_of[G.table[:, reps]]
+    reps, _ = G.left_transversal(H)
     labels = [InductionBasisLabel(r, 0) for r in reps]
-    return Module(G, field, len(reps), perms=perms, basis_labels=labels)
+    return Module(G, field, len(reps), gset=gset_from_subgroup(G, H), basis_labels=labels)
 
 
 def regular_module(G: FiniteGroup, field: Field) -> Module:
@@ -239,7 +226,7 @@ def regular_module(G: FiniteGroup, field: Field) -> Module:
 
 
 def trivial_module(G: FiniteGroup, field: Field) -> Module:
-    return Module(G, field, 1, perms=np.zeros((G.order, 1), dtype=np.int64))
+    return Module(G, field, 1, gset=GSet(G, np.zeros((G.order, 1)), check=False))
 
 
 def module_from_matrices(G: FiniteGroup, field: Field, mats: Sequence[Mat]) -> Module:
@@ -250,10 +237,9 @@ def restrict(hom: InjectiveHom, M: Module) -> Module:
     """Pull a module over hom.target back along hom (restriction)."""
     if M.group is not hom.target:
         raise ValueError("module does not live over the hom's target")
-    idx = np.asarray(hom.map, dtype=np.int64)
     if M.is_permutation:
-        return Module(hom.source, M.field, M.dim, perms=M._perms[idx], check=False)
-    mats = [M._mats[i] for i in idx]
+        return Module(hom.source, M.field, M.dim, gset=M.gset.restrict(hom), check=False)
+    mats = [M._mats[i] for i in hom.map]
     return Module(hom.source, M.field, M.dim, mats=mats, check=False)
 
 
@@ -261,59 +247,21 @@ def restrict_to(M: Module, S: Subgroup) -> Module:
     return restrict(S.inclusion_hom(), M)
 
 
-def _factorize_through(G: FiniteGroup, image_elements: Sequence[int]):
-    """Transversal bookkeeping for Ind along a subgroup of G.
-
-    Returns (reps, coset_of, in_image, pos_in_image): minimal-element left
-    coset reps of the image subgroup, coset index per element, membership
-    mask, and each element's index inside the sorted image list.
-    """
-    S = G.subgroup(image_elements)
-    reps, coset_of = G.left_transversal(S)
-    in_image = np.zeros(G.order, dtype=bool)
-    pos = np.full(G.order, -1, dtype=np.int64)
-    for i, s in enumerate(S.elements):
-        in_image[s] = True
-        pos[s] = i
-    return reps, coset_of, in_image, pos
-
-
 def induce(hom: InjectiveHom, N: Module) -> Module:
     """kG (x)_{kH} N along an injective hom with image H <= G."""
     if N.group is not hom.source:
         raise ValueError("module does not live over the hom's source")
     G = hom.target
-    image = sorted(hom.map)
-    back = {g: h for h, g in enumerate(hom.map)}  # image element -> source element
-    reps, coset_of, _, _ = _factorize_through(G, image)
+    reps, coset, source = hom.induction_table()
     nc, d = len(reps), N.dim
     labels = [InductionBasisLabel(reps[c], j) for c in range(nc) for j in range(d)]
     if N.is_permutation:
-        perms = np.empty((G.order, nc * d), dtype=np.int64)
-        for g in range(G.order):
-            for c in range(nc):
-                u = G.mul(g, reps[c])
-                c2 = int(coset_of[u])
-                s = G.mul(G.inv(reps[c2]), u)
-                h = back[s]
-                perms[g, c * d : (c + 1) * d] = c2 * d + N._perms[h]
-        return Module(G, N.field, nc * d, perms=perms, basis_labels=labels, check=False)
-    mats: List[Mat] = []
-    for g in range(G.order):
-        blocks = []
-        den = 1
-        for c in range(nc):
-            u = G.mul(g, reps[c])
-            c2 = int(coset_of[u])
-            s = G.mul(G.inv(reps[c2]), u)
-            b = N.action(back[s])
-            blocks.append((c2, c, b))
-            den = den * b.den // math.gcd(den, b.den)
-        dtype = object if any(b.num.dtype == object for *_, b in blocks) or den > 1 else np.int64
-        out = np.zeros((nc * d, nc * d), dtype=dtype)
-        for c2, c, b in blocks:
-            out[c2 * d : (c2 + 1) * d, c * d : (c + 1) * d] = b.num * (den // b.den)
-        mats.append(Mat(N.field, out, den))
+        return Module(G, N.field, nc * d, gset=N.gset.induce(hom), basis_labels=labels,
+                      check=False)
+    mats = [Mat.from_blocks(N.field, nc * d, nc * d,
+                            [(int(coset[g, c]) * d, c * d, N.action(int(source[g, c])))
+                             for c in range(nc)])
+            for g in range(G.order)]
     return Module(G, N.field, nc * d, mats=mats, basis_labels=labels, check=False)
 
 
@@ -343,12 +291,11 @@ def tensor(M: Module, N: Module) -> Module:
     """M (x) N with the diagonal action; basis ordered (i, j) -> i*dim(N)+j."""
     if M.group is not N.group or M.field != N.field:
         raise ValueError("tensor factors must share group and field")
-    G, d2 = M.group, N.dim
+    G, dim = M.group, M.dim * N.dim
     if M.is_permutation and N.is_permutation:
-        perms = M._perms[:, :, None] * d2 + N._perms[:, None, :]
-        return Module(G, M.field, M.dim * d2, perms=perms.reshape(G.order, -1), check=False)
+        return Module(G, M.field, dim, gset=M.gset.product(N.gset), check=False)
     mats = [M.action(g).kron(N.action(g)) for g in range(G.order)]
-    return Module(G, M.field, M.dim * d2, mats=mats, check=False)
+    return Module(G, M.field, dim, mats=mats, check=False)
 
 
 def direct_sum(parts: Sequence[Module]) -> Tuple[Module, List[int]]:
@@ -361,10 +308,8 @@ def direct_sum(parts: Sequence[Module]) -> Tuple[Module, List[int]]:
         offsets.append(total)
         total += m.dim
     if all(m.is_permutation for m in parts):
-        perms = np.empty((G.order, total), dtype=np.int64)
-        for off, m in zip(offsets, parts):
-            perms[:, off : off + m.dim] = m._perms + off
-        return Module(G, field, total, perms=perms, check=False), offsets
+        gset = parts[0].gset.disjoint_union(*(m.gset for m in parts[1:]))
+        return Module(G, field, total, gset=gset, check=False), offsets
     mats = [Mat.block_diag(field, [m.action(g) for m in parts]) for g in range(G.order)]
     return Module(G, field, total, mats=mats, check=False), offsets
 
@@ -411,53 +356,32 @@ class AdjunctionData:
 
 def _eta_left_mat(G: FiniteGroup, H: Subgroup, N: Module) -> Mat:
     reps, _, c0, t0 = _min_coset_data(G, H)
-    Hgrp, Hel = H.as_group()
-    h0 = Hel.index(G.inv(t0))  # t0^-1 as an element of H
-    A = N.action(h0)
-    nc, d = len(reps), N.dim
-    dtype = object if A.num.dtype == object else np.int64
-    out = np.zeros((nc * d, d), dtype=dtype)
-    out[c0 * d : (c0 + 1) * d, :] = A.num
-    return Mat(N.field, out, A.den)
+    Hel = H.as_group()[1]
+    d = N.dim
+    A = N.action(Hel.index(G.inv(t0)))  # t0^-1 as an element of H
+    return Mat.from_blocks(N.field, len(reps) * d, d, [(c0 * d, 0, A)])
 
 
 def _eps_left_mat(G: FiniteGroup, H: Subgroup, M: Module) -> Mat:
     reps, _, _, _ = _min_coset_data(G, H)
-    cols = [M.action(t) for t in reps]
-    den = 1
-    for b in cols:
-        den = den * b.den // math.gcd(den, b.den)
     d = M.dim
-    dtype = object if any(b.num.dtype == object for b in cols) or den > 1 else np.int64
-    out = np.zeros((d, len(reps) * d), dtype=dtype)
-    for c, b in enumerate(cols):
-        out[:, c * d : (c + 1) * d] = b.num * (den // b.den)
-    return Mat(M.field, out, den)
+    return Mat.from_blocks(M.field, d, len(reps) * d,
+                           [(0, c * d, M.action(t)) for c, t in enumerate(reps)])
 
 
 def _eta_right_mat(G: FiniteGroup, H: Subgroup, M: Module) -> Mat:
     reps, _, _, _ = _min_coset_data(G, H)
-    blocks = [M.action_inv(t) for t in reps]
-    den = 1
-    for b in blocks:
-        den = den * b.den // math.gcd(den, b.den)
     d = M.dim
-    dtype = object if any(b.num.dtype == object for b in blocks) or den > 1 else np.int64
-    out = np.zeros((len(reps) * d, d), dtype=dtype)
-    for c, b in enumerate(blocks):
-        out[c * d : (c + 1) * d, :] = b.num * (den // b.den)
-    return Mat(M.field, out, den)
+    return Mat.from_blocks(M.field, len(reps) * d, d,
+                           [(c * d, 0, M.action_inv(t)) for c, t in enumerate(reps)])
 
 
 def _eps_right_mat(G: FiniteGroup, H: Subgroup, N: Module) -> Mat:
     reps, _, c0, t0 = _min_coset_data(G, H)
-    Hgrp, Hel = H.as_group()
+    Hel = H.as_group()[1]
+    d = N.dim
     A = N.action(Hel.index(t0))  # t0 as an element of H
-    nc, d = len(reps), N.dim
-    dtype = object if A.num.dtype == object else np.int64
-    out = np.zeros((d, nc * d), dtype=dtype)
-    out[:, c0 * d : (c0 + 1) * d] = A.num
-    return Mat(N.field, out, A.den)
+    return Mat.from_blocks(N.field, d, len(reps) * d, [(0, c0 * d, A)])
 
 
 def unit_counit(G: FiniteGroup, H: Subgroup, M: Module, N: Module) -> AdjunctionData:
@@ -575,7 +499,7 @@ def mackey_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, N: Module) -> MackeyIso
             w = int(w_coset_of[tx])
             h = Hpos[G.mul(G.inv(w_reps[w]), tx)]
             blocks.append((w * d, base + c * d, N.action(h)))
-    fwd = _assemble(N.field, right.dim, left.dim, blocks)
+    fwd = Mat.from_blocks(N.field, right.dim, left.dim, blocks)
 
     # backward: w (x) e_j |-> sum over (x, t): [x^-1 t^-1 w in H] (t (x) A(z) e_j)
     blocks = []
@@ -588,7 +512,7 @@ def mackey_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, N: Module) -> MackeyIso
                 z = G.mul(xinv, G.mul(tinv, w))
                 if z in Hset:
                     blocks.append((base + c * d, w_idx * d, N.action(Hpos[z])))
-    bwd = _assemble(N.field, left.dim, right.dim, blocks)
+    bwd = Mat.from_blocks(N.field, left.dim, right.dim, blocks)
 
     forward = ModuleHom(left, right, fwd)
     backward = ModuleHom(right, left, bwd)
@@ -598,19 +522,6 @@ def mackey_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, N: Module) -> MackeyIso
     if left.dim != expected or right.dim != (G.order // H.order) * d:
         raise ArithmeticError("double-coset dimension bookkeeping is off")
     return MackeyIsoData(left, right, forward, backward, comps)
-
-
-def _assemble(field: Field, nrows: int, ncols: int,
-              blocks: List[Tuple[int, int, Mat]]) -> Mat:
-    den = 1
-    for *_, b in blocks:
-        den = den * b.den // math.gcd(den, b.den)
-    dtype = object if (den > 1 or any(b.num.dtype == object for *_, b in blocks)) else np.int64
-    out = np.zeros((nrows, ncols), dtype=dtype)
-    for r0, c0, b in blocks:
-        br, bc = b.shape
-        out[r0 : r0 + br, c0 : c0 + bc] += b.num * (den // b.den)
-    return Mat(field, out, den)
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +570,8 @@ def projection_map(G: FiniteGroup, H: Subgroup, X: Module, Y: Module) -> Project
                     inv_blocks.append((c * dx * dy + i2 * dy, i * nc * dy + c * dy,
                                        Mat(X.field, np.eye(dy, dtype=np.int64)).scale(
                                            Fraction(int(w), Ainv.den))))
-    pi = ModuleHom(src, tgt, _assemble(X.field, tgt.dim, src.dim, blocks))
-    pi_inv = ModuleHom(tgt, src, _assemble(X.field, src.dim, tgt.dim, inv_blocks))
+    pi = ModuleHom(src, tgt, Mat.from_blocks(X.field, tgt.dim, src.dim, blocks))
+    pi_inv = ModuleHom(tgt, src, Mat.from_blocks(X.field, src.dim, tgt.dim, inv_blocks))
     if not (pi.mat @ pi_inv.mat).is_identity() or not (pi_inv.mat @ pi.mat).is_identity():
         raise ArithmeticError("projection map is not invertible")
 
@@ -677,8 +588,8 @@ def projection_map(G: FiniteGroup, H: Subgroup, X: Module, Y: Module) -> Project
             col0 = c * dy * dx + j * dx
             blocks.append((row0, col0, A))
             inv_blocks.append((col0, row0, Ainv))
-    mirror = ModuleHom(src_m, tgt_m, _assemble(X.field, tgt_m.dim, src_m.dim, blocks))
-    mirror_inv = ModuleHom(tgt_m, src_m, _assemble(X.field, src_m.dim, tgt_m.dim, inv_blocks))
+    mirror = ModuleHom(src_m, tgt_m, Mat.from_blocks(X.field, tgt_m.dim, src_m.dim, blocks))
+    mirror_inv = ModuleHom(tgt_m, src_m, Mat.from_blocks(X.field, src_m.dim, tgt_m.dim, inv_blocks))
     if not (mirror.mat @ mirror_inv.mat).is_identity() or not (mirror_inv.mat @ mirror.mat).is_identity():
         raise ArithmeticError("mirror projection map is not invertible")
     return ProjectionData(pi, pi_inv, mirror, mirror_inv)
@@ -766,18 +677,14 @@ def hom_space(M: Module, N: Module) -> List[ModuleHom]:
     if M.group is not N.group or M.field != N.field:
         raise ValueError("hom space needs a common group and field")
     f = M.field
-    rows = []
+    n = M.dim * N.dim
+    blocks = []
     for s in M.group.generators():
         A, B = M.action(s), N.action(s)
         lhs = Mat.identity(f, M.dim).kron(B)
         rhs = A.T.kron(Mat.identity(f, N.dim))
-        rows.append(lhs - rhs)
-    if not rows:  # trivial group
-        rows = [Mat.zeros(f, 1, M.dim * N.dim)]
-    system = rows[0]
-    for r in rows[1:]:
-        system = system.vstack(r)
-    basis = system.nullspace()
+        blocks.append((len(blocks) * n, 0, lhs - rhs))
+    basis = Mat.from_blocks(f, len(blocks) * n, n, blocks).nullspace()
     if basis.ncols == 0:
         return []
     reduced, _ = basis.T.rref()
@@ -1003,14 +910,10 @@ def is_summand(M: Module, X: Module, seed: int = 0) -> Optional[SummandWitness]:
     f = M.field
     offM = np.cumsum([0] + [s.dim for s in DM.summands])
     offX = np.cumsum([0] + [s.dim for s in DX.summands])
-    emb = np.zeros((X.dim, M.dim), dtype=np.int64)
-    J = Mat.zeros(f, X.dim, M.dim)
-    R = Mat.zeros(f, M.dim, X.dim)
-    for mi, xi, iso in pairing:
-        blocks_j = [(int(offX[xi]), int(offM[mi]), iso.mat)]
-        J = J + _assemble(f, X.dim, M.dim, blocks_j)
-        blocks_r = [(int(offM[mi]), int(offX[xi]), iso.mat.inv())]
-        R = R + _assemble(f, M.dim, X.dim, blocks_r)
+    J = Mat.from_blocks(f, X.dim, M.dim, [(int(offX[xi]), int(offM[mi]), iso.mat)
+                                          for mi, xi, iso in pairing])
+    R = Mat.from_blocks(f, M.dim, X.dim, [(int(offM[mi]), int(offX[xi]), iso.mat.inv())
+                                          for mi, xi, iso in pairing])
     inj = ModuleHom(M, X, DX.transform @ J @ DM.transform.inv())
     ret = ModuleHom(X, M, DM.transform @ R @ DX.transform.inv())
     if not (ret.mat @ inj.mat).is_identity():
@@ -1044,9 +947,8 @@ def relatively_projective(M: Module, S: Subgroup) -> bool:
     if not traces:
         return False
     f = M.field
-    stacked = traces[0].vec()
-    for t in traces[1:]:
-        stacked = stacked.hstack(t.vec())
+    stacked = Mat.from_blocks(f, M.dim * M.dim, len(traces),
+                              [(0, j, t.vec()) for j, t in enumerate(traces)])
     target = Mat.identity(f, M.dim).vec()
     return stacked.solve(target) is not None
 

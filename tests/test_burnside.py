@@ -48,6 +48,12 @@ def test_gset_validates_homomorphism():
         GSet(G, bad)
 
 
+def test_gset_rejects_out_of_range_points():
+    G = builtin_group("c2")
+    with pytest.raises(ValueError):
+        GSet(G, np.array([[0, 1], [1, 7]]))
+
+
 def test_coset_gset_orbit_and_stabilizer():
     G = builtin_group("s4")
     for S in G.subgroups_up_to_conjugacy():

@@ -3,6 +3,7 @@ selector/error handling."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -49,6 +50,28 @@ def test_reports_are_byte_identical_across_runs(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.endswith("\n")
+
+
+# sha256 of each report's stdout; a refactor must keep every byte
+REPORT_SHA256 = {
+    ("tom", "--group", "d8"):
+        "a8f3c009382e0bd634fab58c7231e507ef9ac79d80f1cf3fe99b7454b548d7da",
+    ("xburn", "--group", "s3"):
+        "240c668c60475f51f804956742a2846733ddb24d6264c5fa45246f916342d382",
+    ("blocks", "--group", "s4", "--prime", "3"):
+        "6669da176a2c16ba37432553b528078085a61323883e3017d443f297904606ed",
+    ("isocomma", "--group", "s4", "--left", "1", "--right", "2"):
+        "05b6b64daccc41cafeadd84d39565cb5a48a338321caa5f9eddffb027aa77fc5",
+    ("verify", "--group", "c3", "--prime", "2"):
+        "1ffeeca9e395c36804a1cff1fd38070ac1905661f0eade6b2dddcc02eae1ca78",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_SHA256))
+def test_reports_match_pinned_bytes(capsys, argv):
+    assert run(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[argv]
 
 
 def test_timing_flag_adds_timing_and_nothing_else(capsys):

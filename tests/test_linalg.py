@@ -139,6 +139,21 @@ def test_block_diag_and_stacks():
     assert v.shape == (2, 1) and v.entry(1, 0) == 8
 
 
+def test_from_blocks_sums_overlaps_exactly():
+    # numerators near 2**61 over denominators 3 and 5: the common
+    # denominator 15 and the overlap sum both leave int64
+    big = 2**61 + 1
+    a = Mat(QQ, np.array([[big, 1]]), den=3)
+    b = Mat(QQ, np.array([[big], [1]]), den=5)
+    c = Mat(QQ, np.array([[big]]), den=3)
+    m = Mat.from_blocks(QQ, 2, 3, [(0, 0, a), (0, 1, b), (1, 2, c)])
+    expected = [[Fraction(big, 3), Fraction(1, 3) + Fraction(big, 5), 0],
+                [0, Fraction(1, 5), Fraction(big, 3)]]
+    assert m == Mat.from_rows(QQ, expected)
+    with pytest.raises(ValueError):
+        Mat.from_blocks(QQ, 1, 1, [(0, 0, Mat.identity(GF(2), 1))])
+
+
 def test_perm_to_mat_acts_on_basis():
     P = perm_to_mat(QQ, [2, 0, 1])  # e0 -> e2, e1 -> e0, e2 -> e1
     e0 = Mat(QQ, np.array([[1], [0], [0]]))

@@ -93,7 +93,7 @@ def orbit_pair_count(S, X, Y):
         a, b = pairs.pop()
         count += 1
         for g in S.elements:
-            pairs.discard((int(X.act_perm(g)[a]), int(Y.act_perm(g)[b])))
+            pairs.discard((int(X.gset.action[g, a]), int(Y.gset.action[g, b])))
     return count
 
 

@@ -4,11 +4,14 @@ decomposition into indecomposables, vertices, and block membership."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from mackeykit.burnside import block_decomposition
 from mackeykit.catalog import builtin_group
+from mackeykit.groups import GSet, group_from_generators
 from mackeykit.linalg import GF, QQ, Mat
 from mackeykit.reps import (
     Module,
@@ -44,7 +47,7 @@ def sign_module(field):
     for g in range(G.order):
         # parity of the permutation g of the 3 points of G/C2
         X = permutation_module(G, G.subgroups_up_to_conjugacy()[1], QQ)
-        perm = X.act_perm(g)
+        perm = X.gset.action[g]
         inv = sum(1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j])
         mats.append(Mat.identity(field, 1).scale(-1 if inv % 2 else 1))
     return module_from_matrices(G, field, mats)
@@ -59,7 +62,7 @@ def test_module_rejects_broken_permutation_action():
     perms[1] = [1, 2, 0]  # order 3 cannot embed in C4: g*g must act as [2,0,1]
     perms[3] = [1, 2, 0]
     with pytest.raises(ValueError):
-        Module(G, GF(2), 3, perms=perms)
+        Module(G, GF(2), 3, gset=GSet(G, perms, check=False))
 
 
 def test_module_rejects_broken_matrix_action():
@@ -67,6 +70,24 @@ def test_module_rejects_broken_matrix_action():
     mats = [Mat.identity(QQ, 2), Mat(QQ, np.array([[1, 1], [0, 1]]))]
     with pytest.raises(ValueError):
         module_from_matrices(G, QQ, mats)  # the second matrix has infinite order
+
+
+def test_module_rejects_broken_matrix_action_beyond_order_24():
+    # S4 x C2 (order 48): the sign of the S4 factor is a valid 1-dimensional
+    # module; flipping the matrix of a single non-generator element breaks it
+    G = group_from_generators(6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5],
+                                  [0, 1, 2, 3, 5, 4]])
+    assert G.order == 48
+    signs = []
+    for perm in G.perms:
+        inv = sum(1 for i in range(4) for j in range(i + 1, 4) if perm[i] > perm[j])
+        signs.append(Mat.identity(QQ, 1).scale(-1 if inv % 2 else 1))
+    module_from_matrices(G, QQ, signs)
+    g0 = next(g for g in range(G.order)
+              if g != G.identity and g not in G.generators())
+    signs[g0] = signs[g0].scale(-1)
+    with pytest.raises(ValueError):
+        module_from_matrices(G, QQ, signs)
 
 
 def test_module_hom_rejects_non_equivariant():
@@ -160,6 +181,41 @@ def test_induced_trivial_module_is_coset_module():
             assert ind.dim == H.index
             iso = module_isomorphism(ind, X)
             assert iso is not None and iso.is_isomorphism()
+
+
+def _v4_module_with_large_entries(V):
+    """A 3-dimensional QV-module, V = <a, b> a Klein four group, whose
+    matrices have numerators near 2**61 and denominators 3, 5 and 15."""
+    a, b = V.generators()
+    u, v = Fraction(2**60 + 1, 3), Fraction(1, 5)
+    Aa = Mat.from_rows(QQ, [[1, -2 * u, 0], [0, -1, 0], [0, 0, 1]])
+    Ab = Mat.from_rows(QQ, [[1, 0, -2 * v], [0, 1, 0], [0, 0, -1]])
+    mats = [None] * V.order
+    for i in (0, 1):
+        for j in (0, 1):
+            mats[V.mul(V.power(a, i), V.power(b, j))] = Aa.pow(i) @ Ab.pow(j)
+    return module_from_matrices(V, QQ, mats)
+
+
+def test_block_assembly_with_large_entries_is_exact():
+    G = builtin_group("a4")
+    V = next(S for S in G.subgroups_up_to_conjugacy() if S.order == 4)
+    Vgrp, _ = V.as_group()
+    M = _v4_module_with_large_entries(Vgrp)
+    # counit Ind_1 Res_1 M -> M: one block A(t) per coset rep t
+    T = Vgrp.trivial_subgroup()
+    ad = unit_counit(Vgrp, T, M, trivial_module(T.as_group()[0], QQ))
+    reps, _ = Vgrp.left_transversal(T)
+    eps = ad.eps_left.mat
+    for c, t in enumerate(reps):
+        block = Mat(QQ, eps.num[:, c * M.dim : (c + 1) * M.dim].copy(), eps.den)
+        assert block == M.action(t)
+    # the dense branch of induction along V <= A4, whose blocks mix all
+    # three denominators, through the adjunction and the Mackey formula
+    unit_counit(G, V, trivial_module(G, QQ), M)
+    for K in G.subgroups_up_to_conjugacy():
+        data = mackey_iso(G, K, V, M)
+        assert data.right.dim == V.index * M.dim
 
 
 # -- double-coset decomposition and the projection maps ---------------------------
