@@ -80,17 +80,10 @@ def burnside_vector(X: GSet) -> np.ndarray:
     """The class of X in the Burnside ring: multiplicity of [G/H_i] per
     conjugacy class of subgroups (orbit stabilizers, identified up to
     conjugacy)."""
-    G = X.group
-    subs = G.subgroups_up_to_conjugacy()
-    out = np.zeros(len(subs), dtype=np.int64)
+    lat = X.group.subgroup_lattice()
+    out = np.zeros(len(lat.classes), dtype=np.int64)
     for orb in X.orbits():
-        st = X.stabilizer(orb[0])
-        for i, S in enumerate(subs):
-            if st.order == S.order and st.is_conjugate_to(S):
-                out[i] += 1
-                break
-        else:
-            raise ArithmeticError("stabilizer matched no subgroup class")
+        out[lat.class_index(X.stabilizer(orb[0]))] += 1
     return out
 
 
@@ -101,7 +94,8 @@ def _burnside_structure(G: FiniteGroup) -> List[List[np.ndarray]]:
     cached = _burnside_cache.get(G)
     if cached is not None:
         return cached
-    subs = G.subgroups_up_to_conjugacy()
+    lat = G.subgroup_lattice()
+    subs = lat.classes
     r = len(subs)
     marks = table_of_marks(G)
     rows: List[List[np.ndarray]] = []
@@ -109,16 +103,8 @@ def _burnside_structure(G: FiniteGroup) -> List[List[np.ndarray]]:
         row = []
         for j in range(r):
             vec = np.zeros(r, dtype=np.int64)
-            dc = G.double_cosets(subs[i], subs[j])
-            for g in dc.representatives:
-                inter = frozenset(subs[i].elements) & G.conjugate_subgroup(g, subs[j].elements)
-                S = G.subgroup(inter)
-                for k, T in enumerate(subs):
-                    if S.order == T.order and S.is_conjugate_to(T):
-                        vec[k] += 1
-                        break
-                else:
-                    raise ArithmeticError("intersection matched no subgroup class")
+            for g in G.double_cosets(subs[i], subs[j]).representatives:
+                vec[lat.class_index(subs[i].intersection(subs[j].conjugate_by(g)))] += 1
             # cross-check through the mark homomorphism (injective)
             if not np.array_equal(vec @ marks, marks[i] * marks[j]):
                 raise ArithmeticError("double-coset product disagrees with marks")
@@ -742,15 +728,15 @@ class CrossedBurnsideAlgebra:
 
     def canonical_pair(self, subgroup_elements: Sequence[int], a: int) -> PairClass:
         """Minimum of (sorted subgroup tuple, element) over simultaneous
-        conjugation by all of G."""
+        conjugation by all of G: the class representative R of the subgroup,
+        and the least g a g^-1 over the g with g S g^-1 = R."""
         G = self.group
-        best = None
-        for g in range(G.order):
-            t = tuple(sorted(G.conjugate_subgroup(g, subgroup_elements)))
-            key = (t, G.conj(g, a))
-            if best is None or key < best:
-                best = key
-        return PairClass(best[0], best[1])
+        lat = G.subgroup_lattice()
+        orbit = lat.conj[:, lat.position[G.subgroup(subgroup_elements)]]
+        least = orbit.min()
+        gs = np.flatnonzero(orbit == least)
+        return PairClass(lat.subgroups[least].elements,
+                         int(G.table[gs, G.table[a, G.inverse[gs]]].min()))
 
     def _product(self, i: int, j: int) -> np.ndarray:
         G = self.group
@@ -758,14 +744,13 @@ class CrossedBurnsideAlgebra:
         H = G.subgroup(self.basis[j].subgroup)
         b, a = self.basis[i].element, self.basis[j].element
         out = np.zeros(self.rank, dtype=np.int64)
-        Kset = frozenset(K.elements)
         for g in G.double_cosets(K, H).representatives:
-            inter = Kset & G.conjugate_subgroup(g, H.elements)
+            inter = K.intersection(H.conjugate_by(g))
             c = G.mul(b, G.conj(g, a))
-            for s in inter:  # the product must centralize the intersection
+            for s in inter.elements:  # the product must centralize the intersection
                 if G.conj(c, s) != s:
                     raise ArithmeticError("product element does not centralize")
-            pc = self.canonical_pair(tuple(sorted(inter)), c)
+            pc = self.canonical_pair(inter.elements, c)
             out[self._index[pc]] += 1
         return out
 

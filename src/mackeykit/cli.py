@@ -278,9 +278,7 @@ def _cmd_mackey_check(G: FiniteGroup, args) -> Tuple[Dict, List[str]]:
         except ArithmeticError as exc:
             # construction verifies; surface the first failing identity
             return {"functor": "burnside"}, [str(exc).splitlines()[0]]
-        M = Gf.underlying
-        mrep = verify_mackey_axioms(M)
-        grep = verify_green_axioms(Gf)
+        M, mrep, grep = Gf.underlying, Gf.mackey_report, Gf.green_report
     else:
         field = _parse_field(args.prime)
         X = trivial_module(G, field)
@@ -402,8 +400,7 @@ def _cmd_verify(G: FiniteGroup, args) -> Tuple[Dict, List[str]]:
         phase("blocks", len(blocks))
 
     try:
-        Gf = burnside_green_functor(G)  # both axiom suites run inside
-        mrep = verify_mackey_axioms(Gf.underlying)
+        mrep = burnside_green_functor(G).mackey_report  # both axiom suites run inside
         for c in mrep.checks:
             for f in c.failures:
                 failures.append(f"mackey-functor {c.name}: {f}")

@@ -550,7 +550,6 @@ def verify_isocomma_decomposition(G: FiniteGroup, K: Subgroup, H: Subgroup) -> I
     sk = skeletonize(ic.groupoid)
     dc = G.double_cosets(K, H)
     sizes = dc.coset_sizes()
-    kset = set(K.elements)
 
     checks: List[IsocommaComponentCheck] = []
     counts_match = len(sk.components) == len(dc.representatives)
@@ -559,11 +558,7 @@ def verify_isocomma_decomposition(G: FiniteGroup, K: Subgroup, H: Subgroup) -> I
         cid = int(dc.assignment[g0])
         rep = dc.representatives[cid]
         counts_match = counts_match and (rep == g0) and (len(comp.objects) == sizes[cid])
-        inter = [k for k in K.elements
-                 if G.mul(G.inv(rep), G.mul(k, rep)) in set(H.elements)]
-        expected = G.subgroup(inter)
-        assert set(expected.elements) <= kset
-        exp_grp, _ = expected.as_group()
+        exp_grp, _ = K.intersection(H.conjugate_by(rep)).as_group()
         iso = find_isomorphism(comp.vertex_group, exp_grp)
         checks.append(IsocommaComponentCheck(
             coset_representative=rep,

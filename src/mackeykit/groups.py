@@ -10,6 +10,10 @@ rather than assuming index 0.
 All enumerative routines (subgroups, conjugacy classes, double cosets) are
 exact and exhaustive, meant for desk-scale orders; closure is capped at
 MACKEYKIT_MAX_ORDER (default 10080).
+
+Subgroups are interned (one object per element set, compared by identity).
+Questions about one subgroup conjugate it by every element at once;
+questions about whole classes read the group's `SubgroupLattice` tables.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "Subgroup",
     "InjectiveHom",
     "DoubleCosetDecomposition",
+    "SubgroupLattice",
     "GSet",
     "gset_from_subgroup",
     "gset_induce",
@@ -41,6 +46,11 @@ DEFAULT_MAX_ORDER = 10080
 
 def max_order_cap() -> int:
     return int(os.environ.get("MACKEYKIT_MAX_ORDER", DEFAULT_MAX_ORDER))
+
+
+def _mask_key(mask: np.ndarray) -> int:
+    """A membership mask as a Python int bitmask (bit x set iff x is in)."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def perm_cycle_name(perm: Sequence[int]) -> str:
@@ -99,7 +109,8 @@ class FiniteGroup:
         self._conj_classes: Optional[List[Tuple[int, ...]]] = None
         self._class_of: Optional[np.ndarray] = None
         self._all_subgroups: Optional[List[frozenset]] = None
-        self._subgroup_classes: Optional[List["Subgroup"]] = None
+        self._interned: Dict[int, "Subgroup"] = {}
+        self._lattice: Optional["SubgroupLattice"] = None
 
     # ---- validation ------------------------------------------------------
 
@@ -220,7 +231,22 @@ class FiniteGroup:
     # ---- subgroups -------------------------------------------------------
 
     def subgroup(self, elements: Iterable[int]) -> "Subgroup":
-        return Subgroup(self, tuple(sorted(set(int(x) for x in elements))))
+        """The subgroup on these elements: one object per distinct element
+        set, validated the first time the set is seen."""
+        el = np.fromiter(elements, dtype=np.int64)
+        if el.size and (el.min() < 0 or el.max() >= self.order):
+            raise ValueError("subgroup elements out of range")
+        mask = np.zeros(self.order, dtype=bool)
+        mask[el] = True
+        return self._intern(mask)
+
+    def _intern(self, mask: np.ndarray) -> "Subgroup":
+        key = _mask_key(mask)
+        sub = self._interned.get(key)
+        if sub is None:
+            sub = Subgroup(self, tuple(int(x) for x in np.flatnonzero(mask)))
+            self._interned[key] = sub
+        return sub
 
     def subgroup_from_generators(self, gens: Iterable[int]) -> "Subgroup":
         return self.subgroup(self._closure(gens))
@@ -258,9 +284,31 @@ class FiniteGroup:
             self._all_subgroups = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
         return self._all_subgroups
 
+    def subgroup_lattice(self) -> "SubgroupLattice":
+        """The integer tables over every subgroup, built on first use."""
+        if self._lattice is None:
+            self._lattice = SubgroupLattice(self)
+        return self._lattice
+
+    def _conjugated(self, gs: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        """out[i, j] = gs[i] * elements[j] * gs[i]^-1, in one gather: the
+        conjugation routine behind every subgroup conjugacy question."""
+        return self.table[gs[:, None], self.table[elements[None, :], self.inverse[gs][:, None]]]
+
+    def _conjugates_inside(self, sub: "Subgroup", mask: np.ndarray) -> np.ndarray:
+        """inside[g] is whether g sub g^-1 lies in the mask, for every g;
+        rows are taken in chunks so the gather stays near 2^22 entries."""
+        el = np.asarray(sub.elements, dtype=np.int64)
+        inside = np.empty(self.order, dtype=bool)
+        step = max(1, (1 << 22) // el.size)
+        for lo in range(0, self.order, step):
+            gs = np.arange(lo, min(lo + step, self.order))
+            inside[lo:lo + step] = mask[self._conjugated(gs, el)].all(axis=1)
+        return inside
+
     def conjugate_subgroup(self, g: int, elements: Iterable[int]) -> frozenset:
         el = np.fromiter(elements, dtype=np.int64)
-        conj = self.table[g, self.table[el, self.inverse[g]]]
+        conj = self._conjugated(np.array([g]), el)[0]
         return frozenset(int(x) for x in conj)
 
     def subgroups_up_to_conjugacy(self) -> List["Subgroup"]:
@@ -270,30 +318,16 @@ class FiniteGroup:
         their class; the list is sorted by order then by that tuple, so the
         trivial subgroup comes first and the whole group last.
         """
-        if self._subgroup_classes is None:
-            remaining = set(self.all_subgroups())
-            reps: List[Tuple[int, Tuple[int, ...]]] = []
-            while remaining:
-                sub = next(iter(remaining))
-                orbit = {frozenset(self.conjugate_subgroup(g, sub)) for g in range(self.order)}
-                remaining -= orbit
-                canon = min(tuple(sorted(s)) for s in orbit)
-                reps.append((len(sub), canon))
-            reps.sort()
-            self._subgroup_classes = [self.subgroup(t) for _, t in reps]
-        return self._subgroup_classes
+        return self.subgroup_lattice().classes
 
     def centralizer(self, elements: Iterable[int]) -> "Subgroup":
         mask = np.ones(self.order, dtype=bool)
         for x in set(elements):
             mask &= self.table[:, x] == self.table[x, :]
-        return self.subgroup(np.flatnonzero(mask))
+        return self._intern(mask)
 
     def normalizer(self, sub: "Subgroup") -> "Subgroup":
-        target = frozenset(sub.elements)
-        good = [g for g in range(self.order)
-                if self.conjugate_subgroup(g, sub.elements) == target]
-        return self.subgroup(good)
+        return self._intern(self._conjugates_inside(sub, sub.mask))
 
     # ---- cosets ----------------------------------------------------------
 
@@ -302,54 +336,54 @@ class FiniteGroup:
 
         Returns (reps, coset_of) where coset_of[g] indexes into reps.
         """
-        n = self.order
-        coset_of = np.full(n, -1, dtype=np.int64)
-        reps: List[int] = []
-        hs = np.fromiter(sub.elements, dtype=np.int64)
-        for g in range(n):
-            if coset_of[g] < 0:
-                coset = self.table[g, hs]
-                coset_of[coset] = len(reps)
-                reps.append(g)
-        return reps, coset_of
+        least = self.table[:, np.asarray(sub.elements, dtype=np.int64)].min(axis=1)
+        reps, coset_of = np.unique(least, return_inverse=True)
+        return [int(r) for r in reps], coset_of.astype(np.int64)
 
     def double_cosets(self, left: "Subgroup", right: "Subgroup") -> "DoubleCosetDecomposition":
-        """Decomposition of G into double cosets K g H (K=left, H=right)."""
-        n = self.order
-        assignment = np.full(n, -1, dtype=np.int64)
-        reps: List[int] = []
-        ks = np.fromiter(left.elements, dtype=np.int64)
-        hs = np.fromiter(right.elements, dtype=np.int64)
-        for g in range(n):
-            if assignment[g] < 0:
-                kg = self.table[ks, g]
-                coset = np.unique(self.table[np.ix_(kg, hs)])
-                assignment[coset] = len(reps)
-                reps.append(g)
-        return DoubleCosetDecomposition(self, left, right, reps, assignment)
+        """Decomposition of G into double cosets K g H (K=left, H=right).
+
+        The least element of K g H is min over h of (min over k of k g h),
+        computed for every g at once.  For K, H <= L, the double cosets
+        inside L (K\\L/H) are those whose representative lies in L.
+        """
+        ks = np.asarray(left.elements, dtype=np.int64)
+        hs = np.asarray(right.elements, dtype=np.int64)
+        least_left = self.table[ks].min(axis=0)             # min_k k x, per x
+        least = least_left[self.table[:, hs]].min(axis=1)   # min_h of that at g h
+        reps, assignment = np.unique(least, return_inverse=True)
+        return DoubleCosetDecomposition(self, left, right, [int(r) for r in reps],
+                                        assignment.astype(np.int64))
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup, stored as the sorted tuple of its element indices."""
+    """A subgroup: the sorted tuple of its element indices, its membership
+    mask and that mask as an int bitmask (`key`).  Obtain subgroups from
+    their group, which interns them: equality and hashing go by identity,
+    and `<=` is containment."""
 
     parent: FiniteGroup
     elements: Tuple[int, ...]
+    mask: np.ndarray = field(init=False, repr=False)
+    key: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = self.parent.table
-        el = set(self.elements)
-        if self.parent.identity not in el:
+        G = self.parent
+        el = np.asarray(self.elements, dtype=np.int64)
+        mask = np.zeros(G.order, dtype=bool)
+        mask[el] = True
+        if not mask[G.identity]:
             raise ValueError("subgroup must contain the identity")
-        for a in self.elements:
-            if int(self.parent.inverse[a]) not in el:
-                raise ValueError("subgroup is not closed under inverses")
-        prods = t[np.ix_(list(el), list(el))]
-        if not set(int(x) for x in prods.ravel()) <= el:
+        if not mask[G.inverse[el]].all():
+            raise ValueError("subgroup is not closed under inverses")
+        if not mask[G.table[np.ix_(el, el)]].all():
             raise ValueError("subgroup is not closed under multiplication")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "key", _mask_key(mask))
 
     @property
     def order(self) -> int:
@@ -360,23 +394,31 @@ class Subgroup:
         return self.parent.order // self.order
 
     def __contains__(self, a: int) -> bool:
-        return a in set(self.elements)
+        return 0 <= a < self.mask.size and bool(self.mask[a])
+
+    def __le__(self, other: "Subgroup") -> bool:
+        """Containment in another subgroup of the same group."""
+        return (self.key & ~other.key) == 0
 
     def conjugate_by(self, g: int) -> "Subgroup":
+        lat = self.parent._lattice
+        if lat is not None:
+            return lat.subgroups[lat.conj[g, lat.position[self]]]
         return self.parent.subgroup(self.parent.conjugate_subgroup(g, self.elements))
 
     def is_normal(self) -> bool:
         return self.parent.normalizer(self).order == self.parent.order
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
-        return self.parent.subgroup(set(self.elements) & set(other.elements))
+        return self.parent._intern(self.mask & other.mask)
 
     def is_conjugate_to(self, other: "Subgroup") -> bool:
-        if self.order != other.order:
-            return False
-        target = frozenset(other.elements)
-        return any(self.parent.conjugate_subgroup(g, self.elements) == target
-                   for g in range(self.parent.order))
+        return self.order == other.order and self.is_subconjugate_to(other)
+
+    def is_subconjugate_to(self, other: "Subgroup") -> bool:
+        """Some conjugate of this subgroup lies in `other`."""
+        return (self.order <= other.order
+                and bool(self.parent._conjugates_inside(self, other.mask).any()))
 
     def as_group(self) -> Tuple[FiniteGroup, Tuple[int, ...]]:
         """The subgroup as a standalone group plus its element list in the parent.
@@ -406,6 +448,45 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, elements={self.elements})"
+
+
+class SubgroupLattice:
+    """Every subgroup of a group as an integer id, with the conjugation
+    action as tables (Pfeiffer's table-of-marks bookkeeping).
+
+    `subgroups` lists the interned subgroups sorted by (order, element
+    tuple) and `position[S]` is the id of S.  `conj[g, i]` is the id of
+    g S_i g^-1.  `classes` holds one representative per conjugacy class (the
+    least id, hence the lexicographically least tuple, in each orbit, in
+    increasing id order) and `class_of[i]` the class of S_i in that list.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        self.subgroups = [G.subgroup(s) for s in G.all_subgroups()]
+        self.position = {S: i for i, S in enumerate(self.subgroups)}
+        everything = np.arange(G.order)
+        self.conj = np.empty((G.order, len(self.subgroups)), dtype=np.int64)
+        for i, S in enumerate(self.subgroups):
+            masks = np.zeros((G.order, G.order), dtype=bool)
+            masks[everything[:, None], G._conjugated(everything, np.asarray(S.elements))] = True
+            self.conj[:, i] = [self.position[G._interned[_mask_key(row)]] for row in masks]
+        reps, self.class_of = self.classes_in(G.full_subgroup())
+        self.classes = [self.subgroups[r] for r in reps]
+
+    def classes_in(self, H: Subgroup) -> Tuple[np.ndarray, np.ndarray]:
+        """H-conjugacy classes of the subgroups of H: the least id of each
+        class in increasing order, and per id its class index (-1 for the
+        subgroups not inside H)."""
+        inside = np.array([S <= H for S in self.subgroups])
+        least = self.conj[np.asarray(H.elements)][:, inside].min(axis=0)
+        reps, cls = np.unique(least, return_inverse=True)
+        class_of = np.full(len(self.subgroups), -1, dtype=np.int64)
+        class_of[inside] = cls
+        return reps, class_of
+
+    def class_index(self, S: Subgroup) -> int:
+        """Index of S's class in `classes` (and subgroups_up_to_conjugacy)."""
+        return int(self.class_of[self.position[S]])
 
 
 @dataclass(frozen=True)
@@ -540,8 +621,7 @@ class GSet:
         return out
 
     def stabilizer(self, x: int) -> Subgroup:
-        els = np.nonzero(self.action[:, x] == x)[0]
-        return self.group.subgroup(int(g) for g in els)
+        return self.group._intern(self.action[:, x] == x)
 
     def fixed_points(self, S: Subgroup) -> int:
         rows = self.action[list(S.elements)]

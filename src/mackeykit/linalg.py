@@ -296,7 +296,7 @@ class Mat:
     def is_identity(self) -> bool:
         if self.nrows != self.ncols or self.den != 1:
             return False
-        return bool(np.array_equal(self.num.astype(object), np.eye(self.nrows, dtype=object)))
+        return bool(np.array_equal(self.num, np.eye(self.nrows, dtype=np.int64)))
 
     def __repr__(self) -> str:
         return f"Mat({self.field!r}, {self.nrows}x{self.ncols})"
@@ -307,10 +307,9 @@ class Mat:
         if self.field != other.field or self.shape != other.shape:
             return False
         if self.den == other.den:
-            return bool(np.array_equal(self.num.astype(object), other.num.astype(object)))
-        a = _scale_arr(self.num, other.den)
-        b = _scale_arr(other.num, self.den)
-        return bool(np.array_equal(a.astype(object), b.astype(object)))
+            return bool(np.array_equal(self.num, other.num))
+        return bool(np.array_equal(_scale_arr(self.num, other.den),
+                                   _scale_arr(other.num, self.den)))
 
     __hash__ = None  # type: ignore[assignment]
 

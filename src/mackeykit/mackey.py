@@ -13,13 +13,17 @@ maps, and the double-coset (Mackey) formula
 
 Transfers in the Hom-functor are the relative trace f |-> sum_t Y(t) f X(t)^-1
 over a transversal, which is the composite of the pinned unit/counit pair.
+
+Every map is keyed by interned subgroups (one `Subgroup` object per
+subgroup of G, compared by identity), so containment is `K <= H` and the
+classes at each level are read off the group's `SubgroupLattice`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,9 +51,7 @@ FAILURE_LIST_CAP = 12
 def all_subgroups_sorted(G: FiniteGroup) -> List[Subgroup]:
     """Every subgroup of G (not just class representatives), sorted by
     (order, element tuple)."""
-    subs = [tuple(sorted(s)) for s in G.all_subgroups()]
-    subs.sort(key=lambda t: (len(t), t))
-    return [G.subgroup(t) for t in subs]
+    return list(G.subgroup_lattice().subgroups)
 
 
 @dataclass
@@ -78,18 +80,17 @@ class OrdinaryMackeyFunctor:
         self.tr = tr
         self.conj = conj
         self.subgroups = sorted(levels.keys(), key=lambda S: (S.order, S.elements))
-        sets = {S: frozenset(S.elements) for S in self.subgroups}
-        for K in self.subgroups:
-            for H in self.subgroups:
-                if sets[K] <= sets[H]:
-                    r = res.get((K, H))
-                    t = tr.get((K, H))
-                    if r is None or t is None:
-                        raise ValueError(f"missing maps for {K.elements} <= {H.elements}")
-                    if r.shape != (levels[K].dim, levels[H].dim):
-                        raise ValueError("restriction matrix has wrong shape")
-                    if t.shape != (levels[H].dim, levels[K].dim):
-                        raise ValueError("transfer matrix has wrong shape")
+        # every containment K <= H, in (K, H) order
+        self.containments = [(K, H) for K in self.subgroups for H in self.subgroups if K <= H]
+        for K, H in self.containments:
+            r = res.get((K, H))
+            t = tr.get((K, H))
+            if r is None or t is None:
+                raise ValueError(f"missing maps for {K.elements} <= {H.elements}")
+            if r.shape != (levels[K].dim, levels[H].dim):
+                raise ValueError("restriction matrix has wrong shape")
+            if t.shape != (levels[H].dim, levels[K].dim):
+                raise ValueError("transfer matrix has wrong shape")
         for g in range(group.order):
             for H in self.subgroups:
                 c = conj.get((g, H))
@@ -112,6 +113,17 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+def _run_clause(name: str, instances) -> CheckResult:
+    """Run one clause: `instances` yields (description, holds) pairs; the
+    first FAILURE_LIST_CAP failing descriptions are kept."""
+    inst, fails = 0, []
+    for desc, ok in instances:
+        inst += 1
+        if not ok and len(fails) < FAILURE_LIST_CAP:
+            fails.append(desc)
+    return CheckResult(name, inst, fails)
 
 
 @dataclass
@@ -138,37 +150,12 @@ class MackeyAxiomReport:
         return "\n".join(lines)
 
 
-def _double_cosets_in(G: FiniteGroup, L: Subgroup, K: Subgroup, H: Subgroup) -> List[int]:
-    """Minimal representatives of K\\L/H for K, H <= L, in G coordinates."""
-    seen = set()
-    reps = []
-    for x in L.elements:
-        if x in seen:
-            continue
-        reps.append(x)
-        for k in K.elements:
-            kx = G.mul(k, x)
-            for h in H.elements:
-                seen.add(G.mul(kx, h))
-    return reps
-
-
 def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
     """Exhaustive check of the four Mackey-functor axioms over all chains,
     conjugation pairs, and double-coset triples."""
     G = M.group
     subs = M.subgroups
-    sets = {S: frozenset(S.elements) for S in subs}
     f = M.field
-    checks: List[CheckResult] = []
-
-    def run(name: str, gen) -> None:
-        inst, fails = 0, []
-        for desc, ok in gen:
-            inst += 1
-            if not ok and len(fails) < FAILURE_LIST_CAP:
-                fails.append(desc)
-        checks.append(CheckResult(name, inst, fails))
 
     def identity_maps():
         for H in subs:
@@ -178,22 +165,18 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
             for h in H.elements:
                 yield (f"c_{h} on {H.elements}",
                        M.conj[(h, H)] == Mat.identity(f, d))
-    run("identity-maps", identity_maps())
 
-    chains = [(K, L, H) for K in subs for L in subs for H in subs
-              if sets[K] <= sets[L] <= sets[H]]
+    chains = [(K, L, H) for K, L in M.containments for H in subs if L <= H]
 
     def res_chain():
         for K, L, H in chains:
             yield (f"res {K.elements}<={L.elements}<={H.elements}",
                    M.res[(K, H)] == M.res[(K, L)] @ M.res[(L, H)])
-    run("restriction-functoriality", res_chain())
 
     def tr_chain():
         for K, L, H in chains:
             yield (f"tr {K.elements}<={L.elements}<={H.elements}",
                    M.tr[(K, H)] == M.tr[(L, H)] @ M.tr[(K, L)])
-    run("transfer-functoriality", tr_chain())
 
     def conj_chain():
         for H in subs:
@@ -203,63 +186,58 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
                     yield (f"c_{g} c_{h} on {H.elements}",
                            M.conj[(g, Hh)] @ M.conj[(h, H)]
                            == M.conj[(G.mul(g, h), H)])
-    run("conjugation-functoriality", conj_chain())
-
-    pairs = [(K, H) for K in subs for H in subs if sets[K] <= sets[H]]
 
     def conj_res():
-        for K, H in pairs:
+        for K, H in M.containments:
             for g in range(G.order):
                 yield (f"c_{g} res {K.elements}<={H.elements}",
                        M.conj[(g, K)] @ M.res[(K, H)]
                        == M.res[(K.conjugate_by(g), H.conjugate_by(g))] @ M.conj[(g, H)])
-    run("conjugation-restriction-compatibility", conj_res())
 
     def conj_tr():
-        for K, H in pairs:
+        for K, H in M.containments:
             for g in range(G.order):
                 yield (f"c_{g} tr {K.elements}<={H.elements}",
                        M.conj[(g, H)] @ M.tr[(K, H)]
                        == M.tr[(K.conjugate_by(g), H.conjugate_by(g))] @ M.conj[(g, K)])
-    run("conjugation-transfer-compatibility", conj_tr())
 
     def mackey():
         for L in subs:
-            inner = [S for S in subs if sets[S] <= sets[L]]
+            inner = [S for S in subs if S <= L]
             for K in inner:
                 for H in inner:
                     lhs = M.res[(K, L)] @ M.tr[(H, L)]
                     rhs = Mat.zeros(f, M.levels[K].dim, M.levels[H].dim)
-                    for x in _double_cosets_in(G, L, K, H):
-                        xH = H.conjugate_by(x)
-                        A = G.subgroup(sets[K] & frozenset(xH.elements))     # K n xHx^-1
-                        B = A.conjugate_by(G.inv(x))                          # x^-1Kx n H
+                    for x in G.double_cosets(K, H).representatives:
+                        if x not in L:  # the double cosets KxH inside L are K\L/H
+                            continue
+                        A = K.intersection(H.conjugate_by(x))   # K n xHx^-1
+                        B = A.conjugate_by(G.inv(x))             # x^-1Kx n H
                         rhs = rhs + M.tr[(A, K)] @ M.conj[(x, B)] @ M.res[(B, H)]
                     yield (f"mackey L={L.elements} K={K.elements} H={H.elements}",
                            lhs == rhs)
-    run("mackey-formula", mackey())
 
-    return MackeyAxiomReport(checks)
+    return MackeyAxiomReport([
+        _run_clause("identity-maps", identity_maps()),
+        _run_clause("restriction-functoriality", res_chain()),
+        _run_clause("transfer-functoriality", tr_chain()),
+        _run_clause("conjugation-functoriality", conj_chain()),
+        _run_clause("conjugation-restriction-compatibility", conj_res()),
+        _run_clause("conjugation-transfer-compatibility", conj_tr()),
+        _run_clause("mackey-formula", mackey()),
+    ])
 
 
 def cohomological_check(M: OrdinaryMackeyFunctor) -> CheckResult:
     """tr o res = [H:K] . id at every containment; the report lists failures
     (a functor need not be cohomological — the Burnside one is not)."""
-    subs = M.subgroups
-    sets = {S: frozenset(S.elements) for S in subs}
-    inst, fails = 0, []
-    for K in subs:
-        for H in subs:
-            if not sets[K] <= sets[H]:
-                continue
-            inst += 1
+    def instances():
+        for K, H in M.containments:
             idx = H.order // K.order
-            d = M.levels[H].dim
-            lhs = M.tr[(K, H)] @ M.res[(K, H)]
-            if lhs != Mat.identity(M.field, d).scale(idx):
-                if len(fails) < FAILURE_LIST_CAP:
-                    fails.append(f"tr res at {K.elements}<={H.elements} != {idx} id")
-    return CheckResult("cohomological", inst, fails)
+            yield (f"tr res at {K.elements}<={H.elements} != {idx} id",
+                   M.tr[(K, H)] @ M.res[(K, H)]
+                   == Mat.identity(M.field, M.levels[H].dim).scale(idx))
+    return _run_clause("cohomological", instances())
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +281,11 @@ def hom_decategorify(X: Module, Y: Module) -> OrdinaryMackeyFunctor:
         hs = hom_space(restrict_to(X, S), restrict_to(Y, S))
         bases[S] = [h.mat for h in hs]
         levels[S] = LevelData(S, len(hs), tuple(range(len(hs))))
-    sets = {S: frozenset(S.elements) for S in subs}
     res: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
     tr: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
     for K in subs:
         for H in subs:
-            if not sets[K] <= sets[H]:
+            if not K <= H:
                 continue
             res[(K, H)] = _coords_in_basis(bases[K], bases[H], f)
             Hgrp, Hel = H.as_group()
@@ -341,6 +318,9 @@ class GreenFunctorData:
     underlying: OrdinaryMackeyFunctor
     products: Dict[Subgroup, List[Mat]]  # left multiplication per basis element
     units: Dict[Subgroup, Mat]           # unit column per level
+    # the axiom reports a constructor that verifies has already run
+    mackey_report: Optional[MackeyAxiomReport] = None
+    green_report: Optional[MackeyAxiomReport] = None
 
     def product(self, H: Subgroup, u: Mat, v: Mat) -> Mat:
         f = self.underlying.field
@@ -359,16 +339,6 @@ def verify_green_axioms(Gf: GreenFunctorData) -> MackeyAxiomReport:
     M = Gf.underlying
     f = M.field
     subs = M.subgroups
-    sets = {S: frozenset(S.elements) for S in subs}
-    checks: List[CheckResult] = []
-
-    def run(name, gen):
-        inst, fails = 0, []
-        for desc, ok in gen:
-            inst += 1
-            if not ok and len(fails) < FAILURE_LIST_CAP:
-                fails.append(desc)
-        checks.append(CheckResult(name, inst, fails))
 
     def level_rings():
         for H in subs:
@@ -387,48 +357,43 @@ def verify_green_axioms(Gf: GreenFunctorData) -> MackeyAxiomReport:
                         lhs = Gf.product(H, eij, ek)
                         rhs = Ls[i] @ Gf.product(H, Mat.identity(f, d).col(j), ek)
                         yield (f"assoc at {H.elements} ({i},{j},{k})", lhs == rhs)
-    run("level-ring-laws", level_rings())
 
     def res_hom():
-        for K in subs:
-            for H in subs:
-                if not sets[K] <= sets[H]:
-                    continue
-                r = M.res[(K, H)]
-                dH = M.levels[H].dim
-                yield (f"res unit {K.elements}<={H.elements}",
-                       r @ Gf.units[H] == Gf.units[K])
-                for i in range(dH):
-                    ei = Mat.identity(f, dH).col(i)
-                    for j in range(dH):
-                        ej = Mat.identity(f, dH).col(j)
-                        lhs = r @ Gf.product(H, ei, ej)
-                        rhs = Gf.product(K, r @ ei, r @ ej)
-                        yield (f"res hom {K.elements}<={H.elements} ({i},{j})", lhs == rhs)
-    run("restriction-ring-homomorphism", res_hom())
+        for K, H in M.containments:
+            r = M.res[(K, H)]
+            dH = M.levels[H].dim
+            yield (f"res unit {K.elements}<={H.elements}",
+                   r @ Gf.units[H] == Gf.units[K])
+            for i in range(dH):
+                ei = Mat.identity(f, dH).col(i)
+                for j in range(dH):
+                    ej = Mat.identity(f, dH).col(j)
+                    lhs = r @ Gf.product(H, ei, ej)
+                    rhs = Gf.product(K, r @ ei, r @ ej)
+                    yield (f"res hom {K.elements}<={H.elements} ({i},{j})", lhs == rhs)
 
     def frobenius():
-        for K in subs:
-            for H in subs:
-                if not sets[K] <= sets[H]:
-                    continue
-                r, t = M.res[(K, H)], M.tr[(K, H)]
-                dH, dK = M.levels[H].dim, M.levels[K].dim
-                for i in range(dH):
-                    x = Mat.identity(f, dH).col(i)
-                    for j in range(dK):
-                        y = Mat.identity(f, dK).col(j)
-                        lhs = t @ Gf.product(K, r @ x, y)
-                        rhs = Gf.product(H, x, t @ y)
-                        yield (f"frobenius-left {K.elements}<={H.elements} ({i},{j})",
-                               lhs == rhs)
-                        lhs2 = t @ Gf.product(K, y, r @ x)
-                        rhs2 = Gf.product(H, t @ y, x)
-                        yield (f"frobenius-right {K.elements}<={H.elements} ({i},{j})",
-                               lhs2 == rhs2)
-    run("frobenius-formulas", frobenius())
+        for K, H in M.containments:
+            r, t = M.res[(K, H)], M.tr[(K, H)]
+            dH, dK = M.levels[H].dim, M.levels[K].dim
+            for i in range(dH):
+                x = Mat.identity(f, dH).col(i)
+                for j in range(dK):
+                    y = Mat.identity(f, dK).col(j)
+                    lhs = t @ Gf.product(K, r @ x, y)
+                    rhs = Gf.product(H, x, t @ y)
+                    yield (f"frobenius-left {K.elements}<={H.elements} ({i},{j})",
+                           lhs == rhs)
+                    lhs2 = t @ Gf.product(K, y, r @ x)
+                    rhs2 = Gf.product(H, t @ y, x)
+                    yield (f"frobenius-right {K.elements}<={H.elements} ({i},{j})",
+                           lhs2 == rhs2)
 
-    return MackeyAxiomReport(checks)
+    return MackeyAxiomReport([
+        _run_clause("level-ring-laws", level_rings()),
+        _run_clause("restriction-ring-homomorphism", res_hom()),
+        _run_clause("frobenius-formulas", frobenius()),
+    ])
 
 
 def green_from_monoid(X: Module, Y: Module, mul: ModuleHom, unit: ModuleHom) -> GreenFunctorData:
@@ -469,29 +434,6 @@ def green_from_monoid(X: Module, Y: Module, mul: ModuleHom, unit: ModuleHom) -> 
 # the Burnside Green functor
 
 
-def _subgroup_classes_in(
-    G: FiniteGroup, H: Subgroup
-) -> Tuple[List[Subgroup], Dict[frozenset, int]]:
-    """H-conjugacy classes of subgroups of H: canonical representatives as
-    subgroups of G (sorted by order then element tuple), plus a lookup
-    mapping every subgroup contained in H to its class index."""
-    Hset = frozenset(H.elements)
-    remaining = {s for s in G.all_subgroups() if s <= Hset}
-    orbits: List[Tuple[Tuple[int, Tuple[int, ...]], set]] = []
-    while remaining:
-        s = next(iter(remaining))
-        orbit = {frozenset(G.conjugate_subgroup(h, s)) for h in H.elements}
-        remaining -= orbit
-        orbits.append((min((len(t), tuple(sorted(t))) for t in orbit), orbit))
-    orbits.sort(key=lambda pair: pair[0])
-    classes = [G.subgroup(key[1]) for key, _ in orbits]
-    index_of: Dict[frozenset, int] = {}
-    for i, (_, orbit) in enumerate(orbits):
-        for t in orbit:
-            index_of[t] = i
-    return classes, index_of
-
-
 def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
     """The Burnside-ring Green functor: level H is the free module on
     H-classes of subgroups S <= H (the classes of transitive H-sets H/S);
@@ -503,34 +445,41 @@ def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
         [H/S] . [H/T]   = sum over ShT of [H/(S n hTh^-1)]
 
     The full Mackey axiom suite and the Green axioms are run before the
-    functor is returned; any failure is a hard error.
+    functor is returned, which carries their reports; any failure is a
+    hard error.
     """
     f = QQ
-    subs = all_subgroups_sorted(G)
+    lat = G.subgroup_lattice()
+    subs = lat.subgroups
+    pos = lat.position
+    # level H: the H-classes of subgroups of H, and each subgroup's class
     classes: Dict[Subgroup, List[Subgroup]] = {}
-    index_of: Dict[Subgroup, Dict[frozenset, int]] = {}
+    class_of: Dict[Subgroup, np.ndarray] = {}
     levels: Dict[Subgroup, LevelData] = {}
     for H in subs:
-        cl, idx = _subgroup_classes_in(G, H)
-        classes[H], index_of[H] = cl, idx
-        levels[H] = LevelData(H, len(cl), tuple(S.elements for S in cl))
-    sets = {S: frozenset(S.elements) for S in subs}
+        reps, class_of[H] = lat.classes_in(H)
+        classes[H] = [subs[i] for i in reps]
+        levels[H] = LevelData(H, len(reps), tuple(S.elements for S in classes[H]))
+
+    def count_intersections(K: Subgroup, S: Subgroup, L: Subgroup, level: Subgroup) -> np.ndarray:
+        """Over the double cosets KhS inside L: how many K n hSh^-1 fall
+        in each class of the level."""
+        out = np.zeros(len(classes[level]), dtype=np.int64)
+        for h in G.double_cosets(K, S).representatives:
+            if h in L:
+                out[class_of[level][pos[K.intersection(S.conjugate_by(h))]]] += 1
+        return out
+
     res: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
     tr: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
     for K in subs:
         for H in subs:
-            if not sets[K] <= sets[H]:
+            if not K <= H:
                 continue
             clH, clK = classes[H], classes[K]
-            rmat = np.zeros((len(clK), len(clH)), dtype=np.int64)
-            for j, S in enumerate(clH):
-                for h in _double_cosets_in(G, H, K, S):
-                    inter = sets[K] & G.conjugate_subgroup(h, S.elements)
-                    rmat[index_of[K][inter], j] += 1
-            res[(K, H)] = Mat(f, rmat)
+            res[(K, H)] = Mat(f, np.stack([count_intersections(K, S, H, K) for S in clH], axis=1))
             tmat = np.zeros((len(clH), len(clK)), dtype=np.int64)
-            for j, S in enumerate(clK):
-                tmat[index_of[H][frozenset(S.elements)], j] += 1
+            tmat[class_of[H][[pos[S] for S in clK]], np.arange(len(clK))] = 1
             tr[(K, H)] = Mat(f, tmat)
     conj: Dict[Tuple[int, Subgroup], Mat] = {}
     for g in range(G.order):
@@ -538,8 +487,7 @@ def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
             tgt = H.conjugate_by(g)
             clH, clT = classes[H], classes[tgt]
             cmat = np.zeros((len(clT), len(clH)), dtype=np.int64)
-            for j, S in enumerate(clH):
-                cmat[index_of[tgt][G.conjugate_subgroup(g, S.elements)], j] += 1
+            cmat[class_of[tgt][lat.conj[g, [pos[S] for S in clH]]], np.arange(len(clH))] = 1
             conj[(g, H)] = Mat(f, cmat)
     M = OrdinaryMackeyFunctor(G, f, levels, res, tr, conj)
 
@@ -548,23 +496,17 @@ def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
     for H in subs:
         cl = classes[H]
         r = len(cl)
-        Ls = []
-        for i, S in enumerate(cl):
-            mat = np.zeros((r, r), dtype=np.int64)
-            for j, T in enumerate(cl):
-                for h in _double_cosets_in(G, H, S, T):
-                    inter = sets[S] & G.conjugate_subgroup(h, T.elements)
-                    mat[index_of[H][inter], j] += 1
-            Ls.append(Mat(f, mat))
-        products[H] = Ls
+        products[H] = [Mat(f, np.stack([count_intersections(S, T, H, H) for T in cl], axis=1))
+                       for S in cl]
         u = np.zeros((r, 1), dtype=np.int64)
         u[[i for i, S in enumerate(cl) if S.order == H.order][0], 0] = 1
         units[H] = Mat(f, u)
-    Gf = GreenFunctorData(M, products, units)
-    rep = verify_mackey_axioms(M)
-    if not rep.ok:
-        raise ArithmeticError("Burnside functor failed the Mackey axioms:\n" + rep.summary())
-    grep = verify_green_axioms(Gf)
-    if not grep.ok:
-        raise ArithmeticError("Burnside functor failed the Green axioms:\n" + grep.summary())
+    mrep = verify_mackey_axioms(M)
+    if not mrep.ok:
+        raise ArithmeticError("Burnside functor failed the Mackey axioms:\n" + mrep.summary())
+    Gf = GreenFunctorData(M, products, units, mrep)
+    Gf.green_report = verify_green_axioms(Gf)
+    if not Gf.green_report.ok:
+        raise ArithmeticError("Burnside functor failed the Green axioms:\n"
+                              + Gf.green_report.summary())
     return Gf

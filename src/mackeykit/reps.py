@@ -324,7 +324,7 @@ def _min_coset_data(G: FiniteGroup, H: Subgroup):
     reps, coset_of = G.left_transversal(H)
     c0 = int(coset_of[G.identity])
     t0 = reps[c0]
-    assert t0 in set(H.elements)
+    assert t0 in H
     return reps, coset_of, c0, t0
 
 
@@ -455,7 +455,6 @@ def mackey_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, N: Module) -> MackeyIso
     if N.group is not Hgrp:
         raise ValueError("N must live over H")
     dc = G.double_cosets(K, H)
-    Hset, Kset = set(H.elements), set(K.elements)
     Hpos = {g: i for i, g in enumerate(Hel)}
     Kpos = {g: i for i, g in enumerate(Kel)}
     d = N.dim
@@ -466,7 +465,7 @@ def mackey_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, N: Module) -> MackeyIso
     for x in dc.representatives:
         xinv = G.inv(x)
         # H n x^-1 K x inside H-the-group
-        s1 = [i for i, h in enumerate(Hel) if G.conj(x, h) in Kset]
+        s1 = [i for i, h in enumerate(Hel) if G.conj(x, h) in K]
         S1 = Hgrp.subgroup(s1)
         N1 = restrict(S1.inclusion_hom(), N)
         # transport to K n xHx^-1 inside K-the-group
@@ -510,7 +509,7 @@ def mackey_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, N: Module) -> MackeyIso
             tinv = G.inv(t)
             for w_idx, w in enumerate(w_reps):
                 z = G.mul(xinv, G.mul(tinv, w))
-                if z in Hset:
+                if z in H:
                     blocks.append((base + c * d, w_idx * d, N.action(Hpos[z])))
     bwd = Mat.from_blocks(N.field, left.dim, right.dim, blocks)
 
@@ -953,14 +952,6 @@ def relatively_projective(M: Module, S: Subgroup) -> bool:
     return stacked.solve(target) is not None
 
 
-def _is_subconjugate(G: FiniteGroup, A: Subgroup, B: Subgroup) -> bool:
-    """Some conjugate of A is contained in B."""
-    if A.order > B.order:
-        return False
-    bset = frozenset(B.elements)
-    return any(G.conjugate_subgroup(g, A.elements) <= bset for g in range(G.order))
-
-
 @dataclass
 class VertexResult:
     vertex: Subgroup
@@ -990,7 +981,7 @@ def vertex(M: Module, require_indecomposable: bool = True) -> VertexResult:
     if not proj:
         raise ArithmeticError("no relatively projective p-class found (broken invariant)")
     minimal = [S for S in proj
-               if not any(T is not S and _is_subconjugate(G, T, S) for T in proj)]
+               if not any(T is not S and T.is_subconjugate_to(S) for T in proj)]
     if len(minimal) != 1:
         raise ArithmeticError(
             f"vertex is not unique up to conjugacy: {len(minimal)} minimal classes")
@@ -1027,11 +1018,9 @@ def green_correspondent(G: FiniteGroup, H: Subgroup, D: Subgroup, n: Module,
     Hgrp, Hel = H.as_group()
     if n.group is not Hgrp:
         raise ValueError("n must live over H")
-    Dset = set(D.elements)
-    if not Dset <= set(H.elements):
+    if not D <= H:
         raise ValueError("D must be contained in H")
-    NG = G.normalizer(D)
-    if not set(NG.elements) <= set(H.elements):
+    if not G.normalizer(D) <= H:
         raise ValueError("the normalizer of D must be contained in H")
     Hpos = {g: i for i, g in enumerate(Hel)}
     D_in_H = Hgrp.subgroup(Hpos[x] for x in D.elements)
@@ -1041,10 +1030,7 @@ def green_correspondent(G: FiniteGroup, H: Subgroup, D: Subgroup, n: Module,
 
     X = induce(H.inclusion_hom(), n)
     DX = decompose(X, seed=seed)
-    Hset = set(H.elements)
-    relevant = {frozenset(Dset & G.conjugate_subgroup(g, D.elements))
-                for g in range(G.order) if g not in Hset}
-    relevant_subs = [G.subgroup(s) for s in relevant]
+    relevant = {D.intersection(D.conjugate_by(g)) for g in range(G.order) if g not in H}
 
     matches: List[int] = []
     others: List[Tuple[int, Subgroup]] = []
@@ -1055,7 +1041,7 @@ def green_correspondent(G: FiniteGroup, H: Subgroup, D: Subgroup, n: Module,
         else:
             for m in members:
                 others.append((m, v))
-            if not any(_is_subconjugate(G, v, s) for s in relevant_subs):
+            if not any(v.is_subconjugate_to(s) for s in relevant):
                 raise ArithmeticError(
                     "a non-correspondent summand has vertex outside the expected family")
     if len(matches) != 1:

@@ -64,6 +64,14 @@ REPORT_SHA256 = {
         "05b6b64daccc41cafeadd84d39565cb5a48a338321caa5f9eddffb027aa77fc5",
     ("verify", "--group", "c3", "--prime", "2"):
         "1ffeeca9e395c36804a1cff1fd38070ac1905661f0eade6b2dddcc02eae1ca78",
+    ("mackey-check", "--group", "d8", "--functor", "burnside"):
+        "53faa66a9b989d21b3375377415c2254731d3521146db88ab74de3781de75290",
+    ("xburn", "--group", "s4"):
+        "9fefb986077221730a8441454d1bb2fa918af457b4c62cf945f39fd2a92560d9",
+    ("green-corr", "--group", "s4", "--prime", "3", "--vertex", "4", "--module", "trivial"):
+        "84e06d9a00a652a97588335dff4d715fd3618f92729ac7d4b621597ee9152bb2",
+    ("vertex", "--group", "s4", "--prime", "2", "--module", "trivial"):
+        "aa3f7636b4196fb39a8548670f45bb5bcf3e57747ad97bab0ded2f508575cde2",
 }
 
 
@@ -72,6 +80,26 @@ def test_reports_match_pinned_bytes(capsys, argv):
     assert run(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [["mackey-check", "--group", "s3"],
+                                  ["verify", "--group", "c3", "--prime", "2"]])
+def test_each_axiom_suite_runs_once_per_command(capsys, monkeypatch, argv):
+    from mackeykit import mackey
+
+    calls = {"verify_mackey_axioms": 0, "verify_green_axioms": 0}
+    for name in calls:
+        orig = getattr(mackey, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(mackey, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert calls == {"verify_mackey_axioms": 1, "verify_green_axioms": 1}
 
 
 def test_timing_flag_adds_timing_and_nothing_else(capsys):

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from mackeykit.catalog import BUILTIN_NAMES, builtin_group
-from mackeykit.groups import FiniteGroup, group_from_generators, group_from_table
+from mackeykit.groups import (
+    FiniteGroup,
+    group_from_generators,
+    group_from_table,
+    gset_from_subgroup,
+)
 
 SMALL = ["c2", "c3", "c4", "v4", "s3", "d8", "q8", "a4"]
 
@@ -253,3 +258,90 @@ def test_conjugate_subgroup_is_group_action():
             lhs = G.conjugate_subgroup(g, G.conjugate_subgroup(h, S.elements))
             rhs = G.conjugate_subgroup(G.mul(g, h), S.elements)
             assert lhs == rhs
+
+
+# -- the subgroup registry ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_lattice_tables_against_brute_force(name):
+    G = builtin_group(name)
+    lat = G.subgroup_lattice()
+    sets = [frozenset(S.elements) for S in lat.subgroups]
+    assert len(set(sets)) == len(sets) and set(sets) == set(G.all_subgroups())
+    index = {s: i for i, s in enumerate(sets)}
+    reps = G.subgroups_up_to_conjugacy()
+    for i, S in enumerate(sets):
+        orbit = set()
+        for g in range(G.order):
+            conj = frozenset(G.conj(g, x) for x in S)
+            assert lat.conj[g, i] == index[conj]
+            orbit.add(index[conj])
+        same_class = {j for j in range(len(sets)) if lat.class_of[j] == lat.class_of[i]}
+        assert same_class == orbit
+        assert index[frozenset(reps[lat.class_of[i]].elements)] in orbit
+        stabiliser = {g for g in range(G.order) if lat.conj[g, i] == i}
+        assert set(G.normalizer(lat.subgroups[i]).elements) == stabiliser
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_subgroups_are_interned(name):
+    G = builtin_group(name)
+    for S in G.subgroup_lattice().subgroups:
+        assert G.subgroup(S.elements) is S
+        assert G.subgroup(list(reversed(S.elements))) is S
+        assert G.subgroup_from_generators(S.elements) is S
+        assert S.conjugate_by(G.identity) is S
+        assert S.intersection(G.full_subgroup()) is S
+        assert G.normalizer(S) is G.normalizer(S.conjugate_by(0))
+    X = gset_from_subgroup(G, G.trivial_subgroup())
+    assert X.stabilizer(0) is G.trivial_subgroup()
+
+
+def test_conjugates_of_a_fresh_group_build_as_group_once():
+    # a group with no lattice yet takes the direct conjugation route
+    G = group_from_generators(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
+    H = G.subgroup_from_generators([1])
+    first = H.conjugate_by(5).as_group()
+    assert G._lattice is None
+    assert H.conjugate_by(5).as_group() is first
+    assert G.subgroup(first[1]).as_group() is first
+    G.subgroup_lattice()
+    assert H.conjugate_by(5).as_group() is first
+
+
+def test_subgroup_membership_and_containment_against_sets():
+    G = builtin_group("s4")
+    subs = G.subgroup_lattice().subgroups
+    for A in subs:
+        assert [g in A for g in range(-1, G.order + 1)] == \
+            [g in set(A.elements) for g in range(-1, G.order + 1)]
+        for B in subs:
+            assert (A <= B) == (set(A.elements) <= set(B.elements))
+            assert set(A.intersection(B).elements) == set(A.elements) & set(B.elements)
+
+
+@pytest.mark.parametrize("name", ["d8", "a4", "s4"])
+def test_conjugacy_and_subconjugacy_against_brute_force(name):
+    G = builtin_group(name)
+    reps = G.subgroups_up_to_conjugacy()
+    for A in reps:
+        conjugates = {G.conjugate_subgroup(g, A.elements) for g in range(G.order)}
+        for B in G.subgroup_lattice().subgroups:
+            Bset = frozenset(B.elements)
+            assert A.is_conjugate_to(B) == (Bset in conjugates)
+            assert A.is_subconjugate_to(B) == any(c <= Bset for c in conjugates)
+
+
+def test_non_subgroups_still_raise():
+    G = builtin_group("s4")
+    bad = [0, 1, 2]
+    for _ in range(2):  # a rejected set is not interned
+        with pytest.raises(ValueError):
+            G.subgroup(bad)
+    with pytest.raises(ValueError):
+        G.subgroup([])
+    with pytest.raises(ValueError):
+        G.subgroup([0, G.order])
+    with pytest.raises(ValueError):
+        G.subgroup([0, -1])

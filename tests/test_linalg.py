@@ -154,6 +154,33 @@ def test_from_blocks_sums_overlaps_exactly():
         Mat.from_blocks(QQ, 1, 1, [(0, 0, Mat.identity(GF(2), 1))])
 
 
+def test_equality_between_int64_and_object_entries_is_exact():
+    # an object-dtype Mat keeps some entry >= 2**62; comparisons with an
+    # int64 Mat must neither wrap nor cast away the big entries
+    near = 2**62 + 3
+    small = Mat(QQ, np.array([[near, 1], [0, 7]], dtype=np.int64), den=5)
+    huge = Mat(QQ, np.array([[near, 1], [0, 7]], dtype=object), den=5)
+    assert small.num.dtype == np.int64 and huge.num.dtype == object
+    assert small == huge and huge == small
+    assert small != Mat(QQ, np.array([[near, 1], [0, 8]], dtype=object), den=5)
+    # different denominators: a/3 against b/5 with 3b = 5a + k 2**64, so the
+    # cross-multiplied numerators (past 2**63) agree modulo 2**64 only
+    a = 2**62 + 1
+    b = next((5 * a + k * 2**64) // 3 for k in range(1, 7)
+             if (5 * a + k * 2**64) % 3 == 0 and (5 * a + k * 2**64) // 3 % 5)
+    assert b > 2**63
+    x = Mat(QQ, np.array([[a, 0]], dtype=np.int64), den=3)
+    y = Mat(QQ, np.array([[b, 0]], dtype=object), den=5)
+    assert x.den == 3 and y.den == 5 and y.num.dtype == object
+    assert x != y and y != x
+    assert x == Mat(QQ, np.array([[a, 0]], dtype=object), den=3)
+    # is_identity on both dtypes, including an entry equal to 0 mod 2**64
+    assert Mat.identity(QQ, 2).is_identity()
+    assert not Mat(QQ, np.array([[1, 2**64], [0, 1]], dtype=object)).is_identity()
+    assert not Mat(QQ, np.array([[1 + 2**64, 0], [0, 1]], dtype=object)).is_identity()
+    assert not small.is_identity()
+
+
 def test_perm_to_mat_acts_on_basis():
     P = perm_to_mat(QQ, [2, 0, 1])  # e0 -> e2, e1 -> e0, e2 -> e1
     e0 = Mat(QQ, np.array([[1], [0], [0]]))

@@ -51,6 +51,24 @@ def test_all_subgroups_sorted_covers_everything():
     assert orders == [1, 2, 2, 2, 3, 6]
 
 
+def test_burnside_functor_validates_each_subgroup_once(monkeypatch):
+    from mackeykit import groups
+    from mackeykit.catalog import group_from_spec
+
+    G = group_from_spec({"degree": 4, "generators": [[1, 2, 3, 0], [3, 2, 1, 0]]})  # D8
+    calls = []
+    orig = groups.Subgroup.__post_init__
+
+    def counted(self):
+        calls.append(self.elements)
+        orig(self)
+
+    monkeypatch.setattr(groups.Subgroup, "__post_init__", counted)
+    Gf = burnside_green_functor(G)
+    assert len(calls) == len(set(calls)) == len(G.all_subgroups()) == 10
+    assert Gf.mackey_report.ok and Gf.green_report.ok
+
+
 # -- the constant functor (trivial Hom) ---------------------------------------
 
 
