@@ -292,19 +292,13 @@ class FiniteGroup:
 
     def _conjugated(self, gs: np.ndarray, elements: np.ndarray) -> np.ndarray:
         """out[i, j] = gs[i] * elements[j] * gs[i]^-1, in one gather: the
-        conjugation routine behind every subgroup conjugacy question."""
+        routine behind the conjugacy questions that range over many g."""
         return self.table[gs[:, None], self.table[elements[None, :], self.inverse[gs][:, None]]]
 
     def _conjugates_inside(self, sub: "Subgroup", mask: np.ndarray) -> np.ndarray:
-        """inside[g] is whether g sub g^-1 lies in the mask, for every g;
-        rows are taken in chunks so the gather stays near 2^22 entries."""
+        """inside[g] is whether g sub g^-1 lies in the mask, for every g."""
         el = np.asarray(sub.elements, dtype=np.int64)
-        inside = np.empty(self.order, dtype=bool)
-        step = max(1, (1 << 22) // el.size)
-        for lo in range(0, self.order, step):
-            gs = np.arange(lo, min(lo + step, self.order))
-            inside[lo:lo + step] = mask[self._conjugated(gs, el)].all(axis=1)
-        return inside
+        return mask[self._conjugated(np.arange(self.order), el)].all(axis=1)
 
     def conjugate_subgroup(self, g: int, elements: Iterable[int]) -> frozenset:
         el = np.fromiter(elements, dtype=np.int64)
@@ -401,10 +395,9 @@ class Subgroup:
         return (self.key & ~other.key) == 0
 
     def conjugate_by(self, g: int) -> "Subgroup":
-        lat = self.parent._lattice
-        if lat is not None:
-            return lat.subgroups[lat.conj[g, lat.position[self]]]
-        return self.parent.subgroup(self.parent.conjugate_subgroup(g, self.elements))
+        """g S g^-1, read off the mask: x is in it iff g^-1 x g is in S."""
+        G = self.parent
+        return G._intern(self.mask[G.table[G.table[G.inverse[g]], g]])
 
     def is_normal(self) -> bool:
         return self.parent.normalizer(self).order == self.parent.order

@@ -54,6 +54,11 @@ def all_subgroups_sorted(G: FiniteGroup) -> List[Subgroup]:
     return list(G.subgroup_lattice().subgroups)
 
 
+def _containments(subs: List[Subgroup]) -> List[Tuple[Subgroup, Subgroup]]:
+    """Every containment K <= H among `subs`, in (K, H) order."""
+    return [(K, H) for K in subs for H in subs if K <= H]
+
+
 @dataclass
 class LevelData:
     subgroup: Subgroup
@@ -80,8 +85,8 @@ class OrdinaryMackeyFunctor:
         self.tr = tr
         self.conj = conj
         self.subgroups = sorted(levels.keys(), key=lambda S: (S.order, S.elements))
-        # every containment K <= H, in (K, H) order
-        self.containments = [(K, H) for K in self.subgroups for H in self.subgroups if K <= H]
+        self.containments = _containments(self.subgroups)
+        self.conjugate: Dict[Tuple[int, Subgroup], Subgroup] = {}  # (g, H) -> gHg^-1
         for K, H in self.containments:
             r = res.get((K, H))
             t = tr.get((K, H))
@@ -96,7 +101,7 @@ class OrdinaryMackeyFunctor:
                 c = conj.get((g, H))
                 if c is None:
                     raise ValueError(f"missing conjugation ({g}, {H.elements})")
-                tgt = H.conjugate_by(g)
+                tgt = self.conjugate[(g, H)] = H.conjugate_by(g)
                 if c.shape != (levels[tgt].dim, levels[H].dim):
                     raise ValueError("conjugation matrix has wrong shape")
 
@@ -156,6 +161,7 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
     G = M.group
     subs = M.subgroups
     f = M.field
+    cj = M.conjugate
 
     def identity_maps():
         for H in subs:
@@ -181,7 +187,7 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
     def conj_chain():
         for H in subs:
             for h in range(G.order):
-                Hh = H.conjugate_by(h)
+                Hh = cj[(h, H)]
                 for g in range(G.order):
                     yield (f"c_{g} c_{h} on {H.elements}",
                            M.conj[(g, Hh)] @ M.conj[(h, H)]
@@ -192,14 +198,14 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
             for g in range(G.order):
                 yield (f"c_{g} res {K.elements}<={H.elements}",
                        M.conj[(g, K)] @ M.res[(K, H)]
-                       == M.res[(K.conjugate_by(g), H.conjugate_by(g))] @ M.conj[(g, H)])
+                       == M.res[(cj[(g, K)], cj[(g, H)])] @ M.conj[(g, H)])
 
     def conj_tr():
         for K, H in M.containments:
             for g in range(G.order):
                 yield (f"c_{g} tr {K.elements}<={H.elements}",
                        M.conj[(g, H)] @ M.tr[(K, H)]
-                       == M.tr[(K.conjugate_by(g), H.conjugate_by(g))] @ M.conj[(g, K)])
+                       == M.tr[(cj[(g, K)], cj[(g, H)])] @ M.conj[(g, K)])
 
     def mackey():
         for L in subs:
@@ -211,8 +217,8 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
                     for x in G.double_cosets(K, H).representatives:
                         if x not in L:  # the double cosets KxH inside L are K\L/H
                             continue
-                        A = K.intersection(H.conjugate_by(x))   # K n xHx^-1
-                        B = A.conjugate_by(G.inv(x))             # x^-1Kx n H
+                        A = K.intersection(cj[(x, H)])   # K n xHx^-1
+                        B = cj[(G.inv(x), A)]            # x^-1Kx n H
                         rhs = rhs + M.tr[(A, K)] @ M.conj[(x, B)] @ M.res[(B, H)]
                     yield (f"mackey L={L.elements} K={K.elements} H={H.elements}",
                            lhs == rhs)
@@ -283,23 +289,20 @@ def hom_decategorify(X: Module, Y: Module) -> OrdinaryMackeyFunctor:
         levels[S] = LevelData(S, len(hs), tuple(range(len(hs))))
     res: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
     tr: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
-    for K in subs:
-        for H in subs:
-            if not K <= H:
-                continue
-            res[(K, H)] = _coords_in_basis(bases[K], bases[H], f)
-            Hgrp, Hel = H.as_group()
-            Kin = Hgrp.subgroup(Hel.index(x) for x in K.elements)
-            reps_h, _ = Hgrp.left_transversal(Kin)
-            ts = [Hel[i] for i in reps_h]
-            traces = []
-            for b in bases[K]:
-                acc = None
-                for t in ts:
-                    term = Y.action(t) @ b @ X.action_inv(t)
-                    acc = term if acc is None else acc + term
-                traces.append(acc)
-            tr[(K, H)] = _coords_in_basis(bases[H], traces, f)
+    for K, H in _containments(subs):
+        res[(K, H)] = _coords_in_basis(bases[K], bases[H], f)
+        Hgrp, Hel = H.as_group()
+        Kin = Hgrp.subgroup(Hel.index(x) for x in K.elements)
+        reps_h, _ = Hgrp.left_transversal(Kin)
+        ts = [Hel[i] for i in reps_h]
+        traces = []
+        for b in bases[K]:
+            acc = None
+            for t in ts:
+                term = Y.action(t) @ b @ X.action_inv(t)
+                acc = term if acc is None else acc + term
+            traces.append(acc)
+        tr[(K, H)] = _coords_in_basis(bases[H], traces, f)
     conj: Dict[Tuple[int, Subgroup], Mat] = {}
     for g in range(G.order):
         for H in subs:
@@ -472,15 +475,12 @@ def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
 
     res: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
     tr: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
-    for K in subs:
-        for H in subs:
-            if not K <= H:
-                continue
-            clH, clK = classes[H], classes[K]
-            res[(K, H)] = Mat(f, np.stack([count_intersections(K, S, H, K) for S in clH], axis=1))
-            tmat = np.zeros((len(clH), len(clK)), dtype=np.int64)
-            tmat[class_of[H][[pos[S] for S in clK]], np.arange(len(clK))] = 1
-            tr[(K, H)] = Mat(f, tmat)
+    for K, H in _containments(subs):
+        clH, clK = classes[H], classes[K]
+        res[(K, H)] = Mat(f, np.stack([count_intersections(K, S, H, K) for S in clH], axis=1))
+        tmat = np.zeros((len(clH), len(clK)), dtype=np.int64)
+        tmat[class_of[H][[pos[S] for S in clK]], np.arange(len(clK))] = 1
+        tr[(K, H)] = Mat(f, tmat)
     conj: Dict[Tuple[int, Subgroup], Mat] = {}
     for g in range(G.order):
         for H in subs:

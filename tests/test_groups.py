@@ -276,6 +276,7 @@ def test_lattice_tables_against_brute_force(name):
         for g in range(G.order):
             conj = frozenset(G.conj(g, x) for x in S)
             assert lat.conj[g, i] == index[conj]
+            assert lat.subgroups[i].conjugate_by(g) is lat.subgroups[index[conj]]
             orbit.add(index[conj])
         same_class = {j for j in range(len(sets)) if lat.class_of[j] == lat.class_of[i]}
         assert same_class == orbit
@@ -299,7 +300,8 @@ def test_subgroups_are_interned(name):
 
 
 def test_conjugates_of_a_fresh_group_build_as_group_once():
-    # a group with no lattice yet takes the direct conjugation route
+    # conjugating builds no lattice, and before and after the lattice is
+    # built the conjugate is one interned object
     G = group_from_generators(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
     H = G.subgroup_from_generators([1])
     first = H.conjugate_by(5).as_group()
