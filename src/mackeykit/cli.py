@@ -4,9 +4,10 @@ verification suites with machine-readable reports.
 Subcommands: group, isocomma, tom, xburn, blocks, vertex, green-corr,
 mackey-check, verify.  Exit code 0 = every checked identity holds, 1 = at
 least one identity fails, 2 = malformed input or a computation cap was
-exceeded.  JSON reports are deterministic (sorted keys, no timing block
-unless --timing is given), so identical requests with identical seeds
-produce byte-identical output.
+exceeded, 3 = an unexpected internal error (status "internal-error").  JSON
+reports are deterministic (sorted keys, no timing block unless --timing is
+given), so identical requests with identical seeds produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -550,6 +552,11 @@ def run(argv: Optional[List[str]] = None) -> int:
         report.update(status="fail", payload=None,
                       reason=str(exc).splitlines()[0])
         code = 1
+    except Exception as exc:  # a fault in mackeykit itself, reported not raised
+        traceback.print_exc(file=sys.stderr)
+        report.update(status="internal-error", payload=None,
+                      reason=f"{type(exc).__name__}: {exc}")
+        code = 3
     if args.timing:
         report["timing_ms"] = {"total": round((time.perf_counter() - t0) * 1000.0, 3)}
     _emit(report, args)

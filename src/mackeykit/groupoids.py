@@ -1,21 +1,32 @@
 """Finite groupoids, isocomma squares, and skeleton decompositions.
 
-The isocomma groupoid (i/j) of two functors i: A -> C <- B : j has objects
-(x, y, g) with g: i(x) -> j(y) in C, and morphisms (h, k): (x,y,g) -> (x',y',g')
-those pairs with j(k) o g = g' o i(h).  For subgroup inclusions H, K <= G its
-connected components biject with the double cosets K\\G/H and the vertex
-group at the component of g is isomorphic to K n gHg^-1.
+Every groupoid here is the action groupoid of a finite group Γ on its
+objects: the morphism (x, γ): x -> γ·x has the id x·|Γ| + γ, composition
+multiplies in Γ and inversion inverts in Γ.  Γ is a product of factor
+groups kept as their own tables; the element (γ_1, ..., γ_m) has the
+mixed-radix id (..(γ_1·|Γ_2| + γ_2)..)·|Γ_m| + γ_m, so no table of Γ
+itself is built.
 
-Structural checks (unit laws, inverses, associativity, functoriality) run
-exhaustively while the number of composable tuples stays under a fixed
-budget, and on a deterministic seeded sample beyond it.
+The isocomma groupoid (i/j) of two functors i: A -> C <- B : j has objects
+(x, y, c) with c: i(x) -> j(y) in C, and is the action groupoid of
+Γ_A × Γ_B acting by (γ, δ)·(x, y, c) = (γx, δy, j(δ) o c o i(γ)^-1).  For
+subgroup inclusions H, K <= G its connected components (the orbits)
+biject with the double cosets K\\G/H, and the vertex group (the
+stabiliser) at the component of g is isomorphic to K n gHg^-1.
+
+Every structural check is exact.  The action law and functoriality are
+checked for each generator s of Γ at every (object, element), which
+reaches every composite because every element of Γ is a word in its
+generators; naturality is checked at every morphism.  The unit, inverse
+and associativity laws need no check: they hold in Γ, whose factor tables
+are checked groups.
 """
 
 from __future__ import annotations
 
-import weakref
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,37 +48,65 @@ __all__ = [
     "find_isomorphism",
 ]
 
-ASSOC_BUDGET = 20_000
-PAIR_BUDGET = 20_000
-SAMPLE_SIZE = 2_000
+
+def _in_range(a: np.ndarray, n: int) -> bool:
+    return a.size == 0 or (int(a.min()) >= 0 and int(a.max()) < n)
+
+
+def _scalar_or_array(a):
+    return int(a) if np.ndim(a) == 0 else a
 
 
 class FiniteGroupoid:
-    """A finite groupoid with explicit morphism lists and a composition rule.
+    """The action groupoid of Γ = factors[0] × ... × factors[-1] on
+    `n_objects` objects, where action[x, γ] = γ·x.
 
-    compose(f, g) is "f after g" (g: a->b, f: b->c).  Morphisms are integer
-    ids; `identities[x]` is the identity at object x.
+    compose(f, g) is "f after g" (g: a->b, f: b->c).  The morphism (x, γ)
+    has the id x·|Γ| + γ; `identity_mor(x)` is (x, e).  compose and inverse
+    take morphism ids or arrays of them.
     """
 
-    def __init__(
-        self,
-        n_objects: int,
-        mor_source: Sequence[int],
-        mor_target: Sequence[int],
-        identities: Sequence[int],
-        compose_fn: Callable[[int, int], int],
-        inverse_fn: Callable[[int], int],
-    ):
-        self.n_objects = n_objects
-        self.mor_source = np.asarray(mor_source, dtype=np.int64)
-        self.mor_target = np.asarray(mor_target, dtype=np.int64)
-        self.identities = list(identities)
-        self._compose = compose_fn
-        self._inverse = inverse_fn
-        self.n_morphisms = len(self.mor_source)
-        self._hom_index: Optional[Dict[Tuple[int, int], List[int]]] = None
-        self._by_source: Optional[List[List[int]]] = None
-        self._by_target: Optional[List[List[int]]] = None
+    def __init__(self, factors: Sequence[FiniteGroup], action: np.ndarray):
+        self.factors = tuple(factors)
+        self.order = math.prod(G.order for G in self.factors)
+        self.action = np.asarray(action, dtype=np.int64)
+        if self.action.ndim != 2 or self.action.shape[1] != self.order:
+            raise ValueError("action table must be objects x |Γ|")
+        self.n_objects = self.action.shape[0]
+        self.n_morphisms = self.action.size
+        self.mor_source = np.repeat(np.arange(self.n_objects), self.order)
+        self.mor_target = self.action.reshape(-1)
+        self.identity = int(self._join([G.identity for G in self.factors]))
+
+    # ---- the group Γ, elementwise over arrays of element ids -------------
+
+    def _digits(self, a) -> List[np.ndarray]:
+        out = []
+        for G in reversed(self.factors):
+            a, d = np.divmod(a, G.order)
+            out.append(d)
+        return out[::-1]
+
+    def _join(self, digits) -> np.ndarray:
+        out = np.int64(0)
+        for G, d in zip(self.factors, digits):
+            out = out * G.order + d
+        return out
+
+    def _mul(self, a, b) -> np.ndarray:
+        return self._join([G.table[x, y] for G, x, y
+                           in zip(self.factors, self._digits(a), self._digits(b))])
+
+    def _inv(self, a) -> np.ndarray:
+        return self._join([G.inverse[x] for G, x in zip(self.factors, self._digits(a))])
+
+    def _generators(self) -> List[int]:
+        """Each factor's generators, with the identity in the other factors."""
+        ident = [G.identity for G in self.factors]
+        return [int(self._join(ident[:i] + [s] + ident[i + 1:]))
+                for i, G in enumerate(self.factors) for s in G.generators()]
+
+    # ---- morphisms ---------------------------------------------------------
 
     def source(self, f: int) -> int:
         return int(self.mor_source[f])
@@ -75,103 +114,37 @@ class FiniteGroupoid:
     def target(self, f: int) -> int:
         return int(self.mor_target[f])
 
-    def compose(self, f: int, g: int) -> int:
-        if self.source(f) != self.target(g):
+    def compose(self, f, g):
+        f, g = np.asarray(f), np.asarray(g)
+        if np.any(self.mor_source[f] != self.mor_target[g]):
             raise ValueError("morphisms are not composable")
-        return self._compose(f, g)
+        n = self.order
+        return _scalar_or_array(g // n * n + self._mul(f % n, g % n))
 
-    def inverse(self, f: int) -> int:
-        return self._inverse(f)
+    def inverse(self, f):
+        f = np.asarray(f)
+        return _scalar_or_array(self.mor_target[f] * self.order + self._inv(f % self.order))
 
-    def identity_mor(self, obj: int) -> int:
-        return self.identities[obj]
-
-    def _index(self) -> None:
-        if self._hom_index is None:
-            hom: Dict[Tuple[int, int], List[int]] = {}
-            by_s: List[List[int]] = [[] for _ in range(self.n_objects)]
-            by_t: List[List[int]] = [[] for _ in range(self.n_objects)]
-            for f in range(self.n_morphisms):
-                s, t = self.source(f), self.target(f)
-                hom.setdefault((s, t), []).append(f)
-                by_s[s].append(f)
-                by_t[t].append(f)
-            self._hom_index = hom
-            self._by_source = by_s
-            self._by_target = by_t
+    def identity_mor(self, obj):
+        return obj * self.order + self.identity
 
     def hom(self, a: int, b: int) -> List[int]:
-        self._index()
-        assert self._hom_index is not None
-        return list(self._hom_index.get((a, b), []))
-
-    def morphisms_from(self, a: int) -> List[int]:
-        self._index()
-        assert self._by_source is not None
-        return self._by_source[a]
-
-    def morphisms_into(self, b: int) -> List[int]:
-        self._index()
-        assert self._by_target is not None
-        return self._by_target[b]
-
-    def components(self) -> List[List[int]]:
-        """Connected components as sorted object lists, ordered by least object."""
-        parent = list(range(self.n_objects))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for f in range(self.n_morphisms):
-            a, b = find(self.source(f)), find(self.target(f))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        buckets: Dict[int, List[int]] = {}
-        for x in range(self.n_objects):
-            buckets.setdefault(find(x), []).append(x)
-        return [sorted(v) for _, v in sorted(buckets.items())]
+        """The morphisms a -> b, in increasing id order."""
+        return [a * self.order + int(g) for g in np.flatnonzero(self.action[a] == b)]
 
     def verify(self) -> None:
-        """Check unit laws, inverses and associativity (budgeted as documented)."""
-        for x in range(self.n_objects):
-            e = self.identities[x]
-            if self.source(e) != x or self.target(e) != x:
-                raise ValueError(f"identity of object {x} has wrong endpoints")
-        for f in range(self.n_morphisms):
-            s, t = self.source(f), self.target(f)
-            if self.compose(f, self.identities[s]) != f or self.compose(self.identities[t], f) != f:
-                raise ValueError(f"unit law fails at morphism {f}")
-            g = self.inverse(f)
-            if self.source(g) != t or self.target(g) != s:
-                raise ValueError(f"inverse of morphism {f} has wrong endpoints")
-            if self.compose(f, g) != self.identities[t] or self.compose(g, f) != self.identities[s]:
-                raise ValueError(f"inverse law fails at morphism {f}")
-        self._index()
-        assert self._by_source is not None and self._by_target is not None
-        total = sum(len(self._by_target[self.source(g)]) * len(self._by_source[self.target(g)])
-                    for g in range(self.n_morphisms))
-        if total <= ASSOC_BUDGET:
-            for g in range(self.n_morphisms):
-                lhs_pool = self._by_target[self.source(g)]
-                rhs_pool = self._by_source[self.target(g)]
-                for h in lhs_pool:
-                    gh = self.compose(g, h)
-                    for f in rhs_pool:
-                        if self.compose(f, gh) != self.compose(self.compose(f, g), h):
-                            raise ValueError("associativity fails")
-        else:
-            rng = np.random.default_rng(0)
-            for _ in range(SAMPLE_SIZE):
-                g = int(rng.integers(self.n_morphisms))
-                hs = self._by_target[self.source(g)]
-                fs = self._by_source[self.target(g)]
-                h = hs[int(rng.integers(len(hs)))]
-                f = fs[int(rng.integers(len(fs)))]
-                if self.compose(f, self.compose(g, h)) != self.compose(self.compose(f, g), h):
-                    raise ValueError("associativity fails")
+        """Exact check that `action` is an action of Γ: entries name objects,
+        the identity acts trivially and s·(γ·x) = (sγ)·x for every generator
+        s and every (x, γ)."""
+        A = self.action
+        if not _in_range(A, self.n_objects):
+            raise ValueError("action entries out of range")
+        if not np.array_equal(A[:, self.identity], np.arange(self.n_objects)):
+            raise ValueError("the identity must act trivially")
+        everything = np.arange(self.order)
+        for s in self._generators():
+            if not np.array_equal(A[A, s], A[:, self._mul(s, everything)]):
+                raise ValueError(f"generator {s} does not act compatibly")
 
 
 class GroupoidFunctor:
@@ -187,91 +160,72 @@ class GroupoidFunctor:
                  _checked: bool = False):
         self.source_gpd = source
         self.target_gpd = target
-        self.obj_map = list(obj_map)
-        self.mor_map = list(mor_map)
+        self.obj_map = np.asarray(obj_map, dtype=np.int64)
+        self.mor_map = np.asarray(mor_map, dtype=np.int64)
         if not _checked:
             self._validate()
 
     def obj(self, x: int) -> int:
-        return self.obj_map[x]
+        return int(self.obj_map[x])
 
     def mor(self, f: int) -> int:
-        return self.mor_map[f]
+        return int(self.mor_map[f])
 
     def _validate(self) -> None:
+        """Exact: endpoints and identities at every object and morphism, and
+        F(sγ at x) = F(s at γx) o F(γ at x) for every generator s and every
+        (x, γ).  With the identities, induction on the word length of δ then
+        gives F(δ at γx) o F(γ at x) = F(δγ at x) for every composable pair."""
         S, T = self.source_gpd, self.target_gpd
-        if len(self.obj_map) != S.n_objects or len(self.mor_map) != S.n_morphisms:
+        Fo, Fm = self.obj_map, self.mor_map
+        if Fo.shape != (S.n_objects,) or Fm.shape != (S.n_morphisms,):
             raise ValueError("functor maps have wrong lengths")
-        for f in range(S.n_morphisms):
-            Ff = self.mor_map[f]
-            if (T.source(Ff) != self.obj_map[S.source(f)]
-                    or T.target(Ff) != self.obj_map[S.target(f)]):
-                raise ValueError(f"functor breaks endpoints at morphism {f}")
-        for x in range(S.n_objects):
-            if self.mor_map[S.identity_mor(x)] != T.identity_mor(self.obj_map[x]):
-                raise ValueError(f"functor breaks the identity at object {x}")
-        total = sum(len(S.morphisms_from(S.target(g))) for g in range(S.n_morphisms))
-        if total <= PAIR_BUDGET:
-            for g in range(S.n_morphisms):
-                for f in S.morphisms_from(S.target(g)):
-                    if self.mor_map[S.compose(f, g)] != T.compose(self.mor_map[f], self.mor_map[g]):
-                        raise ValueError("functor breaks composition")
-        else:
-            rng = np.random.default_rng(0)
-            for _ in range(SAMPLE_SIZE):
-                g = int(rng.integers(S.n_morphisms))
-                pool = S.morphisms_from(S.target(g))
-                f = pool[int(rng.integers(len(pool)))]
-                if self.mor_map[S.compose(f, g)] != T.compose(self.mor_map[f], self.mor_map[g]):
-                    raise ValueError("functor breaks composition")
-
-    def is_faithful(self) -> bool:
-        seen: Dict[Tuple[int, int, int], None] = {}
-        S = self.source_gpd
-        for f in range(S.n_morphisms):
-            key = (S.source(f), S.target(f), self.mor_map[f])
-            if key in seen:
-                return False
-            seen[key] = None
-        return True
+        if not (_in_range(Fo, T.n_objects) and _in_range(Fm, T.n_morphisms)):
+            raise ValueError("functor maps out of range")
+        bad = np.flatnonzero((T.mor_source[Fm] != Fo[S.mor_source])
+                             | (T.mor_target[Fm] != Fo[S.mor_target]))
+        if bad.size:
+            raise ValueError(f"functor breaks endpoints at morphism {bad[0]}")
+        bad = np.flatnonzero(Fm[S.identity_mor(np.arange(S.n_objects))] != T.identity_mor(Fo))
+        if bad.size:
+            raise ValueError(f"functor breaks the identity at object {bad[0]}")
+        n = S.order
+        x, g = np.divmod(np.arange(S.n_morphisms), n)
+        for s in S._generators():
+            if not np.array_equal(Fm[x * n + S._mul(s, g)],
+                                  T.compose(Fm[S.mor_target * n + s], Fm)):
+                raise ValueError("functor breaks composition")
 
 
 class NaturalIso:
-    """An invertible natural transformation between parallel functors."""
+    """An invertible natural transformation between parallel functors,
+    checked at every object and every morphism."""
 
     def __init__(self, F: GroupoidFunctor, G: GroupoidFunctor, components: Sequence[int]):
         if F.source_gpd is not G.source_gpd or F.target_gpd is not G.target_gpd:
             raise ValueError("functors are not parallel")
         self.F = F
         self.G = G
-        self.components = list(components)
-        S, T = F.source_gpd, F.target_gpd
-        for x in range(S.n_objects):
-            c = self.components[x]
-            if T.source(c) != F.obj(x) or T.target(c) != G.obj(x):
-                raise ValueError(f"component at object {x} has wrong endpoints")
-        for f in range(S.n_morphisms):
-            a, b = S.source(f), S.target(f)
-            lhs = T.compose(self.components[b], F.mor(f))
-            rhs = T.compose(G.mor(f), self.components[a])
-            if lhs != rhs:
-                raise ValueError(f"naturality square fails at morphism {f}")
+        self.components = np.asarray(components, dtype=np.int64)
+        S, T, c = F.source_gpd, F.target_gpd, self.components
+        if c.shape != (S.n_objects,) or not _in_range(c, T.n_morphisms):
+            raise ValueError("components must name one morphism per object")
+        bad = np.flatnonzero((T.mor_source[c] != F.obj_map) | (T.mor_target[c] != G.obj_map))
+        if bad.size:
+            raise ValueError(f"component at object {bad[0]} has wrong endpoints")
+        bad = np.flatnonzero(T.compose(c[S.mor_target], F.mor_map)
+                             != T.compose(G.mor_map, c[S.mor_source]))
+        if bad.size:
+            raise ValueError(f"naturality square fails at morphism {bad[0]}")
 
     def component(self, x: int) -> int:
-        return self.components[x]
+        return int(self.components[x])
 
 
 def groupoid_from_group(G: FiniteGroup) -> FiniteGroupoid:
-    """The one-object groupoid whose morphisms are the group elements."""
-    n = G.order
-    gpd = FiniteGroupoid(
-        1,
-        [0] * n,
-        [0] * n,
-        [G.identity],
-        lambda f, g: int(G.table[f, g]),
-        lambda f: int(G.inverse[f]),
-    )
+    """The one-object groupoid whose morphisms are the group elements: G
+    acting on one point."""
+    gpd = FiniteGroupoid([G], np.zeros((1, G.order), dtype=np.int64))
     gpd.verify()
     return gpd
 
@@ -281,7 +235,7 @@ def functor_from_hom(hom: InjectiveHom, target_gpd: Optional[FiniteGroupoid] = N
     """The one-object-groupoid functor induced by a group homomorphism."""
     src = source_gpd if source_gpd is not None else groupoid_from_group(hom.source)
     tgt = target_gpd if target_gpd is not None else groupoid_from_group(hom.target)
-    return GroupoidFunctor(src, tgt, [0], list(hom.map))
+    return GroupoidFunctor(src, tgt, [0], hom.map)
 
 
 @dataclass
@@ -299,85 +253,42 @@ class IsocommaResult:
 def isocomma(i: GroupoidFunctor, j: GroupoidFunctor) -> IsocommaResult:
     """The isocomma groupoid of i: A -> C <- B : j.
 
-    Objects are triples (x, y, g) with g in C.hom(i(x), j(y)), ordered
-    lexicographically; a morphism (h, k) out of (x, y, g) exists for every
-    h from x and k from y, landing at (x', y', j(k) o g o i(h)^-1).
+    Objects are triples (x, y, c) with c in C.hom(i(x), j(y)), ordered
+    lexicographically.  It is the action groupoid of Γ_A × Γ_B, whose
+    element (γ, δ) has the id γ·|Γ_B| + δ and sends (x, y, c) to
+    (γx, δy, j(δ at y) o c o i(γ at x)^-1).
     """
     if i.target_gpd is not j.target_gpd:
         raise ValueError("the two functors must share their target groupoid")
     A, B, C = i.source_gpd, j.source_gpd, i.target_gpd
-    objects: List[Tuple[int, int, int]] = []
-    obj_index: Dict[Tuple[int, int, int], int] = {}
-    for x in range(A.n_objects):
-        for y in range(B.n_objects):
-            for g in sorted(C.hom(i.obj(x), j.obj(y))):
-                obj_index[(x, y, g)] = len(objects)
-                objects.append((x, y, g))
-
-    # position of a morphism inside morphisms_from(its source), per groupoid,
-    # so that morphism ids of (i/j) can be pure arithmetic:
-    #   id = offset[o] + pos_A[h] * deg_B[o] + pos_B[k]
-    def _from_pos(gpd: FiniteGroupoid) -> List[int]:
-        pos = [0] * gpd.n_morphisms
-        for x in range(gpd.n_objects):
-            for idx, f in enumerate(gpd.morphisms_from(x)):
-                pos[f] = idx
-        return pos
-
-    posA, posB = _from_pos(A), _from_pos(B)
-    mor_src: List[int] = []
-    mor_tgt: List[int] = []
-    mor_h: List[int] = []
-    mor_k: List[int] = []
-    offset: List[int] = []
-    deg_b: List[int] = []
-    for o, (x, y, g) in enumerate(objects):
-        offset.append(len(mor_src))
-        from_y = B.morphisms_from(y)
-        deg_b.append(len(from_y))
-        for h in A.morphisms_from(x):
-            gih = C.compose(g, C.inverse(i.mor(h)))
-            xt = A.target(h)
-            for k in from_y:
-                g2 = C.compose(j.mor(k), gih)
-                mor_src.append(o)
-                mor_tgt.append(obj_index[(xt, B.target(k), g2)])
-                mor_h.append(h)
-                mor_k.append(k)
-
-    def mor_id(o: int, h: int, k: int) -> int:
-        return offset[o] + posA[h] * deg_b[o] + posB[k]
-
-    identities = [mor_id(o, A.identity_mor(x), B.identity_mor(y))
-                  for o, (x, y, _) in enumerate(objects)]
-
-    def compose_fn(f2: int, f1: int) -> int:
-        o1 = mor_src[f1]
-        return mor_id(o1, A.compose(mor_h[f2], mor_h[f1]), B.compose(mor_k[f2], mor_k[f1]))
-
-    def inverse_fn(f: int) -> int:
-        return mor_id(mor_tgt[f], A.inverse(mor_h[f]), B.inverse(mor_k[f]))
-
-    gpd = FiniteGroupoid(len(objects), mor_src, mor_tgt, identities, compose_fn, inverse_fn)
+    objects = [(x, y, c) for x in range(A.n_objects) for y in range(B.n_objects)
+               for c in C.hom(i.obj(x), j.obj(y))]
+    ox, oy, oc = np.array(objects, dtype=np.int64).reshape(-1, 3).T
+    ga, gb = np.arange(A.order), np.arange(B.order)
+    # i(γ at x) = (i(x), phi) and j(δ at y) = (j(y), psi) in C, so the image
+    # of c = (i(x), c_el) starts at i(γx) and has the element psi c_el phi^-1
+    phi = i.mor_map[ox[:, None] * A.order + ga] % C.order
+    psi = j.mor_map[oy[:, None] * B.order + gb] % C.order
+    c_el = C._mul(psi[:, None, :], C._mul(oc[:, None, None] % C.order, C._inv(phi)[:, :, None]))
+    xs, ys = A.action[ox][:, :, None], B.action[oy][:, None, :]
+    # objects are sorted by (x, y, c), so their keys are increasing
+    keys = (ox * B.n_objects + oy) * C.n_morphisms + oc
+    moved = (xs * B.n_objects + ys) * C.n_morphisms + i.obj_map[xs] * C.order + c_el
+    action = np.searchsorted(keys, moved).reshape(len(objects), A.order * B.order)
+    gpd = FiniteGroupoid(A.factors + B.factors, action)
     gpd.verify()
-    p = GroupoidFunctor(gpd, A, [x for x, _, _ in objects], mor_h)
-    q = GroupoidFunctor(gpd, B, [y for _, y, _ in objects], mor_k)
-    gamma = NaturalIso(
-        _compose_functors(i, p),
-        _compose_functors(j, q),
-        [g for _, _, g in objects],
-    )
+    shape = (len(objects), A.order, B.order)
+    p = GroupoidFunctor(gpd, A, ox, np.broadcast_to(
+        (ox[:, None] * A.order + ga)[:, :, None], shape).reshape(-1))
+    q = GroupoidFunctor(gpd, B, oy, np.broadcast_to(
+        (oy[:, None] * B.order + gb)[:, None, :], shape).reshape(-1))
+    gamma = NaturalIso(_compose_functors(i, p), _compose_functors(j, q), oc)
     return IsocommaResult(gpd, p, q, gamma, objects)
 
 
 def _compose_functors(outer: GroupoidFunctor, inner: GroupoidFunctor) -> GroupoidFunctor:
-    return GroupoidFunctor(
-        inner.source_gpd,
-        outer.target_gpd,
-        [outer.obj(x) for x in inner.obj_map],
-        [outer.mor(f) for f in inner.mor_map],
-        _checked=True,
-    )
+    return GroupoidFunctor(inner.source_gpd, outer.target_gpd, outer.obj_map[inner.obj_map],
+                           outer.mor_map[inner.mor_map], _checked=True)
 
 
 @dataclass
@@ -396,37 +307,26 @@ class SkeletonDecomposition:
 
 
 def skeletonize(gpd: FiniteGroupoid) -> SkeletonDecomposition:
-    """One representative object per connected component (the least object id),
-    its vertex group as a standalone FiniteGroup, and a connecting morphism
-    from every object of the component to the representative."""
-    comps = gpd.components()
+    """One representative object per connected component (the orbit of its
+    least object id), its vertex group (the stabiliser) as a standalone
+    FiniteGroup, and a connecting morphism from every object of the
+    component to the representative."""
+    n = gpd.order
+    seen = np.zeros(gpd.n_objects, dtype=bool)
     out: List[SkeletonComponent] = []
-    for objs in comps:
-        rep = objs[0]
-        # BFS from rep: from_rep[o] is a morphism rep -> o
-        from_rep: Dict[int, int] = {rep: gpd.identity_mor(rep)}
-        queue = [rep]
-        while queue:
-            cur = queue.pop(0)
-            for f in gpd.morphisms_from(cur):
-                t = gpd.target(f)
-                if t not in from_rep:
-                    from_rep[t] = gpd.compose(f, from_rep[cur])
-                    queue.append(t)
-        if set(from_rep) != set(objs):
-            raise RuntimeError("component traversal did not reach every object")
-        to_rep = {o: gpd.inverse(m) for o, m in from_rep.items()}
-        auts = gpd.hom(rep, rep)
-        ident = gpd.identity_mor(rep)
-        auts = [ident] + [a for a in sorted(auts) if a != ident]
-        pos = {a: idx for idx, a in enumerate(auts)}
-        n = len(auts)
-        table = np.empty((n, n), dtype=np.int32)
-        for a in range(n):
-            for b in range(n):
-                table[a, b] = pos[gpd.compose(auts[a], auts[b])]
-        grp = FiniteGroup(table, 0, _skip_checks=n > 256)
-        out.append(SkeletonComponent(objs, rep, grp, auts, to_rep))
+    for rep in range(gpd.n_objects):
+        if seen[rep]:
+            continue
+        # first[k] is the least γ with γ·rep = objs[k]; (objs[k], γ^-1) leads back
+        objs, first = np.unique(gpd.action[rep], return_index=True)
+        seen[objs] = True
+        to_rep = dict(zip(objs.tolist(), (objs * n + gpd._inv(first)).tolist()))
+        stab = np.flatnonzero(gpd.action[rep] == rep)
+        auts = np.concatenate(([gpd.identity], stab[stab != gpd.identity]))
+        pos = np.empty(n, dtype=np.int64)
+        pos[auts] = np.arange(auts.size)
+        grp = FiniteGroup(pos[gpd._mul(auts[:, None], auts[None, :])], 0)
+        out.append(SkeletonComponent(objs.tolist(), rep, grp, (rep * n + auts).tolist(), to_rep))
     return SkeletonDecomposition(gpd, out)
 
 
@@ -522,20 +422,6 @@ class IsocommaReport:
                                          for c in self.checks)
 
 
-_AMBIENT_CACHE: "weakref.WeakKeyDictionary[FiniteGroup, FiniteGroupoid]" = None  # type: ignore[assignment]
-
-
-def _ambient_groupoid(G: FiniteGroup) -> FiniteGroupoid:
-    global _AMBIENT_CACHE
-    if _AMBIENT_CACHE is None:
-        _AMBIENT_CACHE = weakref.WeakKeyDictionary()
-    gpd = _AMBIENT_CACHE.get(G)
-    if gpd is None:
-        gpd = groupoid_from_group(G)
-        _AMBIENT_CACHE[G] = gpd
-    return gpd
-
-
 def verify_isocomma_decomposition(G: FiniteGroup, K: Subgroup, H: Subgroup) -> IsocommaReport:
     """Match the isocomma groupoid of the two inclusions against K\\G/H.
 
@@ -543,7 +429,7 @@ def verify_isocomma_decomposition(G: FiniteGroup, K: Subgroup, H: Subgroup) -> I
     representatives), and the vertex group at the component of g must be
     isomorphic to K n gHg^-1.
     """
-    C = _ambient_groupoid(G)
+    C = groupoid_from_group(G)
     i = functor_from_hom(H.inclusion_hom(), target_gpd=C)
     j = functor_from_hom(K.inclusion_hom(), target_gpd=C)
     ic = isocomma(i, j)

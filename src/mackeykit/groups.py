@@ -128,11 +128,22 @@ class FiniteGroup:
         e = self.identity
         if not (np.array_equal(t[e], ar) and np.array_equal(t[:, e], ar)):
             raise ValueError(f"element {e} is not a two-sided identity")
-        # exhaustive associativity check, capped so construction stays cheap
-        if n <= 256:
-            for a in range(n):
-                if not np.array_equal(t[t[a], :], t[a][t]):
-                    raise ValueError("multiplication table is not associative")
+        # Light's test: when every element is e·s_1·...·s_k for generators
+        # s_i, (xy)s = x(ys) for all x, y and each generator s gives
+        # (xy)z = x(yz) for every z, by induction on the length of z
+        gens = self.generators()
+        reached = np.zeros(n, dtype=bool)
+        reached[e] = True
+        frontier = np.array([e])
+        while frontier.size:
+            nxt = np.unique(t[frontier][:, gens])
+            frontier = nxt[~reached[nxt]]
+            reached[frontier] = True
+        if not reached.all():
+            raise ValueError("the generators do not reach every element")
+        for s in gens:
+            if not np.array_equal(t[:, s][t], t[:, t[:, s]]):
+                raise ValueError("multiplication table is not associative")
 
     # ---- element arithmetic ----------------------------------------------
 

@@ -48,6 +48,10 @@ def _is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def GF(p: int) -> Field:
+    """F_p, for primes p with (p-1)^2 < 2^63 so that rref_mod's int64
+    products of two residues cannot overflow."""
+    if p > 1 and (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"prime {p} is too large: (p-1)^2 must stay below 2^63")
     if not _is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return Field(p)

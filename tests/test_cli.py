@@ -62,6 +62,8 @@ REPORT_SHA256 = {
         "6669da176a2c16ba37432553b528078085a61323883e3017d443f297904606ed",
     ("isocomma", "--group", "s4", "--left", "1", "--right", "2"):
         "05b6b64daccc41cafeadd84d39565cb5a48a338321caa5f9eddffb027aa77fc5",
+    ("isocomma", "--group", "s4", "--left", "1,2", "--right", "1,2"):
+        "a93419e2a71dadcec75bd5a15f27f154b99db2b0ddab51e5175b7b9bad2bb9b8",
     ("verify", "--group", "c3", "--prime", "2"):
         "1ffeeca9e395c36804a1cff1fd38070ac1905661f0eade6b2dddcc02eae1ca78",
     ("mackey-check", "--group", "d8", "--functor", "burnside"):
@@ -260,6 +262,18 @@ def test_arithmetic_error_exits_1(capsys, monkeypatch):
     assert code == 1
     assert rep["status"] == "fail"
     assert rep["reason"] == "composite is not the identity"
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def fake(G, args):
+        raise KeyError("stray")
+
+    monkeypatch.setitem(cli._HANDLERS, "tom", fake)
+    code, rep = run_json(capsys, ["tom", "--group", "c2"])
+    assert code == 3
+    assert rep["status"] == "internal-error"
+    assert rep["reason"] == "KeyError: 'stray'"
+    assert rep["payload"] is None
 
 
 # -- console entry point -------------------------------------------------------------

@@ -113,16 +113,43 @@ def test_skeleton_edge_cases():
     assert rep.ok and len(rep.checks) == 1
 
 
-def test_skeleton_connecting_morphisms():
-    G = builtin_group("s3")
+def _class_pairs(*names):
+    return [(name, a, b) for name in names
+            for a in range(len(builtin_group(name).subgroups_up_to_conjugacy()))
+            for b in range(len(builtin_group(name).subgroups_up_to_conjugacy()))]
+
+
+@pytest.mark.parametrize("name,left,right", _class_pairs("s3", "d8"))
+def test_skeleton_connecting_morphisms(name, left, right):
+    G = builtin_group(name)
     C = groupoid_from_group(G)
     subs = G.subgroups_up_to_conjugacy()
-    K, H = subs[1], subs[1]
+    K, H = subs[left], subs[right]
     i = functor_from_hom(H.inclusion_hom(), target_gpd=C)
     j = functor_from_hom(K.inclusion_hom(), target_gpd=C)
     ic = isocomma(i, j)
     sk = skeletonize(ic.groupoid)
     gpd = ic.groupoid
+    Hg, Kg = H.as_group()[0], K.as_group()[0]
+
+    def mor(o, h, k):
+        return (o * H.order + h) * K.order + k
+
+    # brute force against the componentwise definition: (h, k) at g ends
+    # at k g h^-1, composes factorwise and inverts factorwise
+    for o, (_, _, g) in enumerate(ic.objects):
+        for h in range(H.order):
+            for k in range(K.order):
+                f = mor(o, h, k)
+                t = gpd.target(f)
+                assert gpd.source(f) == o
+                assert ic.objects[t][2] == G.mul(G.mul(K.elements[k], g),
+                                                 G.inv(H.elements[h]))
+                assert gpd.inverse(f) == mor(t, Hg.inv(h), Kg.inv(k))
+                for h2 in range(H.order):
+                    for k2 in range(K.order):
+                        assert (gpd.compose(mor(t, h2, k2), f)
+                                == mor(o, Hg.mul(h2, h), Kg.mul(k2, k)))
     for comp in sk.components:
         for o in comp.objects:
             m = comp.to_representative[o]
@@ -134,6 +161,20 @@ def test_skeleton_connecting_morphisms():
         for a in range(vg.order):
             for b in range(vg.order):
                 assert gpd.compose(auts[a], auts[b]) == auts[vg.mul(a, b)]
+
+
+def test_functor_check_is_exact_on_s4_isocomma():
+    # one wrong image among the 13,824 morphisms of the S4 x S4 isocomma:
+    # morphism 1 is (h, k) = (e, k) at object 0, which p sends to e
+    G = builtin_group("s4")
+    C = groupoid_from_group(G)
+    i = functor_from_hom(G.full_subgroup().inclusion_hom(), target_gpd=C)
+    ic = isocomma(i, i)
+    mor_map = list(ic.p.mor_map)
+    assert mor_map[1] == ic.p.target_gpd.identity_mor(0)
+    mor_map[1] = 1
+    with pytest.raises(ValueError):
+        GroupoidFunctor(ic.groupoid, ic.p.target_gpd, ic.p.obj_map, mor_map)
 
 
 def test_find_isomorphism_positive_and_negative():

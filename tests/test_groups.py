@@ -68,6 +68,19 @@ def test_rejects_non_associative_table():
         group_from_table(t)
 
 
+@pytest.mark.parametrize("a,b,reason", [(1, 130, "do not reach"), (2, 131, "not associative")])
+def test_rejects_non_associative_loop_above_order_256(a, b, reason):
+    # Z_258 with the intercalate at rows/columns a and b switched: still a
+    # Latin square with identity 0, but not associative.  Switching 1 and 130
+    # cuts the right-multiplication cycle of the generator 1; switching 2
+    # and 131 leaves it and fails Light's test
+    n = 258
+    t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    t[a, a], t[a, b], t[b, a], t[b, b] = t[a, b], t[a, a], t[b, b], t[b, a]
+    with pytest.raises(ValueError, match=reason):
+        group_from_table(t.tolist())
+
+
 def test_rejects_table_without_identity():
     with pytest.raises(ValueError):
         group_from_table([[1, 1], [1, 1]])

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mackeykit.linalg import GF, QQ, Mat, perm_to_mat
+from mackeykit.linalg import GF, QQ, Mat, perm_to_mat, rref_mod
 
 
 def test_gf_validates_primality():
@@ -18,6 +18,18 @@ def test_gf_validates_primality():
         GF(6)
     with pytest.raises(ValueError):
         GF(1)
+
+
+def test_gf_rejects_primes_that_overflow_int64():
+    with pytest.raises(ValueError, match="too large"):
+        GF(4294967311)
+    p = 3037000493  # the largest prime with (p-1)^2 < 2^63
+    rng = np.random.default_rng(5)
+    a = Mat(GF(p), rng.integers(0, p, size=(4, 4)))
+    inv = a.inv()
+    assert (a @ inv).is_identity() and (inv @ a).is_identity()
+    r, piv = rref_mod(np.array([[p - 1, p - 2], [p - 3, p - 5]]), p)
+    assert piv == [0, 1] and np.array_equal(r, np.eye(2, dtype=np.int64))
 
 
 def test_field_equality_and_char():
