@@ -18,7 +18,6 @@ questions about whole classes read the group's `SubgroupLattice` tables.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -51,6 +50,13 @@ def max_order_cap() -> int:
 def _mask_key(mask: np.ndarray) -> int:
     """A membership mask as a Python int bitmask (bit x set iff x is in)."""
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _is_prime_power(k: int) -> bool:
+    p = next((q for q in range(2, k + 1) if k % q == 0), None)
+    while p is not None and k % p == 0:
+        k //= p
+    return p is not None and k == 1
 
 
 def perm_cycle_name(perm: Sequence[int]) -> str:
@@ -109,6 +115,7 @@ class FiniteGroup:
         self._conj_classes: Optional[List[Tuple[int, ...]]] = None
         self._class_of: Optional[np.ndarray] = None
         self._all_subgroups: Optional[List[frozenset]] = None
+        self._subgroup_orbits: List[Tuple[List[int], np.ndarray, np.ndarray]] = []
         self._interned: Dict[int, "Subgroup"] = {}
         self._lattice: Optional["SubgroupLattice"] = None
 
@@ -132,14 +139,7 @@ class FiniteGroup:
         # s_i, (xy)s = x(ys) for all x, y and each generator s gives
         # (xy)z = x(yz) for every z, by induction on the length of z
         gens = self.generators()
-        reached = np.zeros(n, dtype=bool)
-        reached[e] = True
-        frontier = np.array([e])
-        while frontier.size:
-            nxt = np.unique(t[frontier][:, gens])
-            frontier = nxt[~reached[nxt]]
-            reached[frontier] = True
-        if not reached.all():
+        if self._closure(gens)[0] != (1 << n) - 1:
             raise ValueError("the generators do not reach every element")
         for s in gens:
             if not np.array_equal(t[:, s][t], t[:, t[:, s]]):
@@ -167,14 +167,18 @@ class FiniteGroup:
         return out
 
     def element_orders(self) -> np.ndarray:
+        """out[a] is the order of a, from repeated gathers x -> x*a over the
+        elements whose order is still unknown."""
         if self._element_orders is None:
             out = np.empty(self.order, dtype=np.int32)
-            for a in range(self.order):
-                x, k = a, 1
-                while x != self.identity:
-                    x = self.mul(x, a)
-                    k += 1
-                out[a] = k
+            todo = np.arange(self.order)
+            x, k = todo, 1
+            while todo.size:
+                done = x == self.identity
+                out[todo[done]] = k
+                todo, x = todo[~done], x[~done]
+                x = self.table[x, todo]
+                k += 1
             self._element_orders = out
         return self._element_orders
 
@@ -191,24 +195,42 @@ class FiniteGroup:
     # ---- generators --------------------------------------------------------
 
     def generators(self) -> List[int]:
-        """Stored generators, or a greedy small generating set."""
+        """Stored generators, or a greedy small generating set: the least
+        element not yet generated, until everything is.
+
+        The set is built before the table is known to be a group, so each
+        proper closure must be closed under products, as a subgroup is: in a
+        table that is not associative the right words in the generators can
+        miss a product of two of them.
+        """
         if self._gens is None:
             gens: List[int] = []
-            cur = frozenset([self.identity])
-            while len(cur) < self.order:
-                nxt = min(a for a in range(self.order) if a not in cur)
-                gens.append(nxt)
-                cur = self._closure(list(cur) + [nxt])
+            key, full = 1 << self.identity, (1 << self.order) - 1
+            while key != full:
+                gens.append((~key & (key + 1)).bit_length() - 1)
+                key, elements = self._closure(gens)
+                mask = np.zeros(self.order, dtype=bool)
+                mask[elements] = True
+                if key != full and not mask[self.table[np.ix_(elements, elements)]].all():
+                    raise ValueError("the generators do not reach every product of the "
+                                     "elements they reach")
             self._gens = gens
         return list(self._gens)
 
-    def _closure(self, elements: Iterable[int]) -> frozenset:
-        cur = np.unique(np.fromiter(set(elements) | {self.identity}, dtype=np.int64))
-        while True:
-            prod = np.unique(self.table[np.ix_(cur, cur)])
-            if prod.size == cur.size:
-                return frozenset(int(x) for x in cur)
-            cur = prod
+    def _closure(self, gens: Iterable[int]) -> Tuple[int, List[int]]:
+        """The subgroup generated by gens, as an int bitmask (bit x set iff
+        x is in it) and its elements in the order found: {e} closed under
+        right multiplication by the generators, which in a finite group is
+        the subgroup they generate."""
+        cols = self.table[:, list(gens)].T.tolist()
+        key, elements = 1 << self.identity, [self.identity]
+        for x in elements:
+            for col in cols:
+                bit = 1 << col[x]
+                if not key & bit:
+                    key |= bit
+                    elements.append(col[x])
+        return key, elements
 
     # ---- conjugacy classes ---------------------------------------------
 
@@ -260,7 +282,7 @@ class FiniteGroup:
         return sub
 
     def subgroup_from_generators(self, gens: Iterable[int]) -> "Subgroup":
-        return self.subgroup(self._closure(gens))
+        return self.subgroup(self._closure(gens)[1])
 
     def trivial_subgroup(self) -> "Subgroup":
         return self.subgroup([self.identity])
@@ -269,30 +291,71 @@ class FiniteGroup:
         return self.subgroup(range(self.order))
 
     def all_subgroups(self) -> List[frozenset]:
-        """Every subgroup, as frozensets of element indices.
+        """Every subgroup, as frozensets of element indices, sorted by
+        (order, element tuple).
 
-        All cyclic subgroups are generated first, then the collection is
-        closed under joins with cyclic subgroups (every subgroup arises by
-        adjoining one generator at a time, so this is exhaustive).
+        Cyclic extension over conjugacy classes of subgroups (Pfeiffer):
+        every subgroup is a chain of joins with cyclic subgroups of
+        prime-power order, starting from the trivial one, and for n in N(S)
+        <S, nZn^-1> = n<S, Z>n^-1.  So each class representative S is joined
+        with one prime-power cyclic subgroup Z per N(S)-orbit, each join is
+        closed as a bitmask, and a join not seen before brings in its whole
+        class at once and is the only one of the class extended further.
+        The class orbits are kept in `_subgroup_orbits` for the lattice.
         """
         if self._all_subgroups is None:
-            cyclics = set()
-            for a in range(self.order):
-                cyclics.add(self._closure([a]))
-            found = set(cyclics)
-            work = list(cyclics)
-            while work:
-                sub = work.pop()
-                if len(sub) == self.order:
-                    continue
-                for cyc in cyclics:
-                    if cyc <= sub:
+            n, e = self.order, self.identity
+            everything = np.arange(n)
+            orders = self.element_orders()
+            # cyc_of[a]: the number of <a> among the cyclic subgroups of
+            # prime-power order, listed by their least generators cyc_gen (the
+            # generators of a cyclic p-group are its elements of largest order)
+            cyc_of = np.full(n, -1, dtype=np.int64)
+            cyc_gen: List[int] = []
+            for a in range(n):
+                if cyc_of[a] < 0 and _is_prime_power(int(orders[a])):
+                    _, powers = self._closure([a])
+                    powers = np.asarray(powers)
+                    cyc_of[powers[orders[powers] == orders[a]]] = len(cyc_gen)
+                    cyc_gen.append(a)
+            seen = set()
+            orbits: List[Tuple[List[int], np.ndarray, np.ndarray]] = []
+            found: List[Tuple[int, ...]] = []
+
+            def add_class(elements: List[int]) -> np.ndarray:
+                """Record the class of a new subgroup J; return N(J).  g J g^-1
+                is member local[g], the one of g's left coset of N(J)."""
+                conjugated = self._conjugated(everything, np.asarray(elements))
+                mask = np.zeros(n, dtype=bool)
+                mask[elements] = True
+                normalizer = np.flatnonzero(mask[conjugated].all(axis=1))
+                hs, local = np.unique(self.table[:, normalizer].min(axis=1), return_inverse=True)
+                members = conjugated[hs]
+                masks = np.zeros((len(hs), n), dtype=bool)
+                masks[np.arange(len(hs))[:, None], members] = True
+                keys = [int.from_bytes(row.tobytes(), "little")
+                        for row in np.packbits(masks, axis=1, bitorder="little")]
+                seen.update(keys)
+                orbits.append((keys, local, hs))
+                found.extend(tuple(row) for row in np.sort(members, axis=1).tolist())
+                return normalizer
+
+            queue = [([], 1 << e, add_class([e]))]
+            while queue:
+                gens, key, normalizer = queue.pop()
+                # one prime-power cyclic subgroup per N(S)-orbit, outside S
+                conjugates = self._conjugated(normalizer, np.asarray(cyc_gen, dtype=np.int64))
+                orbit_least = cyc_of[conjugates].min(axis=0)
+                for c in np.flatnonzero(orbit_least == np.arange(len(cyc_gen))).tolist():
+                    if (key >> cyc_gen[c]) & 1:
                         continue
-                    join = self._closure(sub | cyc)
-                    if join not in found:
-                        found.add(join)
-                        work.append(join)
-            self._all_subgroups = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+                    join_gens = gens + [cyc_gen[c]]
+                    join_key, elements = self._closure(join_gens)
+                    if join_key not in seen:
+                        queue.append((join_gens, join_key, add_class(elements)))
+            found.sort(key=lambda s: (len(s), s))
+            self._subgroup_orbits = orbits
+            self._all_subgroups = [frozenset(s) for s in found]
         return self._all_subgroups
 
     def subgroup_lattice(self) -> "SubgroupLattice":
@@ -432,16 +495,13 @@ class Subgroup:
         """
         if not hasattr(self, "_as_group"):
             el = list(self.elements)
-            pos = {a: i for i, a in enumerate(el)}
-            n = len(el)
-            table = np.empty((n, n), dtype=np.int32)
-            for i, a in enumerate(el):
-                row = self.parent.table[a, el]
-                table[i] = [pos[int(x)] for x in row]
+            pos = np.full(self.parent.order, -1, dtype=np.int32)
+            pos[el] = np.arange(len(el))
+            table = pos[self.parent.table[np.ix_(el, el)]]
             perms = self.parent.perms[el] if self.parent.perms is not None else None
             names = [self.parent.name(a) for a in el] if (
                 self.parent.names is not None or self.parent.perms is not None) else None
-            grp = FiniteGroup(table, pos[self.parent.identity], perms=perms,
+            grp = FiniteGroup(table, int(pos[self.parent.identity]), perms=perms,
                               names=names, _skip_checks=self.parent.order > 256)
             object.__setattr__(self, "_as_group", (grp, tuple(el)))
         return self._as_group  # type: ignore[attr-defined]
@@ -463,19 +523,27 @@ class SubgroupLattice:
     g S_i g^-1.  `classes` holds one representative per conjugacy class (the
     least id, hence the lexicographically least tuple, in each orbit, in
     increasing id order) and `class_of[i]` the class of S_i in that list.
+    The tables are read off the class orbits that `all_subgroups` found, one
+    gather per class; each subgroup is validated once, when it is interned.
     """
 
     def __init__(self, G: FiniteGroup):
         self.subgroups = [G.subgroup(s) for s in G.all_subgroups()]
         self.position = {S: i for i, S in enumerate(self.subgroups)}
-        everything = np.arange(G.order)
+        id_of = {S.key: i for i, S in enumerate(self.subgroups)}
         self.conj = np.empty((G.order, len(self.subgroups)), dtype=np.int64)
-        for i, S in enumerate(self.subgroups):
-            masks = np.zeros((G.order, G.order), dtype=bool)
-            masks[everything[:, None], G._conjugated(everything, np.asarray(S.elements))] = True
-            self.conj[:, i] = [self.position[G._interned[_mask_key(row)]] for row in masks]
-        reps, self.class_of = self.classes_in(G.full_subgroup())
-        self.classes = [self.subgroups[r] for r in reps]
+        self.class_of = np.empty(len(self.subgroups), dtype=np.int64)
+        # member k of a class is h J h^-1 for h = hs[k], and g h J (g h)^-1
+        # is member local[g h]
+        orbits = []
+        for keys, local, hs in G._subgroup_orbits:
+            ids = np.array([id_of[k] for k in keys], dtype=np.int64)
+            self.conj[:, ids] = ids[local[G.table[:, hs]]]
+            orbits.append(ids)
+        orbits.sort(key=lambda ids: ids.min())
+        for c, ids in enumerate(orbits):
+            self.class_of[ids] = c
+        self.classes = [self.subgroups[ids.min()] for ids in orbits]
 
     def classes_in(self, H: Subgroup) -> Tuple[np.ndarray, np.ndarray]:
         """H-conjugacy classes of the subgroups of H: the least id of each

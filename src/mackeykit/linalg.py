@@ -23,11 +23,23 @@ _F53 = 2**53
 _I62 = 2**62
 
 
+def _check_int64_prime(p: int) -> None:
+    """rref_mod multiplies two residues in int64, so (p-1)^2 must stay
+    below 2^63."""
+    if (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"prime {p} is too large: (p-1)^2 must stay below 2^63")
+
+
 @dataclass(frozen=True)
 class Field:
-    """Prime field F_p (`p` a prime) or the rationals (`p` is None)."""
+    """Prime field F_p (`p` a prime with (p-1)^2 < 2^63) or the rationals
+    (`p` is None)."""
 
     p: Optional[int]
+
+    def __post_init__(self):
+        if self.p is not None:
+            _check_int64_prime(self.p)
 
     @property
     def char(self) -> int:
@@ -48,13 +60,11 @@ def _is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def GF(p: int) -> Field:
-    """F_p, for primes p with (p-1)^2 < 2^63 so that rref_mod's int64
-    products of two residues cannot overflow."""
-    if p > 1 and (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"prime {p} is too large: (p-1)^2 must stay below 2^63")
+    """F_p, for primes p with (p-1)^2 < 2^63 (the bound `Field` enforces)."""
+    field = Field(p)
     if not _is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    return Field(p)
+    return field
 
 
 QQ = Field(None)
@@ -116,7 +126,9 @@ def _compact(a: np.ndarray) -> np.ndarray:
 
 
 def rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form of an integer matrix mod p (vectorized)."""
+    """Reduced row echelon form of an integer matrix mod p (vectorized),
+    for primes p with (p-1)^2 < 2^63."""
+    _check_int64_prime(p)
     a = np.asarray(a, dtype=np.int64) % p
     rows, cols = a.shape
     piv: List[int] = []

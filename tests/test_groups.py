@@ -139,6 +139,83 @@ def test_s4_subgroup_counts_by_order():
     assert len(G.subgroups_up_to_conjugacy()) == 11
 
 
+def _cycle(degree, *cycles):
+    perm = list(range(degree))
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            perm[a] = b
+    return perm
+
+
+def _sl23_on_nonzero_vectors():
+    vecs = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
+
+    def act(a, b, c, d):
+        return [vecs.index(((a * x + b * y) % 3, (c * x + d * y) % 3)) for x, y in vecs]
+    return 8, [act(1, 1, 0, 1), act(1, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("spec,count,classes", [
+    (_sl23_on_nonzero_vectors(), 15, 7),
+    ((6, [_cycle(6, (0, 1, 2)), _cycle(6, (0, 1)), _cycle(6, (3, 4, 5)), _cycle(6, (3, 4))]),
+     60, 22),
+    ((5, [_cycle(5, (0, 1, 2, 3, 4)), _cycle(5, (0, 1, 2))]), 59, 9),
+    ((6, [_cycle(6, (0, 1, 2, 3)), _cycle(6, (0, 1)), _cycle(6, (4, 5))]), 98, 33),
+    ((5, [_cycle(5, (0, 1, 2, 3, 4)), _cycle(5, (0, 1))]), 156, 19),
+    ((1, []), 1, 1),
+], ids=["SL(2,3)", "S3xS3", "A5", "C2xS4", "S5", "trivial"])
+def test_subgroup_counts_of_generated_groups(spec, count, classes):
+    # classical censuses: subgroups, and their conjugacy classes
+    G = group_from_generators(*spec)
+    subs = G.all_subgroups()
+    assert len(subs) == len(set(subs)) == count
+    assert len(G.subgroups_up_to_conjugacy()) == classes
+    assert subs == sorted(subs, key=lambda s: (len(s), tuple(sorted(s))))
+    for s in subs:
+        assert G.subgroup_from_generators(s) is G.subgroup(s)
+
+
+def relabelled(G: FiniteGroup, seed: int) -> FiniteGroup:
+    """G's table under a random bijection of its elements, as a table-form
+    group (so the identity is usually not element 0)."""
+    p = np.random.default_rng(seed).permutation(G.order)
+    t = np.empty_like(G.table)
+    t[np.ix_(p, p)] = p[G.table]
+    return group_from_table(t.tolist())
+
+
+@pytest.mark.parametrize("name", ["s4", "d8", "q8", "a4"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_all_subgroups_list_matches_oracle_on_relabellings(name, seed):
+    G = relabelled(builtin_group(name), seed)
+    want = sorted(all_subgroups_oracle(G), key=lambda s: (len(s), tuple(sorted(s))))
+    assert G.all_subgroups() == want
+    lat = G.subgroup_lattice()
+    index = {frozenset(S.elements): i for i, S in enumerate(lat.subgroups)}
+    for i, S in enumerate(want):
+        for g in range(G.order):
+            assert lat.conj[g, i] == index[frozenset(G.conj(g, x) for x in S)]
+
+
+@pytest.mark.parametrize("name", ["s3", "q8", "a4", "s4"])
+def test_subgroup_from_generators_against_closure_oracle(name):
+    rng = np.random.default_rng(3)
+    for G in (builtin_group(name), relabelled(builtin_group(name), 2)):
+        for k in (0, 1, 1, 2, 2, 3):
+            gens = [int(x) for x in rng.integers(0, G.order, size=k)]
+            assert set(G.subgroup_from_generators(gens).elements) == closure_oracle(G, gens)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_element_orders_against_powers(name):
+    G = relabelled(builtin_group(name), 4)
+    for a in range(G.order):
+        x, k = a, 1
+        while x != G.identity:
+            x, k = G.mul(x, a), k + 1
+        assert G.element_orders()[a] == k
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_subgroup_classes_partition_all_subgroups(name):
     G = builtin_group(name)

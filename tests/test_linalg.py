@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mackeykit.linalg import GF, QQ, Mat, perm_to_mat, rref_mod
+from mackeykit.linalg import GF, QQ, Field, Mat, perm_to_mat, rref_mod
 
 
 def test_gf_validates_primality():
@@ -30,6 +30,16 @@ def test_gf_rejects_primes_that_overflow_int64():
     assert (a @ inv).is_identity() and (inv @ a).is_identity()
     r, piv = rref_mod(np.array([[p - 1, p - 2], [p - 3, p - 5]]), p)
     assert piv == [0, 1] and np.array_equal(r, np.eye(2, dtype=np.int64))
+
+
+def test_every_prime_field_route_rejects_primes_that_overflow_int64():
+    # rref_mod used to return a non-RREF matrix here, and Field(p) skipped
+    # the bound that only GF(p) checked
+    p = 4294967311
+    with pytest.raises(ValueError, match="too large"):
+        rref_mod([[p - 1, p - 2], [p - 3, p - 5]], p)
+    with pytest.raises(ValueError, match="too large"):
+        Field(p)
 
 
 def test_field_equality_and_char():
