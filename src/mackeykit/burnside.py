@@ -49,6 +49,17 @@ class NotSplitOverRationals(ArithmeticError):
     with rational-root methods alone."""
 
 
+def _abs_max(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _require_exact(bound: int, bits: int, what: str) -> None:
+    """Refuse an integer computation whose values may reach 2^bits (int64
+    overflow at 63, inexact float64 at 53), given a bound on them."""
+    if bound >= 2 ** bits:
+        raise ValueError(f"{what} may exceed 2^{bits} (bound {bound})")
+
+
 # ---------------------------------------------------------------------------
 # the Burnside ring
 
@@ -90,28 +101,25 @@ def burnside_vector(X: GSet) -> np.ndarray:
 _burnside_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _burnside_structure(G: FiniteGroup) -> List[List[np.ndarray]]:
+def _burnside_structure(G: FiniteGroup) -> np.ndarray:
+    """B[i, j, k], the multiplicity of [G/H_k] in [G/H_i][G/H_j], counted
+    from the lattice's double-coset records and cross-checked through the
+    mark homomorphism (which is injective)."""
     cached = _burnside_cache.get(G)
     if cached is not None:
         return cached
     lat = G.subgroup_lattice()
-    subs = lat.classes
-    r = len(subs)
+    ids = [lat.position[S] for S in lat.classes]
+    r = len(ids)
+    B = np.zeros((r, r, r), dtype=np.int64)
+    for i, k in enumerate(ids):
+        for j, h in enumerate(ids):
+            B[i, j] = np.bincount(lat.class_of[lat.double_cosets(k, h)[1]], minlength=r)
     marks = table_of_marks(G)
-    rows: List[List[np.ndarray]] = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            vec = np.zeros(r, dtype=np.int64)
-            for g in G.double_cosets(subs[i], subs[j]).representatives:
-                vec[lat.class_index(subs[i].intersection(subs[j].conjugate_by(g)))] += 1
-            # cross-check through the mark homomorphism (injective)
-            if not np.array_equal(vec @ marks, marks[i] * marks[j]):
-                raise ArithmeticError("double-coset product disagrees with marks")
-            row.append(vec)
-        rows.append(row)
-    _burnside_cache[G] = rows
-    return rows
+    if not np.array_equal(B @ marks, marks[:, None, :] * marks[None, :, :]):
+        raise ArithmeticError("double-coset product disagrees with marks")
+    _burnside_cache[G] = B
+    return B
 
 
 def burnside_multiply(G: FiniteGroup, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
@@ -119,18 +127,9 @@ def burnside_multiply(G: FiniteGroup, a: Sequence[int], b: Sequence[int]) -> np.
     subgroup classes.  Computed from the double-coset formula
     [G/K][G/H] = sum over KgH of [G/(K n gHg^-1)] and verified against the
     pointwise product of marks."""
-    rows = _burnside_structure(G)
-    r = len(rows)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    out = np.zeros(r, dtype=np.int64)
-    for i in range(r):
-        if not a[i]:
-            continue
-        for j in range(r):
-            if b[j]:
-                out += a[i] * b[j] * rows[i][j]
-    return out
+    return np.einsum("i,ijk,j->k", a, _burnside_structure(G), b)
 
 
 # ---------------------------------------------------------------------------
@@ -693,37 +692,39 @@ class CrossedBurnsideAlgebra:
 
         (K, b) (H, a) = sum over KgH of (K n gHg^-1, b * gag^-1).
 
-    The unit is (G, 1).  Associativity, commutativity and the unit law are
-    verified on the computed constants, and the span of the pairs (H, 1) is
-    checked to reproduce the Burnside ring's double-coset products.
+    The unit is (G, 1).  The basis of a subgroup class with representative
+    R is the least element of each N_G(R)-orbit on C_G(R), in increasing
+    order, and the classes come in the lattice's class order.  The rank is
+    refused above ASSOCIATIVITY_DIM_CAP before any product is made.  The
+    structure constants are built once per pair of subgroup classes (the
+    double cosets depend only on K and H, not on a and b); associativity,
+    commutativity and the unit law are verified on them, and the span of
+    the pairs (H, 1) is checked to reproduce the Burnside ring's
+    double-coset products.
     """
 
     def __init__(self, G: FiniteGroup):
         self.group = G
+        lat = G.subgroup_lattice()
         self.basis: List[PairClass] = []
-        self._index: Dict[PairClass, int] = {}
-        subs = G.subgroups_up_to_conjugacy()
-        for S in subs:
-            C = G.centralizer(S.elements)
-            N = G.normalizer(S)
-            seen = set()
-            for a in C.elements:
-                if a in seen:
-                    continue
-                orbit = {G.conj(g, a) for g in N.elements}
-                seen |= orbit
-                pc = self.canonical_pair(S.elements, min(orbit))
-                if pc in self._index:
-                    raise ArithmeticError("duplicate pair class (broken canonicalization)")
-                self._index[pc] = len(self.basis)
-                self.basis.append(pc)
+        # _pair_index[c][a]: the basis index of (R, a) for R the representative
+        # of class c and a in C_G(R), -1 for the other a
+        self._pair_index: List[np.ndarray] = []
+        for S in lat.classes:
+            C = np.asarray(G.centralizer(S.elements).elements, dtype=np.int64)
+            N = np.asarray(G.normalizer(S).elements, dtype=np.int64)
+            least, local = np.unique(G._conjugated(N, C).min(axis=0), return_inverse=True)
+            index = np.full(G.order, -1, dtype=np.int64)
+            index[C] = len(self.basis) + local
+            self._pair_index.append(index)
+            self.basis.extend(PairClass(S.elements, int(a)) for a in least)
         self.rank = len(self.basis)
-        self.unit_index = self._index[self.canonical_pair(
-            tuple(range(G.order)), G.identity)]
-        self._table: List[List[np.ndarray]] = [[None] * self.rank for _ in range(self.rank)]
-        for i in range(self.rank):
-            for j in range(self.rank):
-                self._table[i][j] = self._product(i, j)
+        if self.rank > ASSOCIATIVITY_DIM_CAP:
+            raise ValueError(f"rank {self.rank} exceeds the verification cap")
+        self._index: Dict[PairClass, int] = {pc: i for i, pc in enumerate(self.basis)}
+        self.unit_index = int(self._pair_index[-1][G.identity])
+        # L[i, k, j] = coeff of e_k in e_i e_j
+        self._left = self._structure_tensor()
         self._verify()
 
     def canonical_pair(self, subgroup_elements: Sequence[int], a: int) -> PairClass:
@@ -738,45 +739,61 @@ class CrossedBurnsideAlgebra:
         return PairClass(lat.subgroups[least].elements,
                          int(G.table[gs, G.table[a, G.inverse[gs]]].min()))
 
-    def _product(self, i: int, j: int) -> np.ndarray:
-        G = self.group
-        K = G.subgroup(self.basis[i].subgroup)
-        H = G.subgroup(self.basis[j].subgroup)
-        b, a = self.basis[i].element, self.basis[j].element
-        out = np.zeros(self.rank, dtype=np.int64)
-        for g in G.double_cosets(K, H).representatives:
-            inter = K.intersection(H.conjugate_by(g))
-            c = G.mul(b, G.conj(g, a))
-            for s in inter.elements:  # the product must centralize the intersection
-                if G.conj(c, s) != s:
+    def _structure_tensor(self) -> np.ndarray:
+        """L[i, k, j] per pair of subgroup classes with representatives K and
+        H: every product c = b * x a x^-1, over the basis elements (K, b) and
+        (H, a) and the double-coset representatives x, in one gather, and the
+        basis index of (K n xHx^-1, c) read off the pair index of that
+        intersection; the counts go into L by one bincount."""
+        G, r = self.group, self.rank
+        lat = G.subgroup_lattice()
+        ids = [lat.position[S] for S in lat.classes]
+        everything = np.arange(G.order)
+        # pair_index[t, c]: the basis index of (S_t, c), -1 where c does not
+        # centralize S_t.  g S_t g^-1 is the representative R exactly for the
+        # g in N(R) g0, and the pair index of R is constant on N(R)-orbits.
+        pair_index = np.empty((len(lat.subgroups), G.order), dtype=np.int64)
+        for t, S in enumerate(lat.subgroups):
+            el = np.asarray(S.elements, dtype=np.int64)
+            centralizes = (G.table[:, el] == G.table[el, :].T).all(axis=1)
+            c = lat.class_of[t]
+            g0 = np.argmax(lat.conj[:, t] == ids[c])
+            moved = G._conjugated(np.array([g0]), everything)[0]
+            pair_index[t] = np.where(centralizes, self._pair_index[c][moved], -1)
+        # the basis indices on each class representative
+        blocks = [np.unique(index[index >= 0]) for index in self._pair_index]
+        elements = np.array([pc.element for pc in self.basis], dtype=np.int64)
+        counted = []
+        for k, left in zip(ids, blocks):
+            bs = elements[left]
+            for h, right in zip(ids, blocks):
+                xs, meets = lat.double_cosets(k, h)
+                # products[b, a, x] = b * x a x^-1
+                products = G.table[bs[:, None, None], G._conjugated(xs, elements[right]).T]
+                out = pair_index[meets, products]
+                if np.any(out < 0):
                     raise ArithmeticError("product element does not centralize")
-            pc = self.canonical_pair(inter.elements, c)
-            out[self._index[pc]] += 1
-        return out
+                counted.append(((left[:, None, None] * r + out) * r
+                                + right[None, :, None]).ravel())
+        return np.bincount(np.concatenate(counted), minlength=r ** 3).reshape(r, r, r)
 
     def _verify(self) -> None:
-        r = self.rank
-        if r > ASSOCIATIVITY_DIM_CAP:
-            raise ValueError(f"rank {r} exceeds the verification cap")
-        # L[i][k, j] = coeff of e_k in e_i e_j
-        L = np.zeros((r, r, r), dtype=np.int64)
-        for i in range(r):
-            for j in range(r):
-                L[i, :, j] = self._table[i][j]
-        self._left = L
-        u = self.unit_index
-        if not np.array_equal(L[u], np.eye(r, dtype=np.int64)):
+        """Unit law, commutativity and associativity of `_left`, each as a
+        whole-array comparison.  Associativity compares, for every i, the
+        multiplication by e_i e_j with e_i (e_j .) for all j in two matrix
+        products; they run in float64, which is exact because no partial
+        sum exceeds r max|L|^2 < 2^53."""
+        L, r = self._left, self.rank
+        if not np.array_equal(L[self.unit_index], np.eye(r, dtype=np.int64)):
             raise ArithmeticError("unit law fails in the crossed Burnside ring")
+        if not np.array_equal(L, L.transpose(2, 1, 0)):
+            raise ArithmeticError("crossed Burnside ring is not commutative")
+        _require_exact(r * _abs_max(L) ** 2, 53, "the associativity check")
+        F = L.astype(np.float64)
+        flat = F.reshape(r, r * r)
         for i in range(r):
-            for j in range(r):
-                if not np.array_equal(L[i, :, j], L[j, :, i]):
-                    raise ArithmeticError("crossed Burnside ring is not commutative")
-        for i in range(r):
-            Li = L[i].astype(np.int64)
-            for j in range(r):
-                lhs = np.tensordot(L[i, :, j], L, axes=(0, 0))
-                if not np.array_equal(lhs, Li @ L[j]):
-                    raise ArithmeticError("crossed Burnside ring is not associative")
+            if not np.array_equal((F[i].T @ flat).reshape(r, r, r), F[i] @ F):
+                raise ArithmeticError("crossed Burnside ring is not associative")
 
     def multiply(self, x: Sequence[int], y: Sequence[int]) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64)
@@ -789,34 +806,17 @@ class CrossedBurnsideAlgebra:
     def untwisted_indices(self) -> List[Tuple[int, int]]:
         """(subgroup class index, basis index) for the pairs (H, 1), in the
         canonical subgroup-class order."""
-        G = self.group
-        out = []
-        for k, S in enumerate(G.subgroups_up_to_conjugacy()):
-            out.append((k, self.basis_index(S.elements, G.identity)))
-        return out
+        e = self.group.identity
+        return [(k, int(index[e])) for k, index in enumerate(self._pair_index)]
 
     def verify_burnside_subring(self) -> bool:
         """The span of the pairs (H, 1) multiplies exactly like the Burnside
-        ring on the matching basis."""
-        G = self.group
-        pairs = self.untwisted_indices()
-        back = {bi: k for k, bi in pairs}
-        for k1, b1 in pairs:
-            for k2, b2 in pairs:
-                prod = self._table[b1][b2]
-                expected = np.zeros(len(pairs), dtype=np.int64)
-                for bi, c in enumerate(prod):
-                    if c:
-                        if bi not in back:
-                            return False
-                        expected[back[bi]] += c
-                ref = np.zeros(len(pairs), dtype=np.int64)
-                ref[k1] = 1
-                ref2 = np.zeros(len(pairs), dtype=np.int64)
-                ref2[k2] = 1
-                if not np.array_equal(burnside_multiply(G, ref, ref2), expected):
-                    return False
-        return True
+        ring on the matching basis: the slice of `_left` on those pairs is
+        zero off them and the Burnside structure constants on them."""
+        u = np.array([bi for _, bi in self.untwisted_indices()], dtype=np.int64)
+        expected = np.zeros((len(u), self.rank, len(u)), dtype=np.int64)
+        expected[:, u, :] = _burnside_structure(self.group).transpose(0, 2, 1)
+        return bool(np.array_equal(self._left[np.ix_(u, np.arange(self.rank), u)], expected))
 
     def as_algebra(self, field: Field) -> CommutativeAlgebra:
         unit = np.zeros((self.rank, 1), dtype=np.int64)
@@ -852,18 +852,12 @@ class CrossedBurnsideAlgebra:
         R = self.rho_coh_matrix()
         Z = CenterOfGroupAlgebra(G, QQ)
         unit_ok = bool(R[self.unit_index, 0] == 1 and not np.any(R[self.unit_index, 1:]))
-        hom_ok = True
-        for i in range(self.rank):
-            for j in range(self.rank):
-                lhs = self._table[i][j] @ R  # rho of the product, over Z
-                x = Mat(QQ, R[i].reshape(-1, 1).copy())
-                y = Mat(QQ, R[j].reshape(-1, 1).copy())
-                rhs = Z.multiply(x, y)
-                if Mat(QQ, lhs.reshape(-1, 1).copy()) != rhs:
-                    hom_ok = False
-                    break
-            if not hom_ok:
-                break
+        # rho(e_i e_j) against rho(e_i) rho(e_j) in Z(kG), for every i, j
+        T = Z._tensor
+        _require_exact(self.rank * _abs_max(self._left) * _abs_max(R), 63, "the rho_coh check")
+        _require_exact(T.shape[0] ** 2 * _abs_max(T) * _abs_max(R) ** 2, 63, "the rho_coh check")
+        hom_ok = bool(np.array_equal(np.einsum("ikj,kc->ijc", self._left, R),
+                                     np.einsum("ia,akb,jb->ijk", R, T, R)))
         surj_ok = Mat(field, R.T.copy()).rank() == len(Z.classes)
         if not (unit_ok and hom_ok):
             raise ArithmeticError("rho_coh is not a unital ring homomorphism")

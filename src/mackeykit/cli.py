@@ -184,10 +184,8 @@ def _cmd_xburn(G: FiniteGroup, args) -> Tuple[Dict, List[str]]:
             {"subgroup": list(pc.subgroup), "element": pc.element}
             for pc in xb.basis
         ],
-        "structure_constants": [
-            [[int(c) for c in xb._table[i][j]] for j in range(xb.rank)]
-            for i in range(xb.rank)
-        ],
+        # structure_constants[i][j]: e_i e_j on the basis
+        "structure_constants": xb._left.transpose(0, 2, 1).tolist(),
         "burnside_subring_embeds": xb.verify_burnside_subring(),
     }
     failures = []

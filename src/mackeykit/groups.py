@@ -525,12 +525,14 @@ class SubgroupLattice:
     increasing id order) and `class_of[i]` the class of S_i in that list.
     The tables are read off the class orbits that `all_subgroups` found, one
     gather per class; each subgroup is validated once, when it is interned.
+    Double cosets are recorded per pair of ids on first query.
     """
 
     def __init__(self, G: FiniteGroup):
         self.subgroups = [G.subgroup(s) for s in G.all_subgroups()]
         self.position = {S: i for i, S in enumerate(self.subgroups)}
-        id_of = {S.key: i for i, S in enumerate(self.subgroups)}
+        self._id_of = id_of = {S.key: i for i, S in enumerate(self.subgroups)}
+        self._double_cosets: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self.conj = np.empty((G.order, len(self.subgroups)), dtype=np.int64)
         self.class_of = np.empty(len(self.subgroups), dtype=np.int64)
         # member k of a class is h J h^-1 for h = hs[k], and g h J (g h)^-1
@@ -559,6 +561,23 @@ class SubgroupLattice:
     def class_index(self, S: Subgroup) -> int:
         """Index of S's class in `classes` (and subgroups_up_to_conjugacy)."""
         return int(self.class_of[self.position[S]])
+
+    def meet(self, i: int, j: int) -> int:
+        """The id of S_i n S_j: one bitmask AND and a lookup."""
+        return self._id_of[self.subgroups[i].key & self.subgroups[j].key]
+
+    def double_cosets(self, k: int, h: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The double cosets S_k x S_h, cached per pair of ids: their least
+        elements x in increasing order, and per x the id of S_k n x S_h x^-1
+        (the meet of S_k with conj[x, h])."""
+        record = self._double_cosets.get((k, h))
+        if record is None:
+            K, H = self.subgroups[k], self.subgroups[h]
+            reps = np.asarray(K.parent.double_cosets(K, H).representatives, dtype=np.int64)
+            meets = np.array([self.meet(k, j) for j in self.conj[reps, h].tolist()],
+                             dtype=np.int64)
+            record = self._double_cosets[(k, h)] = (reps, meets)
+        return record
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from mackeykit.burnside import (
     table_of_marks,
 )
 from mackeykit.catalog import builtin_group
+from mackeykit.groups import FiniteGroup, group_from_generators
 from mackeykit.linalg import GF, QQ, Mat
 
 XBURN_GROUPS = ["c2", "c3", "v4", "s3", "d8", "q8"]
@@ -450,6 +451,123 @@ def test_rho_coh_matrix_formula_c2():
     R = xb.rho_coh_matrix()
     # rows follow xb.basis: (1,e) -> 2*e, (1,s) -> 2*s, (C2,e) -> e, (C2,s) -> s
     assert R.tolist() == [[2, 0], [0, 2], [1, 0], [0, 1]]
+
+
+def xburn_structure_oracle(G, basis) -> np.ndarray:
+    """L[i, k, j], the coefficient of basis k in basis i times basis j, from
+    the double-coset formula with frozenset double cosets and each product
+    pair canonicalized as its minimum (sorted subgroup tuple, element) over
+    conjugation by every g; no lattice table is read."""
+    n = G.order
+    index = {(pc.subgroup, pc.element): i for i, pc in enumerate(basis)}
+
+    def conjugate(g, S):
+        return frozenset(G.conj(g, s) for s in S)
+
+    canonical_cache, coset_cache = {}, {}
+
+    def canonical(S, c):
+        if (S, c) not in canonical_cache:
+            canonical_cache[(S, c)] = min((tuple(sorted(conjugate(g, S))), G.conj(g, c))
+                                          for g in range(n))
+        return canonical_cache[(S, c)]
+
+    def double_coset_reps(K, H):
+        if (K, H) not in coset_cache:
+            covered, reps = set(), []
+            for g in range(n):
+                if g not in covered:
+                    covered |= {G.mul(G.mul(k, g), h) for k in K for h in H}
+                    reps.append(g)
+            coset_cache[(K, H)] = reps
+        return coset_cache[(K, H)]
+
+    r = len(basis)
+    L = np.zeros((r, r, r), dtype=np.int64)
+    for i, left in enumerate(basis):
+        K, b = frozenset(left.subgroup), left.element
+        for j, right in enumerate(basis):
+            H, a = frozenset(right.subgroup), right.element
+            for x in double_coset_reps(K, H):
+                meet = K & conjugate(x, H)
+                c = G.mul(b, G.conj(x, a))
+                assert all(G.mul(c, s) == G.mul(s, c) for s in meet)
+                L[i, index[canonical(meet, c)], j] += 1
+    return L
+
+
+F20 = (5, [[1, 2, 3, 4, 0], [0, 2, 4, 1, 3]])
+A5 = (5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])
+
+
+@pytest.mark.parametrize("name", XBURN_GROUPS + ["f20", "a5"])
+def test_xburn_structure_constants_match_brute_force(name):
+    G = {"f20": lambda: group_from_generators(*F20),
+         "a5": lambda: group_from_generators(*A5)}.get(name, lambda: builtin_group(name))()
+    xb = CrossedBurnsideAlgebra(G)
+    oracle = xburn_structure_oracle(G, xb.basis)
+    assert np.array_equal(xb._left, oracle)
+
+
+def _non_unit_index(xb) -> int:
+    return next(i for i in range(xb.rank) if i != xb.unit_index)
+
+
+def test_xburn_verifier_rejects_broken_commutativity():
+    xb = CrossedBurnsideAlgebra(builtin_group("s3"))
+    i = _non_unit_index(xb)
+    j = next(j for j in range(xb.rank) if j not in (i, xb.unit_index))
+    xb._left = xb._left.copy()
+    xb._left[i, 0, j] += 1
+    with pytest.raises(ArithmeticError, match="not commutative"):
+        xb._verify()
+
+
+def test_xburn_verifier_rejects_broken_associativity_alone():
+    # e_i e_i gains the unit: the unit law and commutativity still hold
+    xb = CrossedBurnsideAlgebra(builtin_group("s3"))
+    i = _non_unit_index(xb)
+    xb._left = xb._left.copy()
+    xb._left[i, xb.unit_index, i] += 1
+    L = xb._left
+    assert np.array_equal(L[xb.unit_index], np.eye(xb.rank, dtype=np.int64))
+    assert np.array_equal(L, L.transpose(2, 1, 0))
+    with pytest.raises(ArithmeticError, match="not associative"):
+        xb._verify()
+
+
+def test_xburn_checks_refuse_inexact_arithmetic():
+    xb = CrossedBurnsideAlgebra(builtin_group("s3"))
+    i = _non_unit_index(xb)
+    xb._left = xb._left.copy()
+    xb._left[i, 0, i] = 2 ** 27  # r max|L|^2 >= 2^53: float64 would not be exact
+    with pytest.raises(ValueError, match="may exceed 2\\^53"):
+        xb._verify()
+    xb._left[i, 0, i] = 2 ** 62  # the rho_coh contraction would overflow int64
+    with pytest.raises(ValueError, match="may exceed 2\\^63"):
+        xb.verify_rho_coh(GF(2))
+
+
+def test_xburn_refuses_rank_above_cap_before_any_double_coset(monkeypatch):
+    G = group_from_generators(6, [[1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]])  # C4 x C2
+    calls = []
+    original = FiniteGroup.double_cosets
+
+    def counted(self, left, right):
+        calls.append((left, right))
+        return original(self, left, right)
+
+    monkeypatch.setattr(FiniteGroup, "double_cosets", counted)
+    with pytest.raises(ValueError, match="^rank 64 exceeds the verification cap$"):
+        CrossedBurnsideAlgebra(G)
+    assert calls == []
+
+
+def test_marks_and_burnside_vectors_build_no_double_coset_record():
+    G = group_from_generators(*F20)
+    table_of_marks(G)
+    burnside_vector(gset_from_subgroup(G, G.subgroups_up_to_conjugacy()[1]))
+    assert G.subgroup_lattice()._double_cosets == {}
 
 
 # -- gset induction/restriction consistency -----------------------------------

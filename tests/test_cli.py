@@ -74,6 +74,10 @@ REPORT_SHA256 = {
         "84e06d9a00a652a97588335dff4d715fd3618f92729ac7d4b621597ee9152bb2",
     ("vertex", "--group", "s4", "--prime", "2", "--module", "trivial"):
         "aa3f7636b4196fb39a8548670f45bb5bcf3e57747ad97bab0ded2f508575cde2",
+    ("xburn", "--group", "d8", "--prime", "2"):
+        "031824010467e84a288146ed347bc23f5603ec94f640bc3fc520ffad231ed115",
+    ("verify", "--group", "v4", "--prime", "2"):
+        "001a213b3cea48d9a8697afa586affaaf959cb4263b9a64bee43dfac74c70666",
 }
 
 

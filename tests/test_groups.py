@@ -286,6 +286,20 @@ def double_coset_count_oracle(G: FiniteGroup, K, H) -> int:
     return total // (K.order * H.order)
 
 
+@pytest.mark.parametrize("name", ["s3", "d8", "q8", "a4"])
+def test_lattice_double_coset_records(name):
+    G = builtin_group(name)
+    lat = G.subgroup_lattice()
+    for k, K in enumerate(lat.subgroups):
+        for h, H in enumerate(lat.subgroups):
+            reps, meets = lat.double_cosets(k, h)
+            assert reps.tolist() == G.double_cosets(K, H).representatives
+            for x, t in zip(reps.tolist(), meets.tolist()):
+                assert (frozenset(lat.subgroups[t].elements)
+                        == frozenset(K.elements) & G.conjugate_subgroup(x, H.elements))
+            assert lat.double_cosets(k, h) is lat.double_cosets(k, h)
+
+
 @pytest.mark.parametrize("name", ["s3", "d8", "a4", "s4"])
 def test_double_cosets_against_burnside_oracle(name):
     G = builtin_group(name)
