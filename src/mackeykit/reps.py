@@ -182,8 +182,14 @@ class ModuleHom:
         self.target = target
         self.mat = mat
         if check:
+            perm = source.is_permutation and target.is_permutation
             for s in source.group.generators():
-                if self.mat @ source.action(s) != target.action(s) @ self.mat:
+                if perm:  # f[s.y, s.x] = f[y, x], one gather
+                    ok = np.array_equal(
+                        mat.num[np.ix_(target.gset.action[s], source.gset.action[s])], mat.num)
+                else:
+                    ok = mat @ source.action(s) == target.action(s) @ mat
+                if not ok:
                     raise ValueError(f"map does not intertwine generator {s}")
 
     def __matmul__(self, other: "ModuleHom") -> "ModuleHom":
@@ -672,10 +678,23 @@ def frobenius_object(G: FiniteGroup, H: Subgroup, field: Field) -> FrobeniusObje
 
 
 def hom_space(M: Module, N: Module) -> List[ModuleHom]:
-    """A basis of Hom_kG(M, N), in reduced echelon form (deterministic)."""
+    """A basis of Hom_kG(M, N), in reduced echelon form (deterministic).
+
+    Between permutation modules k[X] and k[Y] a map is equivariant exactly
+    when it is constant on the G-orbits of X x Y, so the orbit indicators
+    are a basis in every characteristic (the orbital, or Hecke, basis).
+    Point (x, y) has index x*|Y| + y, the column-major position of entry
+    (y, x); the indicators have disjoint supports and are listed by their
+    least point, so they already are the reduced echelon basis.  Otherwise
+    the Kronecker system A_N(s) f = f A_M(s) is solved for every generator.
+    """
     if M.group is not N.group or M.field != N.field:
         raise ValueError("hom space needs a common group and field")
     f = M.field
+    if M.is_permutation and N.is_permutation:
+        lab = M.gset.product(N.gset).action.min(axis=0)  # orbit minimum per point
+        return [ModuleHom(M, N, Mat(f, (lab == m).reshape(M.dim, N.dim).T.astype(np.int64)))
+                for m in np.unique(lab)]
     n = M.dim * N.dim
     blocks = []
     for s in M.group.generators():
@@ -925,7 +944,11 @@ def is_summand(M: Module, X: Module, seed: int = 0) -> Optional[SummandWitness]:
 
 
 def _relative_trace_span(M: Module, S: Subgroup) -> List[Mat]:
-    """Images Tr^G_S(phi) = sum_t A(t) phi A(t)^-1 over a basis of End_kS(Res M)."""
+    """Images Tr^G_S(phi) = sum_t A(t) phi A(t)^-1 over a basis of End_kS(Res M).
+
+    On a permutation module conjugating by A(t) moves entry (i, j) to
+    (t.i, t.j), so each term is a gather of phi.
+    """
     G = M.group
     resM = restrict_to(M, S)
     basis = hom_space(resM, resM)
@@ -934,7 +957,11 @@ def _relative_trace_span(M: Module, S: Subgroup) -> List[Mat]:
     for h in basis:
         acc = None
         for t in reps:
-            term = M.action(t) @ h.mat @ M.action_inv(t)
+            if M.is_permutation:
+                inv_t = M.gset.action[G.inv(t)]
+                term = Mat(M.field, h.mat.num[np.ix_(inv_t, inv_t)], h.mat.den)
+            else:
+                term = M.action(t) @ h.mat @ M.action_inv(t)
             acc = term if acc is None else acc + term
         out.append(acc)
     return out

@@ -36,6 +36,7 @@ from mackeykit.reps import (
     unit_counit,
     vertex,
 )
+from mackeykit.reps import _relative_trace_span
 
 FIELDS = [GF(2), GF(3), QQ]
 
@@ -51,6 +52,16 @@ def sign_module(field):
         inv = sum(1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j])
         mats.append(Mat.identity(field, 1).scale(-1 if inv % 2 else 1))
     return module_from_matrices(G, field, mats)
+
+
+def dense_copy(M):
+    """The same module with one explicit matrix per group element, so that
+    every routine takes its matrix path."""
+    return module_from_matrices(M.group, M.field, [M.action(g) for g in range(M.group.order)])
+
+
+def coset_modules(G, field):
+    return [permutation_module(G, K, field) for K in G.subgroups_up_to_conjugacy()]
 
 
 # -- module and hom validation --------------------------------------------------
@@ -101,6 +112,60 @@ def test_module_hom_rejects_non_equivariant():
     ModuleHom(M, N, good)  # the sum of coefficients is equivariant
 
 
+@pytest.mark.parametrize("name", ["s3", "d8", "s4"])
+def test_module_hom_rejects_one_flipped_orbital_entry(name):
+    """An orbit indicator with one entry changed is no longer constant on
+    its orbit; the gather check and the dense check both reject it."""
+    G = builtin_group(name)
+    field = GF(3)
+    mods = coset_modules(G, field)
+    tried = 0
+    for M in mods[:4]:
+        for N in mods[:4]:
+            Md, Nd = dense_copy(M), dense_copy(N)
+            for h in hom_space(M, N):
+                if int(h.mat.num.sum()) < 2:
+                    continue  # a one-point orbit stays equivariant when flipped
+                y, x = np.argwhere(h.mat.num)[0]
+                bad = h.mat.num.copy()
+                bad[y, x] = 0
+                for src, tgt in ((M, N), (Md, Nd)):
+                    with pytest.raises(ValueError, match="map does not intertwine generator"):
+                        ModuleHom(src, tgt, Mat(field, bad))
+                tried += 1
+    assert tried > 0
+
+
+@pytest.mark.parametrize("name", ["d8", "s4"])
+def test_gather_check_agrees_with_dense_products(name):
+    """Seeded F_3 matrices, half of them equivariant combinations of the
+    orbital basis and half of those then perturbed in one entry: the gather
+    verdict on the permutation modules equals the dense-product verdict."""
+    G = builtin_group(name)
+    field = GF(3)
+    rng = np.random.default_rng(11)
+    mods = coset_modules(G, field)
+    verdicts = []
+    for _ in range(40):
+        M, N = (mods[int(i)] for i in rng.integers(0, len(mods), size=2))
+        basis = hom_space(M, N)
+        num = sum(int(c) * h.mat.num for c, h in zip(rng.integers(0, 3, size=len(basis)), basis))
+        if rng.integers(0, 2):
+            num = num.copy()
+            num[rng.integers(0, N.dim), rng.integers(0, M.dim)] += int(rng.integers(1, 3))
+        mat = Mat(field, np.asarray(num, dtype=np.int64))
+        outcome = []
+        for src, tgt in ((M, N), (dense_copy(M), dense_copy(N))):
+            try:
+                ModuleHom(src, tgt, mat)
+                outcome.append(True)
+            except ValueError:
+                outcome.append(False)
+        assert outcome[0] == outcome[1]
+        verdicts.append(outcome[0])
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_module_hom_shape_check():
     G = builtin_group("c2")
     M = trivial_module(G, QQ)
@@ -123,6 +188,46 @@ def test_hom_space_dimension_equals_double_coset_count(name, field):
             N = permutation_module(G, H, field)
             expected = len(G.double_cosets(K, H))
             assert len(hom_space(M, N)) == expected, (name, K.order, H.order)
+
+
+ORACLE_CASES = ([(name, field) for name in ["c2", "c3", "v4", "s3", "d8", "q8", "a4"]
+                 for field in FIELDS] + [("s4", GF(2)), ("s4", GF(3))])
+
+
+@pytest.mark.parametrize("name,field", ORACLE_CASES)
+def test_orbital_hom_basis_equals_kronecker_basis(name, field):
+    """The orbital basis between permutation modules is bit for bit the
+    reduced echelon basis that the Kronecker system gives on dense copies:
+    same maps, order, dtype and denominator."""
+    G = builtin_group(name)
+    perm = coset_modules(G, field)
+    dense = [dense_copy(M) for M in perm]
+    for i, (M, Md) in enumerate(zip(perm, dense)):
+        for j, (N, Nd) in enumerate(zip(perm, dense)):
+            fast, slow = hom_space(M, N), hom_space(Md, Nd)
+            assert len(fast) == len(slow) > 0, (i, j)
+            for a, b in zip(fast, slow):
+                assert a.mat.num.dtype == b.mat.num.dtype, (i, j)
+                assert a.mat.den == b.mat.den, (i, j)
+                assert np.array_equal(a.mat.num, b.mat.num), (i, j)
+
+
+def test_orbital_hom_basis_runs_no_elimination(monkeypatch):
+    calls = {"rref": 0, "nullspace": 0}
+    for meth in calls:
+        orig = getattr(Mat, meth)
+
+        def counted(self, *a, _orig=orig, _name=meth, **k):
+            calls[_name] += 1
+            return _orig(self, *a, **k)
+        monkeypatch.setattr(Mat, meth, counted)
+    G = builtin_group("s4")
+    M = regular_module(G, QQ)
+    assert len(hom_space(M, M)) == 24
+    for X in coset_modules(G, QQ):
+        hom_space(X, M)
+        hom_space(M, X)
+    assert calls == {"rref": 0, "nullspace": 0}
 
 
 def test_hom_space_deterministic():
@@ -492,6 +597,31 @@ def test_relative_projectivity_direct():
     triv = trivial_module(G, GF(2))
     assert relatively_projective(triv, sylow2)
     assert not relatively_projective(triv, G.trivial_subgroup())
+
+
+@pytest.mark.parametrize("name", ["d8", "s4"])
+def test_relative_trace_by_gathers_equals_dense_conjugation(name):
+    G = builtin_group(name)
+    field = GF(2)
+    p_classes = [S for S in G.subgroups_up_to_conjugacy() if S.order & (S.order - 1) == 0]
+    for M in coset_modules(G, field):
+        Md = dense_copy(M)
+        for S in p_classes:
+            assert _relative_trace_span(M, S) == _relative_trace_span(Md, S), (M.dim, S.order)
+
+
+@pytest.mark.parametrize("name,orders", [("d8", (1, 2, 4, 8)), ("s4", (3, 6, 12))])
+def test_scott_module_vertices_agree_with_dense_copies(name, orders):
+    """The Scott modules k[G/H] of the modules-fp workload: the vertex and
+    the relatively projective classes are the same on the dense copy."""
+    G = builtin_group(name)
+    for H in G.subgroups_up_to_conjugacy():
+        if H.order not in orders:
+            continue
+        M = permutation_module(G, H, GF(2))
+        fast, slow = vertex(M), vertex(dense_copy(M))
+        assert fast.vertex is slow.vertex
+        assert fast.relatively_projective_classes == slow.relatively_projective_classes
 
 
 def test_vertex_rejects_decomposable():
