@@ -444,7 +444,7 @@ def verify_isocomma_decomposition(G: FiniteGroup, K: Subgroup, H: Subgroup) -> I
         cid = int(dc.assignment[g0])
         rep = dc.representatives[cid]
         counts_match = counts_match and (rep == g0) and (len(comp.objects) == sizes[cid])
-        exp_grp, _ = K.intersection(H.conjugate_by(rep)).as_group()
+        exp_grp, _ = dc.intersections[cid].as_group()
         iso = find_isomorphism(comp.vertex_group, exp_grp)
         checks.append(IsocommaComponentCheck(
             coset_representative=rep,

@@ -409,19 +409,24 @@ class FiniteGroup:
         return [int(r) for r in reps], coset_of.astype(np.int64)
 
     def double_cosets(self, left: "Subgroup", right: "Subgroup") -> "DoubleCosetDecomposition":
-        """Decomposition of G into double cosets K g H (K=left, H=right).
+        """Decomposition of G into double cosets K g H (K=left, H=right),
+        with the interned K n xHx^-1 for each representative x.
 
         The least element of K g H is min over h of (min over k of k g h),
-        computed for every g at once.  For K, H <= L, the double cosets
-        inside L (K\\L/H) are those whose representative lies in L.
+        computed for every g at once; the intersections are one gather of
+        xHx^-1 for every x, ANDed with K's mask.  For K, H <= L, the double
+        cosets inside L (K\\L/H) are those whose representative lies in L.
         """
         ks = np.asarray(left.elements, dtype=np.int64)
         hs = np.asarray(right.elements, dtype=np.int64)
         least_left = self.table[ks].min(axis=0)             # min_k k x, per x
         least = least_left[self.table[:, hs]].min(axis=1)   # min_h of that at g h
         reps, assignment = np.unique(least, return_inverse=True)
-        return DoubleCosetDecomposition(self, left, right, [int(r) for r in reps],
-                                        assignment.astype(np.int64))
+        conjugates = np.zeros((len(reps), self.order), dtype=bool)
+        conjugates[np.arange(len(reps))[:, None], self._conjugated(reps, hs)] = True
+        return DoubleCosetDecomposition(self, left, right, reps.tolist(),
+                                        assignment.astype(np.int64),
+                                        [self._intern(m) for m in conjugates & left.mask])
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -531,7 +536,7 @@ class SubgroupLattice:
     def __init__(self, G: FiniteGroup):
         self.subgroups = [G.subgroup(s) for s in G.all_subgroups()]
         self.position = {S: i for i, S in enumerate(self.subgroups)}
-        self._id_of = id_of = {S.key: i for i, S in enumerate(self.subgroups)}
+        id_of = {S.key: i for i, S in enumerate(self.subgroups)}
         self._double_cosets: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self.conj = np.empty((G.order, len(self.subgroups)), dtype=np.int64)
         self.class_of = np.empty(len(self.subgroups), dtype=np.int64)
@@ -562,21 +567,17 @@ class SubgroupLattice:
         """Index of S's class in `classes` (and subgroups_up_to_conjugacy)."""
         return int(self.class_of[self.position[S]])
 
-    def meet(self, i: int, j: int) -> int:
-        """The id of S_i n S_j: one bitmask AND and a lookup."""
-        return self._id_of[self.subgroups[i].key & self.subgroups[j].key]
-
     def double_cosets(self, k: int, h: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The double cosets S_k x S_h, cached per pair of ids: their least
-        elements x in increasing order, and per x the id of S_k n x S_h x^-1
-        (the meet of S_k with conj[x, h])."""
+        """The id view of `FiniteGroup.double_cosets(S_k, S_h)`, cached per
+        pair of ids: the least elements x in increasing order, and per x the
+        id of S_k n x S_h x^-1."""
         record = self._double_cosets.get((k, h))
         if record is None:
             K, H = self.subgroups[k], self.subgroups[h]
-            reps = np.asarray(K.parent.double_cosets(K, H).representatives, dtype=np.int64)
-            meets = np.array([self.meet(k, j) for j in self.conj[reps, h].tolist()],
-                             dtype=np.int64)
-            record = self._double_cosets[(k, h)] = (reps, meets)
+            dc = K.parent.double_cosets(K, H)
+            record = self._double_cosets[(k, h)] = (
+                np.asarray(dc.representatives, dtype=np.int64),
+                np.array([self.position[A] for A in dc.intersections], dtype=np.int64))
         return record
 
 
@@ -651,7 +652,8 @@ class DoubleCosetDecomposition:
     """G = union of double cosets K g H over the stored representatives.
 
     Representatives are the minimal element of each coset, listed in
-    increasing order; assignment[g] is the index of g's coset.
+    increasing order; assignment[g] is the index of g's coset and
+    intersections[i] the interned K n xHx^-1 for x = representatives[i].
     """
 
     group: FiniteGroup
@@ -659,12 +661,13 @@ class DoubleCosetDecomposition:
     right: Subgroup
     representatives: List[int]
     assignment: np.ndarray
+    intersections: List[Subgroup]
 
     def __len__(self) -> int:
         return len(self.representatives)
 
     def coset_sizes(self) -> List[int]:
-        return [int(np.sum(self.assignment == i)) for i in range(len(self.representatives))]
+        return np.bincount(self.assignment, minlength=len(self.representatives)).tolist()
 
 
 class GSet:

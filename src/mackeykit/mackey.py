@@ -159,6 +159,7 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
     """Exhaustive check of the four Mackey-functor axioms over all chains,
     conjugation pairs, and double-coset triples."""
     G = M.group
+    lat = G.subgroup_lattice()
     subs = M.subgroups
     f = M.field
     cj = M.conjugate
@@ -214,10 +215,10 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
                 for H in inner:
                     lhs = M.res[(K, L)] @ M.tr[(H, L)]
                     rhs = Mat.zeros(f, M.levels[K].dim, M.levels[H].dim)
-                    for x in G.double_cosets(K, H).representatives:
-                        if x not in L:  # the double cosets KxH inside L are K\L/H
-                            continue
-                        A = K.intersection(cj[(x, H)])   # K n xHx^-1
+                    xs, meets = lat.double_cosets(lat.position[K], lat.position[H])
+                    inside = L.mask[xs]  # the double cosets KxH inside L are K\L/H
+                    for x, a in zip(xs[inside].tolist(), meets[inside].tolist()):
+                        A = lat.subgroups[a]             # K n xHx^-1
                         B = cj[(G.inv(x), A)]            # x^-1Kx n H
                         rhs = rhs + M.tr[(A, K)] @ M.conj[(x, B)] @ M.res[(B, H)]
                     yield (f"mackey L={L.elements} K={K.elements} H={H.elements}",
@@ -277,6 +278,11 @@ def hom_decategorify(X: Module, Y: Module) -> OrdinaryMackeyFunctor:
     expressed in the echelon basis of the target hom space (with membership
     verified exactly).
     """
+    return _hom_functor(X, Y)[0]
+
+
+def _hom_functor(X: Module, Y: Module) -> Tuple[OrdinaryMackeyFunctor, Dict[Subgroup, List[Mat]]]:
+    """`hom_decategorify` and the hom basis of every level."""
     if X.group is not Y.group or X.field != Y.field:
         raise ValueError("modules must share group and field")
     G, f = X.group, X.field
@@ -289,12 +295,10 @@ def hom_decategorify(X: Module, Y: Module) -> OrdinaryMackeyFunctor:
         levels[S] = LevelData(S, len(hs), tuple(range(len(hs))))
     res: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
     tr: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
+    transversals = {K: G.left_transversal(K)[0] for K in subs}
     for K, H in _containments(subs):
         res[(K, H)] = _coords_in_basis(bases[K], bases[H], f)
-        Hgrp, Hel = H.as_group()
-        Kin = Hgrp.subgroup(Hel.index(x) for x in K.elements)
-        reps_h, _ = Hgrp.left_transversal(Kin)
-        ts = [Hel[i] for i in reps_h]
+        ts = [t for t in transversals[K] if t in H]  # the cosets tK inside H
         traces = []
         for b in bases[K]:
             acc = None
@@ -309,7 +313,7 @@ def hom_decategorify(X: Module, Y: Module) -> OrdinaryMackeyFunctor:
             tgt = H.conjugate_by(g)
             conj[(g, H)] = _coords_in_basis(
                 bases[tgt], [Y.action(g) @ b @ X.action_inv(g) for b in bases[H]], f)
-    return OrdinaryMackeyFunctor(G, f, levels, res, tr, conj)
+    return OrdinaryMackeyFunctor(G, f, levels, res, tr, conj), bases
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +423,10 @@ def green_from_monoid(X: Module, Y: Module, mul: ModuleHom, unit: ModuleHom) -> 
         raise ValueError("input multiplication is not associative")
     if mul.mat @ unit.mat.kron(I) != I or mul.mat @ I.kron(unit.mat) != I:
         raise ValueError("input multiplication is not unital")
-    M = hom_decategorify(X, Y)
-    # rebuild level bases to express products (bases are deterministic)
+    M, bases = _hom_functor(X, Y)
     products: Dict[Subgroup, List[Mat]] = {}
     units: Dict[Subgroup, Mat] = {}
-    for S in M.subgroups:
-        basis = [h.mat for h in hom_space(restrict_to(X, S), restrict_to(Y, S))]
-        dS = len(basis)
+    for S, basis in bases.items():
         # k = k(x)k -> Y(x)Y -> Y
         products[S] = [_coords_in_basis(basis, [mul.mat @ a.kron(b) for b in basis], f)
                        for a in basis]
@@ -467,11 +468,8 @@ def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
     def count_intersections(K: Subgroup, S: Subgroup, L: Subgroup, level: Subgroup) -> np.ndarray:
         """Over the double cosets KhS inside L: how many K n hSh^-1 fall
         in each class of the level."""
-        out = np.zeros(len(classes[level]), dtype=np.int64)
-        for h in G.double_cosets(K, S).representatives:
-            if h in L:
-                out[class_of[level][pos[K.intersection(S.conjugate_by(h))]]] += 1
-        return out
+        hs, meets = lat.double_cosets(pos[K], pos[S])
+        return np.bincount(class_of[level][meets[L.mask[hs]]], minlength=len(classes[level]))
 
     res: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
     tr: Dict[Tuple[Subgroup, Subgroup], Mat] = {}

@@ -193,11 +193,13 @@ class ModuleHom:
                     raise ValueError(f"map does not intertwine generator {s}")
 
     def __matmul__(self, other: "ModuleHom") -> "ModuleHom":
-        if other.target is not self.source and other.target.dim != self.source.dim:
+        if other.target is not self.source:
             raise ValueError("homs are not composable")
         return ModuleHom(other.source, self.target, self.mat @ other.mat, check=False)
 
     def __add__(self, other: "ModuleHom") -> "ModuleHom":
+        if other.source is not self.source or other.target is not self.target:
+            raise ValueError("homs with different sources or targets cannot be added")
         return ModuleHom(self.source, self.target, self.mat + other.mat, check=False)
 
     def scale(self, s) -> "ModuleHom":
@@ -461,63 +463,37 @@ def mackey_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, N: Module) -> MackeyIso
     if N.group is not Hgrp:
         raise ValueError("N must live over H")
     dc = G.double_cosets(K, H)
-    Hpos = {g: i for i, g in enumerate(Hel)}
-    Kpos = {g: i for i, g in enumerate(Kel)}
     d = N.dim
 
     comps: List[MackeyComponent] = []
-    parts: List[Module] = []
     col_meta: List[Tuple[int, List[int]]] = []  # per part: (x, transversal G-elements)
-    for x in dc.representatives:
-        xinv = G.inv(x)
-        # H n x^-1 K x inside H-the-group
-        s1 = [i for i, h in enumerate(Hel) if G.conj(x, h) in K]
-        S1 = Hgrp.subgroup(s1)
-        N1 = restrict(S1.inclusion_hom(), N)
-        # transport to K n xHx^-1 inside K-the-group
-        s2_parent = [G.conj(x, Hel[i]) for i in s1]
-        S2 = Kgrp.subgroup(Kpos[g] for g in s2_parent)
-        S1grp, S1el = S1.as_group()
-        S2grp, S2el = S2.as_group()
-        s1pos = {h: i for i, h in enumerate(S1el)}
-        ident = InjectiveHom(
-            S2grp, S1grp,
-            tuple(s1pos[Hpos[G.mul(xinv, G.mul(Kel[k], x))]] for k in S2el))
-        N2 = restrict(ident, N1)
-        part = induce(S2.inclusion_hom(), N2)
-        u_reps, _ = Kgrp.left_transversal(S2)
-        comps.append(MackeyComponent(x, S2.order, part))
-        parts.append(part)
-        col_meta.append((x, [Kel[u] for u in u_reps]))
+    for x, A in zip(dc.representatives, dc.intersections):
+        # A = K n xHx^-1 as a group: into K by inclusion, into H by a |-> x^-1 a x
+        Agrp, Ael = A.as_group()
+        into_K = InjectiveHom(Agrp, Kgrp, tuple(np.searchsorted(Kel, Ael).tolist()))
+        into_H = InjectiveHom(Agrp, Hgrp, tuple(np.searchsorted(
+            Hel, G.table[G.table[G.inv(x), list(Ael)], x]).tolist()))
+        part = induce(into_K, restrict(into_H, N))
+        comps.append(MackeyComponent(x, A.order, part))
+        col_meta.append((x, [Kel[u] for u in into_K.induction_table()[0]]))
 
-    left, offsets = direct_sum(parts)
-    incl = H.inclusion_hom()
-    right = restrict(K.inclusion_hom(), induce(incl, N))
+    left, offsets = direct_sum([c.module for c in comps])
+    right = restrict(K.inclusion_hom(), induce(H.inclusion_hom(), N))
     w_reps, w_coset_of = G.left_transversal(H)
 
-    # forward: on the x-summand, (t, j) |-> t*x (x) e_j = w (x) A(h) e_j
-    blocks: List[Tuple[int, int, Mat]] = []
-    for part_idx, (x, ts) in enumerate(col_meta):
-        base = offsets[part_idx]
+    # on the x-summand t (x) e_j |-> tx (x) e_j = w (x) A(h) e_j where tx = w h,
+    # and back w (x) e_j |-> t (x) A(h^-1) e_j
+    fwd_blocks: List[Tuple[int, int, Mat]] = []
+    bwd_blocks: List[Tuple[int, int, Mat]] = []
+    for base, (x, ts) in zip(offsets, col_meta):
         for c, t in enumerate(ts):
             tx = G.mul(t, x)
             w = int(w_coset_of[tx])
-            h = Hpos[G.mul(G.inv(w_reps[w]), tx)]
-            blocks.append((w * d, base + c * d, N.action(h)))
-    fwd = Mat.from_blocks(N.field, right.dim, left.dim, blocks)
-
-    # backward: w (x) e_j |-> sum over (x, t): [x^-1 t^-1 w in H] (t (x) A(z) e_j)
-    blocks = []
-    for part_idx, (x, ts) in enumerate(col_meta):
-        base = offsets[part_idx]
-        xinv = G.inv(x)
-        for c, t in enumerate(ts):
-            tinv = G.inv(t)
-            for w_idx, w in enumerate(w_reps):
-                z = G.mul(xinv, G.mul(tinv, w))
-                if z in H:
-                    blocks.append((base + c * d, w_idx * d, N.action(Hpos[z])))
-    bwd = Mat.from_blocks(N.field, left.dim, right.dim, blocks)
+            h = int(np.searchsorted(Hel, G.mul(G.inv(w_reps[w]), tx)))
+            fwd_blocks.append((w * d, base + c * d, N.action(h)))
+            bwd_blocks.append((base + c * d, w * d, N.action_inv(h)))
+    fwd = Mat.from_blocks(N.field, right.dim, left.dim, fwd_blocks)
+    bwd = Mat.from_blocks(N.field, left.dim, right.dim, bwd_blocks)
 
     forward = ModuleHom(left, right, fwd)
     backward = ModuleHom(right, left, bwd)
@@ -1021,6 +997,13 @@ def _is_prime_power(n: int, p: int) -> bool:
     return n == 1
 
 
+def _vertex_family(G: FiniteGroup, H: Subgroup, D: Subgroup) -> List[Subgroup]:
+    """D n xDx^-1 over the D\\G/D representatives x outside H (D <= H), which
+    meets every G-class of D n gDg^-1 with g outside H."""
+    dc = G.double_cosets(D, D)
+    return [A for x, A in zip(dc.representatives, dc.intersections) if x not in H]
+
+
 @dataclass
 class GreenCorrespondence:
     correspondent: Module
@@ -1049,15 +1032,14 @@ def green_correspondent(G: FiniteGroup, H: Subgroup, D: Subgroup, n: Module,
         raise ValueError("D must be contained in H")
     if not G.normalizer(D) <= H:
         raise ValueError("the normalizer of D must be contained in H")
-    Hpos = {g: i for i, g in enumerate(Hel)}
-    D_in_H = Hgrp.subgroup(Hpos[x] for x in D.elements)
+    D_in_H = Hgrp.subgroup(np.searchsorted(Hel, D.elements).tolist())
     vx = vertex(n)
     if not vx.vertex.is_conjugate_to(D_in_H):
         raise ValueError("the vertex of n is not conjugate to D in H")
 
     X = induce(H.inclusion_hom(), n)
     DX = decompose(X, seed=seed)
-    relevant = {D.intersection(D.conjugate_by(g)) for g in range(G.order) if g not in H}
+    relevant = _vertex_family(G, H, D)
 
     matches: List[int] = []
     others: List[Tuple[int, Subgroup]] = []

@@ -311,8 +311,9 @@ def test_double_cosets_against_burnside_oracle(name):
             # cosets partition G with size |K||H| / |K n xHx^-1|
             sizes = dc.coset_sizes()
             assert sum(sizes) == G.order
-            for x, size in zip(dc.representatives, sizes):
+            for x, size, A in zip(dc.representatives, sizes, dc.intersections):
                 inter = frozenset(K.elements) & G.conjugate_subgroup(x, H.elements)
+                assert frozenset(A.elements) == inter and A is G.subgroup(inter)
                 assert size == K.order * H.order // len(inter)
                 assert int(dc.assignment[x]) == dc.representatives.index(x)
                 assert x == min(G.mul(G.mul(k, x), h)

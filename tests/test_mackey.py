@@ -69,6 +69,28 @@ def test_burnside_functor_validates_each_subgroup_once(monkeypatch):
     assert Gf.mackey_report.ok and Gf.green_report.ok
 
 
+def test_mackey_check_asks_for_each_double_coset_pair_once(monkeypatch, tmp_path, capsys):
+    from collections import Counter
+    from importlib import resources
+
+    from mackeykit.cli import run
+    from mackeykit.groups import FiniteGroup
+
+    spec = tmp_path / "s4.json"  # a fresh group, whose lattice holds no records yet
+    spec.write_text(resources.files("mackeykit.data").joinpath("s4.json").read_text())
+    calls = Counter()
+    orig = FiniteGroup.double_cosets
+
+    def counted(self, left, right):
+        calls[(left, right)] += 1
+        return orig(self, left, right)
+
+    monkeypatch.setattr(FiniteGroup, "double_cosets", counted)
+    assert run(["mackey-check", "--group", str(spec), "--functor", "burnside"]) == 0
+    capsys.readouterr()
+    assert calls and max(calls.values()) == 1
+
+
 # -- the constant functor (trivial Hom) ---------------------------------------
 
 

@@ -36,7 +36,7 @@ from mackeykit.reps import (
     unit_counit,
     vertex,
 )
-from mackeykit.reps import _relative_trace_span
+from mackeykit.reps import _relative_trace_span, _vertex_family
 
 FIELDS = [GF(2), GF(3), QQ]
 
@@ -110,6 +110,28 @@ def test_module_hom_rejects_non_equivariant():
         ModuleHom(M, N, bad)
     good = Mat(GF(2), np.ones((1, 6), dtype=np.int64))
     ModuleHom(M, N, good)  # the sum of coefficients is equivariant
+
+
+def test_module_hom_composition_needs_the_middle_module_itself():
+    # f: k[S3/C3] -> sign; the identity of the trivial module has the same
+    # dimension as sign, but id_T o f would not intertwine
+    G = builtin_group("s3")
+    C3 = next(S for S in G.subgroups_up_to_conjugacy() if S.order == 3)
+    X, sign, T = permutation_module(G, C3, QQ), sign_module(QQ), trivial_module(G, QQ)
+    f = hom_space(X, sign)[0]
+    with pytest.raises(ValueError, match="not composable"):
+        ModuleHom(T, T, Mat.identity(QQ, 1)) @ f
+    assert (ModuleHom(sign, sign, Mat.identity(QQ, 1)) @ f).mat == f.mat
+
+
+def test_module_hom_sum_needs_the_same_source_and_target():
+    G = builtin_group("s3")
+    C3 = next(S for S in G.subgroups_up_to_conjugacy() if S.order == 3)
+    X = permutation_module(G, C3, QQ)
+    f, g = hom_space(X, sign_module(QQ))[0], hom_space(X, trivial_module(G, QQ))[0]
+    with pytest.raises(ValueError, match="cannot be added"):
+        f + g
+    assert (f + f).mat == f.mat.scale(2)
 
 
 @pytest.mark.parametrize("name", ["s3", "d8", "s4"])
@@ -340,6 +362,18 @@ def test_mackey_iso_structure(field):
             assert sum(c.module.dim for c in data.components) == data.right.dim
             assert (data.forward.mat @ data.backward.mat).is_identity()
             assert (data.backward.mat @ data.forward.mat).is_identity()
+
+
+@pytest.mark.parametrize("name", ["d8", "s4"])
+def test_mackey_iso_of_a_dense_copy_keeps_the_exchange_maps(name):
+    G = builtin_group(name)
+    subs = G.subgroups_up_to_conjugacy()
+    for K in subs:
+        for H in subs:
+            N = regular_module(H.as_group()[0], GF(3))
+            perm, dense = mackey_iso(G, K, H, N), mackey_iso(G, K, H, dense_copy(N))
+            assert perm.forward.mat == dense.forward.mat
+            assert perm.backward.mat == dense.backward.mat
 
 
 def test_mackey_iso_component_orders():
@@ -642,3 +676,23 @@ def test_block_membership_s3_mod2():
     bi_simple = block_of(two_dim, idems)
     assert blocks[bi_simple].dimension == 4
     assert bi_simple != bi_triv
+
+
+# -- Green correspondence --------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["s3", "d8", "a4", "s4"])
+def test_green_vertex_family_has_the_classes_of_all_elements_outside_h(name):
+    # over D\G/D the family is smaller, but meets the same G-classes as
+    # D n gDg^-1 over every g outside H
+    G = builtin_group(name)
+    lat = G.subgroup_lattice()
+    for D in G.subgroups_up_to_conjugacy():
+        for H in lat.subgroups:
+            if not G.normalizer(D) <= H or H.order == G.order:
+                continue
+            family = _vertex_family(G, H, D)
+            brute = {D.intersection(D.conjugate_by(g)) for g in range(G.order) if g not in H}
+            assert set(family) <= brute
+            assert ({lat.class_index(S) for S in family}
+                    == {lat.class_index(S) for S in brute})
