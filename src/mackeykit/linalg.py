@@ -92,7 +92,7 @@ def _scale_arr(a: np.ndarray, s: int) -> np.ndarray:
     if s == 0:
         return np.zeros_like(a, dtype=np.int64)
     if a.dtype != object:
-        if int(np.abs(a).max(initial=0)) * abs(s) < _I62:
+        if abs(s) < _I62 and int(np.abs(a).max(initial=0)) * abs(s) < _I62:
             return a * np.int64(s)
     return a.astype(object) * s
 

@@ -78,7 +78,23 @@ REPORT_SHA256 = {
         "031824010467e84a288146ed347bc23f5603ec94f640bc3fc520ffad231ed115",
     ("verify", "--group", "v4", "--prime", "2"):
         "001a213b3cea48d9a8697afa586affaaf959cb4263b9a64bee43dfac74c70666",
+    ("verify", "--group", "d8", "--prime", "2"):
+        "4692e234ccb679c4becf691b880655b5feee775025d137f802863bf634d55efc",
+    ("mackey-check", "--group", "s4", "--functor", "burnside"):
+        "ba47bb18e9a3d4e28bab442d412a3098a235719ee557446b8ec4d2d671184fa3",
+    ("mackey-check", "--group", "q8", "--functor", "burnside"):
+        "5f0530adadc49c7edb9dc29e2a34507f23bea1b5920c6d7f0132ce8caeb701f6",
 }
+# the constant functor's report names no field, so Q, F_2 and F_3 give the
+# same bytes
+CONSTANT_SHA256 = {
+    "s4": "0b5749e277fd036f34934df966f4d0197e4fd75a8ac67e5004715ec8e5aee61d",
+    "d8": "82f3975acb0782415c864e0d8c253556aa374f9dca38574010a43b992eae5f7b",
+    "q8": "5cd475b2003212ecb02d6016d1fa6ac8aa52e03e1e6d7fbf5bd3ccce36342470",
+}
+for _name, _sha in CONSTANT_SHA256.items():
+    for _prime in ([], ["--prime", "2"], ["--prime", "3"]):
+        REPORT_SHA256[("mackey-check", "--group", _name, "--functor", "constant", *_prime)] = _sha
 
 
 @pytest.mark.parametrize("argv", sorted(REPORT_SHA256))

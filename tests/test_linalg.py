@@ -203,6 +203,14 @@ def test_equality_between_int64_and_object_entries_is_exact():
     assert not small.is_identity()
 
 
+def test_scaling_by_a_factor_past_int64_is_exact():
+    # an int64 zero matrix brought to a denominator of 2**70: its entries
+    # fit, but the factor itself does not
+    zero, tiny = Mat.zeros(QQ, 1, 2), Mat(QQ, np.array([[1, 0]]), den=2**70)
+    assert (zero + tiny) == tiny and (tiny + zero) == tiny
+    assert zero == Mat(QQ, np.zeros((1, 2), dtype=object), den=2**70)
+
+
 def test_perm_to_mat_acts_on_basis():
     P = perm_to_mat(QQ, [2, 0, 1])  # e0 -> e2, e1 -> e0, e2 -> e1
     e0 = Mat(QQ, np.array([[1], [0], [0]]))
