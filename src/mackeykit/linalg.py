@@ -70,36 +70,58 @@ def GF(p: int) -> Field:
 QQ = Field(None)
 
 
+def _absmax(a: np.ndarray) -> int:
+    return int(np.abs(a).max(initial=0))
+
+
 def _imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two integer matrices, escalating dtype as needed."""
-    m, k = a.shape
-    n = b.shape[1]
-    if m == 0 or n == 0 or k == 0:
-        return np.zeros((m, n), dtype=np.int64)
+    """Exact product a @ b of two integer matrices, or of two stacks of them
+    broadcast over their leading axes as np.matmul does: float64 while the
+    inner dimension times the largest entries stays below 2^53, int64 below
+    2^62, Python integers (object dtype) beyond."""
+    if a.size == 0 or b.size == 0:
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        return np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=np.int64)
     if a.dtype != object and b.dtype != object:
-        ma = int(np.abs(a).max(initial=0))
-        mb = int(np.abs(b).max(initial=0))
-        bound = k * ma * mb
+        bound = a.shape[-1] * _absmax(a) * _absmax(b)
         if bound < _F53:
             c = a.astype(np.float64) @ b.astype(np.float64)
             return np.rint(c).astype(np.int64)
         if bound < _I62:
             return a.astype(np.int64) @ b.astype(np.int64)
-    return np.dot(a.astype(object), b.astype(object))
+    return a.astype(object) @ b.astype(object)
+
+
+def _isum_segments(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Exact sums along axis 0 of the segments of `a` that begin at
+    `starts` (as np.add.reduceat): int64 while the length of `a` times its
+    largest entry stays below 2^62, Python integers beyond."""
+    if a.dtype != object and len(a) * _absmax(a) >= _I62:
+        a = a.astype(object)
+    return np.add.reduceat(a, starts, axis=0)
+
+
+def _frac_eq(a: np.ndarray, da: int, b: np.ndarray, db: int) -> np.ndarray:
+    """Entrywise a / da == b / db for integer arrays (broadcast), by
+    cross-multiplying the denominators."""
+    if da != db:
+        g = math.gcd(da, db)
+        a, b = _scale_arr(a, db // g), _scale_arr(b, da // g)
+    return a == b
 
 
 def _scale_arr(a: np.ndarray, s: int) -> np.ndarray:
     if s == 0:
         return np.zeros_like(a, dtype=np.int64)
     if a.dtype != object:
-        if abs(s) < _I62 and int(np.abs(a).max(initial=0)) * abs(s) < _I62:
+        if abs(s) < _I62 and _absmax(a) * abs(s) < _I62:
             return a * np.int64(s)
     return a.astype(object) * s
 
 
 def _add_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.dtype != object and b.dtype != object:
-        if int(np.abs(a).max(initial=0)) + int(np.abs(b).max(initial=0)) < _I62:
+        if _absmax(a) + _absmax(b) < _I62:
             return a + b
     return a.astype(object) + b.astype(object)
 
@@ -322,10 +344,7 @@ class Mat:
             return NotImplemented
         if self.field != other.field or self.shape != other.shape:
             return False
-        if self.den == other.den:
-            return bool(np.array_equal(self.num, other.num))
-        return bool(np.array_equal(_scale_arr(self.num, other.den),
-                                   _scale_arr(other.num, self.den)))
+        return bool(_frac_eq(self.num, self.den, other.num, other.den).all())
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -18,20 +18,16 @@ conjugation with both maps, and the double-coset (Mackey) formula
 
 Each clause is a batched exact contraction over the stacks, one batch per
 subgroup (per containment for the Mackey formula and the Green clauses):
-products run in float64 or int64 under the overflow bound of
-`linalg._imatmul` and in Python integers beyond it, are reduced mod p over
-F_p, and are compared over Q by cross-multiplying the stacks' denominators.
+products and sums go through `linalg._imatmul` and `linalg._isum_segments`,
+which stay in float64 or int64 under their overflow bounds and use Python
+integers beyond them; results are reduced mod p over F_p, and compared over
+Q by cross-multiplying the stacks' denominators (`linalg._frac_eq`).
 A clause yields one boolean per instance, in a fixed order, and only the
 first FAILURE_LIST_CAP failures are described.
 
 Transfers in the Hom-functor are the relative trace f |-> sum_t Y(t) f X(t)^-1
-over a transversal, which is the composite of the pinned unit/counit pair.
-Between permutation modules k[X] and k[Y] the hom basis at H is the orbital
-one, the H-orbits on X x Y listed by least point, so a map's coordinates are
-its values at those least points and every map of the functor is a gather
-of orbit labels; each image is checked to be constant on every orbit.  A
-pair with a dense module reads coordinates at the pivots of the echelon hom
-basis that `hom_space` solves for, and checks them by one exact product.
+over a transversal, which is the composite of the pinned unit/counit pair;
+every image is solved for in the echelon hom basis that `hom_space` returns.
 
 Subgroups are the group's interned `Subgroup`s; inside the stacks a
 subgroup is its id in the `SubgroupLattice`, whose `conj` table gives every
@@ -43,13 +39,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .groups import FiniteGroup, Subgroup
-from .linalg import _F53, _I62, Field, Mat, QQ, _compact, _scale_arr
-from .reps import Module, ModuleHom, _orbitals, hom_space, restrict_to
+from .linalg import Field, Mat, QQ, _compact, _frac_eq, _imatmul, _isum_segments, _scale_arr
+from .reps import Module, ModuleHom, hom_space, restrict_to
 
 __all__ = [
     "OrdinaryMackeyFunctor",
@@ -85,33 +82,10 @@ def _containment_table(subs: Sequence[Subgroup]) -> np.ndarray:
 # exact stacked arithmetic
 
 
-def _absmax(a: np.ndarray) -> int:
-    return int(np.abs(a).max(initial=0))
-
-
 def _mm(a: np.ndarray, b: np.ndarray, p: Optional[int]) -> np.ndarray:
-    """Exact stacked product a @ b of integer arrays, reduced mod p over F_p:
-    float64 while the inner dimension times the largest entries stays below
-    2^53, int64 below 2^62 and Python integers beyond, as `_imatmul`."""
-    if a.dtype != object and b.dtype != object:
-        bound = a.shape[-1] * _absmax(a) * _absmax(b)
-        if bound < _F53:
-            out = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-        elif bound < _I62:
-            out = a @ b
-        else:
-            out = a.astype(object) @ b.astype(object)
-    else:
-        out = a.astype(object) @ b.astype(object)
+    """Exact stacked product a @ b, reduced mod p over F_p."""
+    out = _imatmul(a, b)
     return out if p is None else (out % p).astype(np.int64)
-
-
-def _eq(a: np.ndarray, da: int, b: np.ndarray, db: int) -> np.ndarray:
-    """Entrywise a/da == b/db, by cross-multiplying the denominators."""
-    if da != db:
-        g = math.gcd(da, db)
-        a, b = _scale_arr(a, db // g), _scale_arr(b, da // g)
-    return a == b
 
 
 def _starts(sizes: Sequence[int]) -> np.ndarray:
@@ -173,7 +147,9 @@ class OrdinaryMackeyFunctor:
     subgroups: `res[(K, H)]` (dim K x dim H) and `tr[(K, H)]` (dim H x
     dim K) for every K <= H, and `conj[(g, H)]` for every g and H, between
     levels of equal dimension.  The maps are kept as three stacks, which
-    `res`, `tr` and `conj` read back as `Mat`s.
+    `res`, `tr` and `conj` read back as read-only mappings of `Mat` copies:
+    snapshots taken at construction, so editing a dict passed in, or one of
+    the `Mat`s read back, changes neither the functor nor its verdicts.
     """
 
     def __init__(
@@ -251,19 +227,20 @@ class OrdinaryMackeyFunctor:
         return self.levels[S]
 
     @cached_property
-    def res(self) -> Dict[Tuple[Subgroup, Subgroup], Mat]:
-        return {KH: self._res.mat(self.field, k, h)
-                for KH, k, h in zip(self.containments, *self._pairs)}
+    def res(self) -> Mapping[Tuple[Subgroup, Subgroup], Mat]:
+        return MappingProxyType({KH: self._res.mat(self.field, k, h)
+                                 for KH, k, h in zip(self.containments, *self._pairs)})
 
     @cached_property
-    def tr(self) -> Dict[Tuple[Subgroup, Subgroup], Mat]:
-        return {KH: self._tr.mat(self.field, k, h)
-                for KH, k, h in zip(self.containments, *self._pairs)}
+    def tr(self) -> Mapping[Tuple[Subgroup, Subgroup], Mat]:
+        return MappingProxyType({KH: self._tr.mat(self.field, k, h)
+                                 for KH, k, h in zip(self.containments, *self._pairs)})
 
     @cached_property
-    def conj(self) -> Dict[Tuple[int, Subgroup], Mat]:
-        return {(g, H): self._conj.mat(self.field, g, h)
-                for g in range(self.group.order) for h, H in enumerate(self.subgroups)}
+    def conj(self) -> Mapping[Tuple[int, Subgroup], Mat]:
+        return MappingProxyType({(g, H): self._conj.mat(self.field, g, h)
+                                 for g in range(self.group.order)
+                                 for h, H in enumerate(self.subgroups)})
 
 
 @dataclass
@@ -344,10 +321,10 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
         ids = np.arange(n)
         # the identity of each level, padded
         eye = (np.arange(D)[:, None] == np.arange(D)) & (np.arange(D) < dims[:, None, None])
-        res_ok = _eq(R.blocks(ids, ids, D, D), R.den, eye, 1).all(axis=(1, 2))
-        tr_ok = _eq(T.blocks(ids, ids, D, D), T.den, eye, 1).all(axis=(1, 2))
+        res_ok = _frac_eq(R.blocks(ids, ids, D, D), R.den, eye, 1).all(axis=(1, 2))
+        tr_ok = _frac_eq(T.blocks(ids, ids, D, D), T.den, eye, 1).all(axis=(1, 2))
         for h, H in enumerate(subs):
-            c_ok = _eq(C.blocks(np.array(H.elements), h, D, D), C.den, eye[h], 1).all(axis=(1, 2))
+            c_ok = _frac_eq(C.blocks(np.array(H.elements), h, D, D), C.den, eye[h], 1).all(axis=(1, 2))
             yield (np.concatenate([[res_ok[h], tr_ok[h]], c_ok]),
                    lambda i, H=H: (f"res at {H.elements}", f"tr at {H.elements}")[i] if i < 2
                    else f"c_{H.elements[i - 2]} on {H.elements}")
@@ -361,10 +338,10 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
         dk, dh, dl = _dmax(dims[ks]), _dmax(dims[hs]), dims[l]
         kh = (ks[:, None], hs)
         prod = _mm(R.blocks(ks, l, dk, dl)[:, None], R.blocks(l, hs, dl, dh)[None], p)
-        ok = _eq(prod, R.den ** 2, R.blocks(*kh, dk, dh), R.den)
+        ok = _frac_eq(prod, R.den ** 2, R.blocks(*kh, dk, dh), R.den)
         res_ok3[ks[:, None], l, hs] = ok.all(axis=(2, 3))
         prod = _mm(T.blocks(l, hs, dh, dl)[None], T.blocks(ks, l, dl, dk)[:, None], p)
-        ok = _eq(prod, T.den ** 2, T.blocks(*kh, dh, dk), T.den)
+        ok = _frac_eq(prod, T.den ** 2, T.blocks(*kh, dh, dk), T.den)
         tr_ok3[ks[:, None], l, hs] = ok.all(axis=(2, 3))
     chains = np.transpose(np.nonzero(chain))
 
@@ -381,7 +358,7 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
         CH = C.blocks(gs, h, d, d)                            # c_g on H
         for hs in _parts(order, order * d * d):
             lhs = _mm(C.blocks(gs, cj[hs, h][:, None], d, d), CH[hs, None], p)  # c_g c_h
-            conj_ok[h, hs] = _eq(lhs, C.den ** 2, CH[G.table.T[hs]], C.den).all(axis=(2, 3))
+            conj_ok[h, hs] = _frac_eq(lhs, C.den ** 2, CH[G.table.T[hs]], C.den).all(axis=(2, 3))
         inner = np.flatnonzero(contain[:, h])
         dk = _dmax(dims[inner])
         for ks in _parts(len(inner), order * dk * max(dk, d)):
@@ -422,10 +399,10 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
             for l, lhs_l in zip(ls, lhs):
                 sel = contain[th, l] & subs[l].mask[tx]       # K\L/H for every H <= L
                 hs, first = np.unique(th[sel], return_index=True)
-                rhs = np.add.reduceat(terms[sel], first, axis=0)
+                rhs = _isum_segments(terms[sel], first)
                 if p is not None:
                     rhs %= p
-                mk_ok[l, k, hs] = _eq(lhs_l[hs], R.den * T.den,
+                mk_ok[l, k, hs] = _frac_eq(lhs_l[hs], R.den * T.den,
                                       rhs, T.den * C.den * R.den).all(axis=(1, 2))
     triples = np.transpose(np.nonzero(contain.T[:, :, None] & contain.T[:, None, :]))
 
@@ -459,7 +436,7 @@ def cohomological_check(M: OrdinaryMackeyFunctor) -> CheckResult:
         dk = _dmax(M._dims[ks])
         prod = _mm(T.blocks(ks, h, d, dk), R.blocks(ks, h, dk, d), p)
         want = (orders[h] // orders[ks])[:, None, None] * np.eye(d, dtype=np.int64)
-        ok[ks, h] = _eq(prod, T.den * R.den, want if p is None else want % p, 1).all(axis=(1, 2))
+        ok[ks, h] = _frac_eq(prod, T.den * R.den, want if p is None else want % p, 1).all(axis=(1, 2))
 
     def text(i):
         K, H = M.containments[i]
@@ -471,32 +448,22 @@ def cohomological_check(M: OrdinaryMackeyFunctor) -> CheckResult:
 # Hom decategorification
 
 
-def _vec(nums: np.ndarray) -> np.ndarray:
-    """The column-major flattenings of a stack of matrices (m, r, c), one
-    column each: entry (y, x) of a map has index x r + y."""
-    m, r, c = nums.shape
-    return nums.transpose(0, 2, 1).reshape(m, r * c).T
+def _coords_in_basis(basis: List[Mat], targets: List[Mat], field: Field) -> Mat:
+    """Coordinates of matrices in a list basis (by column-stacking), one
+    column per target; hard error when a target is outside the span."""
+    if not basis:
+        if all(t.is_zero() for t in targets):
+            return Mat.zeros(field, 0, len(targets))
+        raise ArithmeticError("element outside the (empty) hom space")
+    n = basis[0].nrows * basis[0].ncols
 
+    def stack(ms: List[Mat]) -> Mat:
+        return Mat.from_blocks(field, n, len(ms), [(0, j, m.vec()) for j, m in enumerate(ms)])
 
-def _coords_in_basis(basis: np.ndarray, basis_den: int, targets: np.ndarray, den: int,
-                     field: Field) -> Mat:
-    """Coordinates of the columns of targets / den in the span of the columns
-    of basis / basis_den, a basis in reduced echelon form (as `hom_space`
-    returns it): the targets' entries at the pivots, checked exactly by one
-    product; an ArithmeticError when a target is outside the span."""
-    if field.p is not None:
-        targets = targets % field.p
-    pivots = (basis != 0).argmax(axis=0)       # the leading entry of each basis map
-    if not np.array_equal(basis[pivots], basis_den * np.eye(basis.shape[1], dtype=np.int64)):
-        raise ValueError("hom basis is not in reduced echelon form")
-    coords = targets[pivots]
-    _require(_eq(_mm(basis, coords, field.p), basis_den * den, targets, den).all())
-    return Mat(field, coords, den)
-
-
-def _require(holds: bool) -> None:
-    if not holds:
+    sol = stack(basis).solve(stack(targets))
+    if sol is None:
         raise ArithmeticError("image left the expected hom space")
+    return sol
 
 
 def hom_decategorify(X: Module, Y: Module) -> OrdinaryMackeyFunctor:
@@ -506,138 +473,45 @@ def hom_decategorify(X: Module, Y: Module) -> OrdinaryMackeyFunctor:
     f |-> Y(g) f X(g)^-1, and the transfer is the relative trace
     f |-> sum_t Y(t) f X(t)^-1 over minimal coset representatives, each
     expressed in the echelon basis of the target hom space (with membership
-    verified exactly).  Between permutation modules that basis is the
-    orbital one and every map is a gather of orbit labels.
+    verified exactly).
     """
     return _hom_functor(X, Y)[0]
 
 
-_Coords = Callable[[Subgroup, List[Mat]], Mat]
-
-
-def _hom_functor(X: Module, Y: Module
-                 ) -> Tuple[OrdinaryMackeyFunctor, Callable[[Subgroup], List[Mat]], _Coords]:
-    """`hom_decategorify`, the hom basis of a level, and the coordinates in
-    it of a list of maps (an ArithmeticError when one is outside)."""
+def _hom_functor(X: Module, Y: Module) -> Tuple[OrdinaryMackeyFunctor, Dict[Subgroup, List[Mat]]]:
+    """`hom_decategorify` and the hom basis of every level."""
     if X.group is not Y.group or X.field != Y.field:
         raise ValueError("modules must share group and field")
-    if X.is_permutation and Y.is_permutation:
-        return _orbital_functor(X, Y)
-    return _dense_functor(X, Y)
-
-
-def _dense_functor(X: Module, Y: Module
-                   ) -> Tuple[OrdinaryMackeyFunctor, Callable[[Subgroup], List[Mat]], _Coords]:
-    """`_hom_functor` when a module is dense: the echelon basis of each level
-    from `hom_space`, the images of all its maps under Y(g) . X(g)^-1 as one
-    stacked product, and their coordinates by `_coords_in_basis`."""
-    G, f, p = X.group, X.field, X.field.p
-    lat = G.subgroup_lattice()
-    subs, cj, pos = lat.subgroups, lat.conj, lat.position
-    mats = [[h.mat for h in hom_space(restrict_to(X, S), restrict_to(Y, S))] for S in subs]
-    bases = []
-    for ms in mats:
-        nums, den = _common(ms)
-        bases.append((np.stack(nums) if ms else np.zeros((0, Y.dim, X.dim), np.int64), den))
-    levels = {S: LevelData(S, len(ms), tuple(range(len(ms)))) for S, ms in zip(subs, mats)}
-    ys, yd = _common([Y.action(g) for g in range(G.order)])
-    xs, xd = _common([X.action_inv(g) for g in range(G.order)])
-    ys, xs = np.stack(ys), np.stack(xs)
-
-    def coords(h: int, nums: np.ndarray, den: int) -> Mat:
-        b, bd = bases[h]
-        return _coords_in_basis(_vec(b), bd, _vec(nums), den, f)
-
-    def moved(h: int, gs: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Y(g) b X(g)^-1 for every g in gs (axis 0) and every basis map b
-        of level h (axis 1)."""
-        b, bd = bases[h]
-        return _mm(_mm(ys[gs][:, None], b, p), xs[gs][:, None], p), yd * bd * xd
-
-    res: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
-    tr: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
-    transversals = [np.asarray(G.left_transversal(S)[0]) for S in subs]
-    for k, h in zip(*np.nonzero(_containment_table(subs))):
-        K, H = subs[k], subs[h]
-        res[(K, H)] = coords(k, *bases[h])
-        traces, den = moved(k, transversals[k][H.mask[transversals[k]]])  # the cosets tK in H
-        tr[(K, H)] = coords(h, traces.sum(axis=0), den)
-    conj: Dict[Tuple[int, Subgroup], Mat] = {}
-    for h, H in enumerate(subs):
-        for gs in _parts(G.order, len(bases[h][0]) * X.dim * Y.dim):
-            images, den = moved(h, gs)
-            for g, image in zip(gs, images):
-                conj[(g, H)] = coords(cj[g, h], image, den)
-    M = OrdinaryMackeyFunctor(G, f, levels, res, tr, conj)
-
-    def coords_of(S: Subgroup, targets: List[Mat]) -> Mat:
-        nums, den = _common(targets)
-        return coords(pos[S], np.stack(nums), den)
-
-    return M, lambda S: mats[pos[S]], coords_of
-
-
-def _orbital_functor(X: Module, Y: Module
-                     ) -> Tuple[OrdinaryMackeyFunctor, Callable[[Subgroup], List[Mat]], _Coords]:
-    """`_hom_functor` between permutation modules, by gathers.
-
-    At level S the basis map i is the indicator of the i-th S-orbit on
-    X x Y, so a map's coordinates are its values at the orbits' least
-    points.  Restriction reads the H-label of each K-least point,
-    conjugation by g the H-label of g^-1 applied to each least point of
-    gHg^-1, and the transfer counts, over the cosets tK in H, the K-labels
-    of t^-1 applied to each H-least point.  Every image is checked to be
-    constant on the orbits of its level.
-    """
     G, f = X.group, X.field
     lat = G.subgroup_lattice()
     subs, cj = lat.subgroups, lat.conj
-    n = len(subs)
-    act = X.gset.product(Y.gset).action        # g.(x, y), point (x, y) = x |Y| + y
-    back = act[G.inverse]                      # row g: the action of g^-1
-    lab, least = zip(*(_orbitals(act[list(S.elements)]) for S in subs))
-    lab = np.stack(lab)                        # [S, point]: least point of its S-orbit
-    index = [np.searchsorted(m, l) for m, l in zip(least, lab)]  # its basis index
-    dims = np.array([len(m) for m in least], dtype=np.int64)
-    levels = {S: LevelData(S, int(d), tuple(range(d))) for S, d in zip(subs, dims)}
-    padded = np.zeros((n, _dmax(dims)), dtype=np.int64)
-    for i, m in enumerate(least):
-        padded[i, :len(m)] = m
-    transversals = [np.asarray(G.left_transversal(S)[0]) for S in subs]
-    res, tr = [], []
+    bases: Dict[Subgroup, List[Mat]] = {}
+    levels: Dict[Subgroup, LevelData] = {}
+    for S in subs:
+        hs = hom_space(restrict_to(X, S), restrict_to(Y, S))
+        bases[S] = [h.mat for h in hs]
+        levels[S] = LevelData(S, len(hs), tuple(range(len(hs))))
+    res: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
+    tr: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
+    transversals = {K: G.left_transversal(K)[0] for K in subs}
     for k, h in zip(*np.nonzero(_containment_table(subs))):
-        _require(np.array_equal(lab[h][lab[k]], lab[h]))   # H-orbits are unions of K-orbits
-        res.append(index[h][least[k]][:, None] == np.arange(dims[h]))
-        ts = transversals[k][subs[h].mask[transversals[k]]]  # the cosets tK inside H
-        moved = index[k][back[ts]]   # [t, point]: K-label of t^-1 point
-        sorted_labels = np.sort(moved, axis=0)
-        _require(np.array_equal(sorted_labels[:, lab[h]], sorted_labels))
-        counts = np.arange(dims[h]) * dims[k] + moved[:, least[h]]
-        tr.append(np.bincount(counts.ravel(), minlength=dims[h] * dims[k])
-                  .reshape(dims[h], dims[k]))
-    conj = []
-    for h in range(n):
-        d, tgt = dims[h], cj[:, h]
-        labels = lab[h][back]                               # [g, point]: H-label of g^-1 point
-        _require(np.array_equal(np.take_along_axis(labels, lab[tgt], 1), labels))
-        cols = index[h][np.take_along_axis(back, padded[tgt, :d], 1)]
-        conj.append(cols[:, :, None] == np.arange(d))
-    M = OrdinaryMackeyFunctor._of(G, f, levels, res, tr, conj)
-    pos = lat.position
-
-    def basis(S: Subgroup) -> List[Mat]:
-        i = pos[S]
-        return [Mat(f, (index[i] == b).reshape(X.dim, Y.dim).T.astype(np.int64))
-                for b in range(dims[i])]
-
-    def coords(S: Subgroup, targets: List[Mat]) -> Mat:
-        i = pos[S]
-        nums, den = _common(targets)
-        values = _vec(np.stack(nums))
-        _require(np.array_equal(values[lab[i]], values))
-        return Mat(f, values[least[i]], den)
-
-    return M, basis, coords
+        K, H = subs[k], subs[h]
+        res[(K, H)] = _coords_in_basis(bases[K], bases[H], f)
+        ts = [t for t in transversals[K] if t in H]  # the cosets tK inside H
+        traces = []
+        for b in bases[K]:
+            acc = None
+            for t in ts:
+                term = Y.action(t) @ b @ X.action_inv(t)
+                acc = term if acc is None else acc + term
+            traces.append(acc)
+        tr[(K, H)] = _coords_in_basis(bases[H], traces, f)
+    conj: Dict[Tuple[int, Subgroup], Mat] = {}
+    for g in range(G.order):
+        for h, H in enumerate(subs):
+            conj[(g, H)] = _coords_in_basis(
+                bases[subs[cj[g, h]]], [Y.action(g) @ b @ X.action_inv(g) for b in bases[H]], f)
+    return OrdinaryMackeyFunctor(G, f, levels, res, tr, conj), bases
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +525,7 @@ class GreenFunctorData:
     each basis element of level H, and `units[H]`, the unit columns.  Level
     H keeps one structure tensor T_H[i, j, k] (the coefficient of e_k in
     e_i e_j) and a unit vector, each kind over one common denominator;
-    `products` and `units` read them back as `Mat`s.
+    `products` and `units` read them back as read-only snapshots of `Mat`s.
     """
 
     def __init__(self, underlying: OrdinaryMackeyFunctor, products: Dict[Subgroup, List[Mat]],
@@ -682,16 +556,16 @@ class GreenFunctorData:
         self.green_report = green_report
 
     @cached_property
-    def products(self) -> Dict[Subgroup, List[Mat]]:
+    def products(self) -> Mapping[Subgroup, Tuple[Mat, ...]]:
         f = self.underlying.field
-        return {S: [Mat(f, Ti.T.copy(), self._T_den) for Ti in T]
-                for S, T in zip(self.underlying.subgroups, self._T)}
+        return MappingProxyType({S: tuple(Mat(f, Ti.T.copy(), self._T_den) for Ti in T)
+                                 for S, T in zip(self.underlying.subgroups, self._T)})
 
     @cached_property
-    def units(self) -> Dict[Subgroup, Mat]:
+    def units(self) -> Mapping[Subgroup, Mat]:
         f = self.underlying.field
-        return {S: Mat(f, u[:, None].copy(), self._u_den)
-                for S, u in zip(self.underlying.subgroups, self._u)}
+        return MappingProxyType({S: Mat(f, u[:, None].copy(), self._u_den)
+                                 for S, u in zip(self.underlying.subgroups, self._u)})
 
     def product(self, H: Subgroup, u: Mat, v: Mat) -> Mat:
         """u v at level H: the sum over i, j of u_i v_j T_H[i, j, :]."""
@@ -715,7 +589,7 @@ def verify_green_axioms(Gf: GreenFunctorData) -> MackeyAxiomReport:
             one = np.eye(d, dtype=np.int64)
             left = _mm(u[None], flat, p).reshape(d, d)                              # u e_j
             right = _mm(u[None], T.transpose(1, 0, 2).reshape(d, d * d), p).reshape(d, d)  # e_j u
-            yield ((_eq(left, ud * td, one, 1) & _eq(right, ud * td, one, 1)).all(axis=1),
+            yield ((_frac_eq(left, ud * td, one, 1) & _frac_eq(right, ud * td, one, 1)).all(axis=1),
                    lambda j, H=H: f"unit at {H.elements} col {j}")
             lhs = _mm(T.reshape(d * d, d), flat, p)                                 # (e_i e_j) e_k
             rhs = _mm(T.reshape(d * d, d)[None], T, p)                             # e_i (e_j e_k)
@@ -728,19 +602,19 @@ def verify_green_axioms(Gf: GreenFunctorData) -> MackeyAxiomReport:
         dk, dh = dims[k], dims[h]
         r, t = R.block(k, h), Tr.block(k, h)
         TK, TH = Ts[k], Ts[h]
-        unit = _eq(_mm(r, us[h][:, None], p), R.den * ud, us[k][:, None], ud).all()
+        unit = _frac_eq(_mm(r, us[h][:, None], p), R.den * ud, us[k][:, None], ud).all()
         lhs = _mm(TH.reshape(dh * dh, dh), r.T, p).reshape(dh, dh, dk)   # r(e_i e_j)
         rx = _mm(r.T, TK.reshape(dk, dk * dk), p).reshape(dh, dk, dk)   # r(e_i) e_j
         rhs = _mm(r.T[None], rx, p)                                      # r(e_i) r(e_j)
-        hom = _eq(lhs, R.den * td, rhs, R.den ** 2 * td).all(axis=2)
+        hom = _frac_eq(lhs, R.den * td, rhs, R.den ** 2 * td).all(axis=2)
         res_segments.append((np.concatenate([[unit], hom.ravel()]),
                              lambda i, K=K, H=H, dh=dh: f"res unit {K.elements}<={H.elements}"
                              if i == 0 else "res hom {}<={} ({},{})".format(
                                  K.elements, H.elements, *divmod(i - 1, dh))))
         xr = _mm(r.T, TK.transpose(1, 0, 2).reshape(dk, dk * dk), p).reshape(dh, dk, dk)
         # t(r(x) y) = x t(y) and t(y r(x)) = t(y) x, with xr[i, j] = e_j r(e_i)
-        left = _eq(_mm(rx, t.T, p), R.den * td * Tr.den, _mm(t.T[None], TH, p), Tr.den * td)
-        right = _eq(_mm(xr, t.T, p), R.den * td * Tr.den,
+        left = _frac_eq(_mm(rx, t.T, p), R.den * td * Tr.den, _mm(t.T[None], TH, p), Tr.den * td)
+        right = _frac_eq(_mm(xr, t.T, p), R.den * td * Tr.den,
                     _mm(t.T[None], TH.transpose(1, 0, 2), p), Tr.den * td)
         frobenius_segments.append((np.stack([left.all(axis=2), right.all(axis=2)], axis=2),
                                    lambda i, K=K, H=H, dk=dk: "frobenius-{} {}<={} ({},{})".format(
@@ -774,14 +648,14 @@ def green_from_monoid(X: Module, Y: Module, mul: ModuleHom, unit: ModuleHom) -> 
         raise ValueError("input multiplication is not associative")
     if mul.mat @ unit.mat.kron(I) != I or mul.mat @ I.kron(unit.mat) != I:
         raise ValueError("input multiplication is not unital")
-    M, basis, coords = _hom_functor(X, Y)
+    M, bases = _hom_functor(X, Y)
     products: Dict[Subgroup, List[Mat]] = {}
     units: Dict[Subgroup, Mat] = {}
-    for S in M.subgroups:
-        b = basis(S)
+    for S, basis in bases.items():
         # k = k(x)k -> Y(x)Y -> Y
-        products[S] = [coords(S, [mul.mat @ a.kron(c) for c in b]) for a in b]
-        units[S] = coords(S, [unit.mat])
+        products[S] = [_coords_in_basis(basis, [mul.mat @ a.kron(b) for b in basis], f)
+                       for a in basis]
+        units[S] = _coords_in_basis(basis, [unit.mat], f)
     return GreenFunctorData(M, products, units)
 
 

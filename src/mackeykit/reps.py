@@ -653,14 +653,6 @@ def frobenius_object(G: FiniteGroup, H: Subgroup, field: Field) -> FrobeniusObje
 # hom spaces, isomorphism, decomposition
 
 
-def _orbitals(action: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The orbital labelling of a product action table (the action of a
-    group on X x Y, one row per element): each point's orbit minimum, and
-    the sorted minima, which order the orbital basis."""
-    lab = action.min(axis=0)
-    return lab, np.unique(lab)
-
-
 def hom_space(M: Module, N: Module) -> List[ModuleHom]:
     """A basis of Hom_kG(M, N), in reduced echelon form (deterministic).
 
@@ -676,9 +668,9 @@ def hom_space(M: Module, N: Module) -> List[ModuleHom]:
         raise ValueError("hom space needs a common group and field")
     f = M.field
     if M.is_permutation and N.is_permutation:
-        lab, least = _orbitals(M.gset.product(N.gset).action)
+        lab = M.gset.product(N.gset).action.min(axis=0)  # orbit minimum per point
         return [ModuleHom(M, N, Mat(f, (lab == m).reshape(M.dim, N.dim).T.astype(np.int64)))
-                for m in least]
+                for m in np.unique(lab)]
     n = M.dim * N.dim
     blocks = []
     for s in M.group.generators():

@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mackeykit.linalg import GF, QQ, Field, Mat, perm_to_mat, rref_mod
+from mackeykit.linalg import (GF, QQ, Field, Mat, _frac_eq, _imatmul, _isum_segments,
+                              perm_to_mat, rref_mod)
 
 
 def test_gf_validates_primality():
@@ -209,6 +210,32 @@ def test_scaling_by_a_factor_past_int64_is_exact():
     zero, tiny = Mat.zeros(QQ, 1, 2), Mat(QQ, np.array([[1, 0]]), den=2**70)
     assert (zero + tiny) == tiny and (tiny + zero) == tiny
     assert zero == Mat(QQ, np.zeros((1, 2), dtype=object), den=2**70)
+
+
+def test_stacked_products_match_python_integers_on_every_path():
+    rng = np.random.default_rng(5)
+    for top in (3, 2**25, 2**30, 2**40):   # float64, int64 and object paths
+        a = rng.integers(-top, top, size=(3, 1, 2, 4))
+        b = rng.integers(-top, top, size=(5, 4, 3))
+        got = _imatmul(a, b)
+        assert got.shape == (3, 5, 2, 3)
+        want = a.astype(object) @ b.astype(object)
+        assert all(int(x) == int(y) for x, y in zip(got.ravel(), want.ravel()))
+    assert _imatmul(np.zeros((2, 3, 0)), np.zeros((1, 0, 4))).shape == (2, 3, 4)
+    assert _imatmul(np.zeros((0, 3, 2)), np.ones((2, 4), dtype=np.int64)).shape == (0, 3, 4)
+
+
+def test_segment_sums_widen_before_int64_overflows():
+    terms = np.full((5, 1, 1), 2**61, dtype=np.int64)
+    sums = _isum_segments(terms, np.array([0, 1]))
+    assert [int(x) for x in sums.ravel()] == [2**61, 2**63]
+    assert _isum_segments(np.ones((3, 2)), np.array([0])).dtype == np.float64
+
+
+def test_fraction_equality_cross_multiplies_denominators():
+    a = np.array([1, 2, 3])
+    assert _frac_eq(a, 2, np.array([3, 6, 10]), 6).tolist() == [True, True, False]
+    assert _frac_eq(a.astype(object) * 2**70, 2**70, a, 1).all()
 
 
 def test_perm_to_mat_acts_on_basis():
