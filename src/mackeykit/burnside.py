@@ -1,28 +1,27 @@
 """Burnside rings, crossed Burnside rings, and block decompositions.
 
 Everything here is exact.  Idempotent computations over F_p use the
-Frobenius map (which is F_p-linear on a commutative algebra): the
-nilradical is the kernel of a Frobenius power, and the dimension of the
-Frobenius-fixed subspace of A/Nil equals the number of primitive
-idempotents, which certifies leaves without any enumeration.  Over Q the
-nilradical is the radical of the trace form and splitting uses rational
-roots of minimal polynomials; pieces that would need genuine factoring
-over Q raise NotSplitOverRationals instead of guessing.
+Frobenius map x -> x^p, which is F_p-linear on a commutative algebra: its
+fixed space ker(F - 1) is the span of the primitive idempotents, so its
+dimension counts them and certifies the split without any enumeration
+(Berlekamp's fixed-space idea).  Over Q the nilradical is the radical of
+the trace form and splitting uses rational roots of minimal polynomials;
+pieces that would need genuine factoring over Q raise
+NotSplitOverRationals instead of guessing.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .groups import FiniteGroup, GSet, gset_from_subgroup, gset_induce, gset_restrict
-from .linalg import Field, GF, Mat, QQ
+from .linalg import Field, Mat, QQ, _frac_eq, _imatmul, _isum_segments, _scale_arr
 
 __all__ = [
     "GSet",
@@ -136,68 +135,123 @@ def burnside_multiply(G: FiniteGroup, a: Sequence[int], b: Sequence[int]) -> np.
 # commutative algebras and primitive idempotents
 
 
-class CommutativeAlgebra:
-    """A commutative associative unital algebra given by left-multiplication
-    matrices of a basis.  Associativity, commutativity and the unit law are
-    verified at construction for dimensions up to ASSOCIATIVITY_DIM_CAP."""
+_BATCH_ENTRIES = 1 << 18  # entries of the multiplication matrices made at once
 
-    def __init__(self, field: Field, left_mult: List[Mat], unit: Mat, check: bool = True):
-        self.field = field
-        self.left_mult = left_mult
-        self.unit = unit
-        self.dim = len(left_mult)
+
+class CommutativeAlgebra:
+    """A commutative associative unital algebra on a basis e_0, ..., e_{r-1},
+    kept as one exact structure tensor T[i, k, j], the coefficient of e_k in
+    e_i e_j: integer numerators over one common denominator (reduced mod p,
+    over 1, on F_p).  It is built from the left-multiplication matrices of
+    the basis, L_i[k, j] = T[i, k, j], which `left_mult` reads back as
+    copies, and the unit column.  The unit law, commutativity and
+    associativity are verified at construction for dimensions up to
+    ASSOCIATIVITY_DIM_CAP; every product is a contraction with T."""
+
+    def __init__(self, field: Field, left_mult: List[Mat], unit: Mat):
+        r = len(left_mult)
         for L in left_mult:
-            if L.shape != (self.dim, self.dim) or L.field != field:
+            if L.shape != (r, r) or L.field != field:
                 raise ValueError("bad left-multiplication matrix")
-        if unit.shape != (self.dim, 1):
+        den = math.lcm(1, *(L.den for L in left_mult))
+        T = (np.stack([_scale_arr(L.num, den // L.den) for L in left_mult]) if r
+             else np.zeros((0, 0, 0), dtype=np.int64))
+        self._build(field, T, den, unit)
+
+    @classmethod
+    def _of(cls, field: Field, T: np.ndarray, unit: Mat) -> "CommutativeAlgebra":
+        """From an integer structure tensor T[i, k, j] and the unit column."""
+        alg = cls.__new__(cls)
+        alg._build(field, T, 1, unit)
+        return alg
+
+    def _build(self, field: Field, T: np.ndarray, den: int, unit: Mat) -> None:
+        if unit.shape != (len(T), 1):
             raise ValueError("unit must be a column vector")
-        if check:
-            self._verify()
+        if field.p is not None:
+            T = (T % field.p).astype(np.int64)
+        self.field = field
+        self._T, self._den = T, den
+        self.unit = unit
+        self.dim = len(T)
+        self._verify()
+
+    @property
+    def left_mult(self) -> List[Mat]:
+        return [Mat(self.field, Ti.copy(), self._den) for Ti in self._T]
+
+    def _mm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact stacked product a @ b, reduced mod p over F_p."""
+        out = _imatmul(a, b)
+        p = self.field.p
+        return out if p is None else (out % p).astype(np.int64)
 
     def _verify(self) -> None:
-        r = self.dim
+        """The unit law, then commutativity (e_i e_j against e_j e_i for
+        j < i), then associativity ((e_i e_j) e_k against e_i (e_j e_k) for
+        every k), each failure named by its first basis pair (i, j) in
+        row-major order.  Associativity is one contraction per row i, so
+        memory stays O(r^3)."""
+        T, r = self._T, self.dim
         if r > ASSOCIATIVITY_DIM_CAP:
             raise ValueError(f"dimension {r} exceeds the verification cap")
-        acc = Mat.zeros(self.field, r, r)
-        for i in range(r):
-            acc = acc + self.left_mult[i].scale(self._unit_coeff(i))
-        if not acc.is_identity():
+        flat = T.reshape(r, r * r)
+        one = self._mm(self.unit.num.T, flat).reshape(r, r)  # sum of u_i L_i
+        if not _frac_eq(one, self.unit.den * self._den, np.eye(r, dtype=np.int64), 1).all():
             raise ArithmeticError("unit law fails")
+        bad = np.tril(~(T == T.transpose(2, 1, 0)).all(axis=1), -1)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ArithmeticError(f"not commutative at basis pair {(int(i), int(j))}")
         for i in range(r):
-            for j in range(i):
-                if self.left_mult[i].col(j) != self.left_mult[j].col(i):
-                    raise ArithmeticError(f"not commutative at basis pair {(i, j)}")
-        for i in range(r):
-            for j in range(r):
-                # (e_i e_j) e_k = e_i (e_j e_k) for all k, as matrices
-                if self.mult_matrix(self.left_mult[i].col(j)) != self.left_mult[i] @ self.left_mult[j]:
-                    raise ArithmeticError(f"not associative at basis pair {(i, j)}")
+            lhs = self._mm(T[i].T, flat).reshape(r, r, r)  # [j]: multiplication by e_i e_j
+            rhs = self._mm(T[i], T)                        # [j]: L_i L_j
+            bad = ~(lhs == rhs).reshape(r, r * r).all(axis=1)
+            if bad.any():
+                raise ArithmeticError(f"not associative at basis pair {(i, int(np.argmax(bad)))}")
 
-    def _unit_coeff(self, i: int):
-        if self.field.p is not None:
-            return int(self.unit.num[i, 0])
-        return Fraction(int(self.unit.num[i, 0]), self.unit.den)
+    def _mul_cols(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Numerators of the products X[:, c] Y[:, c] of the columns of two
+        numerator arrays, over den(X) den(Y) times the tensor's denominator:
+        the multiplication matrices of the X columns, then one stacked
+        product with the Y columns, in batches of _BATCH_ENTRIES entries."""
+        r, m = X.shape
+        flat = self._T.reshape(r, r * r)
+        step = max(1, _BATCH_ENTRIES // max(1, r * r))
+        out = [np.zeros((0, r), dtype=np.int64)]
+        for a in range(0, m, step):
+            L = self._mm(X[:, a : a + step].T, flat).reshape(-1, r, r)
+            out.append(self._mm(L, Y[:, a : a + step].T[:, :, None])[:, :, 0])
+        return np.concatenate(out).T
+
+    def _powers(self, X: np.ndarray, den: int, k: int) -> Tuple[np.ndarray, int]:
+        """The k-th powers of the columns of X (over den) by square and
+        multiply: their numerators and common denominator."""
+        out, out_den = np.repeat(self.unit.num, X.shape[1], axis=1), self.unit.den
+        while k:
+            if k & 1:
+                out, out_den = self._mul_cols(out, X), out_den * den * self._den
+            k >>= 1
+            if k:
+                X, den = self._mul_cols(X, X), den * den * self._den
+        return out, out_den
 
     def mult_matrix(self, x: Mat) -> Mat:
-        out = Mat.zeros(self.field, self.dim, self.dim)
-        for i in range(self.dim):
-            v = x.num[i, 0]
-            if v:
-                c = int(v) if self.field.p is not None else Fraction(int(v), x.den)
-                out = out + self.left_mult[i].scale(c)
-        return out
+        r = self.dim
+        return Mat(self.field, self._mm(x.num.T, self._T.reshape(r, r * r)).reshape(r, r),
+                   x.den * self._den)
 
     def multiply(self, x: Mat, y: Mat) -> Mat:
-        return self.mult_matrix(x) @ y
+        return Mat(self.field, self._mul_cols(x.num, y.num), x.den * y.den * self._den)
 
     def power(self, x: Mat, k: int) -> Mat:
-        return self.mult_matrix(x).pow(k) @ self.unit
+        return Mat(self.field, *self._powers(x.num, x.den, k))
 
     def is_idempotent(self, x: Mat) -> bool:
         return self.multiply(x, x) == x
 
 
-# -- polynomial helpers (coefficients low-to-high; ints mod p or Fractions) --
+# -- polynomial helpers over Q (coefficients low-to-high, Fractions) --
 
 
 def _poly_trim(f: List) -> List:
@@ -206,62 +260,21 @@ def _poly_trim(f: List) -> List:
     return f
 
 
-def _poly_mul(f: List, g: List, p: Optional[int]) -> List:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    if p is not None:
-        out = [c % p for c in out]
-    return _poly_trim(out)
-
-
-def _poly_divmod(f: List, g: List, p: Optional[int]) -> Tuple[List, List]:
+def _poly_divmod(f: List, g: List) -> Tuple[List, List]:
     f = list(f)
     q = [0] * max(0, len(f) - len(g) + 1)
-    inv_lead = pow(int(g[-1]), p - 2, p) if p is not None else Fraction(1) / g[-1]
+    inv_lead = Fraction(1) / g[-1]
     while len(f) >= len(g) and _poly_trim(list(f)):
         if not f[-1]:
             f.pop()
             continue
         d = len(f) - len(g)
         c = f[-1] * inv_lead
-        if p is not None:
-            c %= p
         q[d] = c
         for i in range(len(g)):
             f[d + i] -= c * g[i]
-            if p is not None:
-                f[d + i] %= p
         f.pop()
     return _poly_trim(q), _poly_trim(f)
-
-
-def _poly_xgcd(f: List, g: List, p: Optional[int]) -> Tuple[List, List, List]:
-    """(d, u, v) with u f + v g = d (d not normalized to monic)."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while _poly_trim(list(r1)):
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, p), p)
-    return _poly_trim(r0), _poly_trim(s0), _poly_trim(t0)
-
-
-def _poly_sub(f: List, g: List, p: Optional[int]) -> List:
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, b in enumerate(g):
-        out[i] -= b
-    if p is not None:
-        out = [c % p for c in out]
-    return _poly_trim(out)
 
 
 def _eval_poly(alg: CommutativeAlgebra, coeffs: List, Mz: Mat, unit: Mat) -> Mat:
@@ -271,15 +284,14 @@ def _eval_poly(alg: CommutativeAlgebra, coeffs: List, Mz: Mat, unit: Mat) -> Mat
     for c in reversed(coeffs):
         out = Mz @ out
         if c:
-            out = out + unit.scale(c if alg.field.p is None else int(c))
+            out = out + unit.scale(c)
     return out
 
 
-def _krylov_minpoly(alg: CommutativeAlgebra, z: Mat, e: Mat,
-                    modulo: Optional[Mat]) -> List:
+def _krylov_minpoly(alg: CommutativeAlgebra, z: Mat, e: Mat, modulo: Mat) -> List[Fraction]:
     """Monic minimal polynomial of z in the unital subalgebra with unit e,
-    optionally modulo the span of `modulo` (for minpoly in a quotient).
-    Coefficients low-to-high, ints mod p or Fractions."""
+    modulo the span of the columns of `modulo` (for the minimal polynomial
+    in a quotient).  Coefficients low-to-high."""
     f = alg.field
     Mz = alg.mult_matrix(z)
     powers = [e]
@@ -288,16 +300,10 @@ def _krylov_minpoly(alg: CommutativeAlgebra, z: Mat, e: Mat,
         k = len(powers)
         stack = Mat.from_blocks(f, alg.dim, k, [(0, j, v) for j, v in enumerate(powers)])
         cur = Mz @ cur
-        rhs = cur
-        sysm = stack if modulo is None or modulo.ncols == 0 else stack.hstack(modulo)
-        sol = sysm.solve(rhs)
+        sysm = stack if modulo.ncols == 0 else stack.hstack(modulo)
+        sol = sysm.solve(cur)
         if sol is not None:
-            if f.p is not None:
-                coeffs = [(-int(sol.num[i, 0])) % f.p for i in range(k)]
-            else:
-                coeffs = [-Fraction(int(sol.num[i, 0]), sol.den) for i in range(k)]
-            coeffs.append(1 if f.p is not None else Fraction(1))
-            return coeffs
+            return [-Fraction(int(sol.num[i, 0]), sol.den) for i in range(k)] + [Fraction(1)]
         powers.append(cur)
         if len(powers) > alg.dim + 1:
             raise ArithmeticError("minimal polynomial search exceeded the dimension")
@@ -353,29 +359,37 @@ def primitive_idempotents(alg: CommutativeAlgebra) -> List[Mat]:
     """The complete list of primitive idempotents, sorted lexicographically
     by coefficient vector.
 
-    Over F_p this is deterministic and certified: leaves are exactly the
-    pieces whose Frobenius-fixed subspace modulo the nilradical is
-    one-dimensional.  Over Q, splitting uses rational roots of minimal
-    polynomials modulo the nilradical with Hensel lifting; a leaf is
-    certified when its semisimple quotient is Q itself or is generated by
-    an element whose minimal polynomial is irreducible of degree <= 3
-    (no rational root); anything else raises NotSplitOverRationals.
+    Over F_p this is deterministic and certified: the Frobenius map
+    F(x) = x^p is F_p-linear, and ker(F - 1) is exactly the span of the
+    primitive idempotents, so its dimension s counts them; the unit is split
+    into s nonzero orthogonal idempotents, which therefore are primitive.
+    Over Q, splitting uses rational roots of minimal polynomials modulo the
+    nilradical with Hensel lifting; a leaf is certified when its semisimple
+    quotient is Q itself or is generated by an element whose minimal
+    polynomial is irreducible of degree <= 3 (no rational root); anything
+    else raises NotSplitOverRationals.  Either way the output is checked to
+    sum to the unit and to be idempotent and pairwise orthogonal.
     """
     if alg.field.p is not None:
-        leaves = _split_modp(alg)
+        leaves = _split_frobenius(alg)
     else:
         leaves = _split_rational(alg)
-    total = leaves[0]
-    for e in leaves[1:]:
-        total = total + e
-    if total != alg.unit:
+    den = math.lcm(*(e.den for e in leaves))
+    E = np.concatenate([_scale_arr(e.num, den // e.den) for e in leaves], axis=1)
+    total = _isum_segments(E.T, np.zeros(1, dtype=np.int64))[0]
+    if alg.field.p is not None:
+        total %= alg.field.p
+    if not _frac_eq(total, den, alg.unit.num[:, 0], alg.unit.den).all():
         raise ArithmeticError("idempotents do not sum to the unit")
-    for i, e in enumerate(leaves):
-        if not alg.is_idempotent(e):
-            raise ArithmeticError("output is not idempotent")
-        for j in range(i):
-            if not alg.multiply(e, leaves[j]).is_zero():
-                raise ArithmeticError("idempotents are not orthogonal")
+    # e_i e_j for j <= i in one batch: e_i on the diagonal, 0 off it
+    rows, cols = np.tril_indices(len(leaves))
+    ok = _frac_eq(alg._mul_cols(E[:, rows], E[:, cols]), den * den * alg._den,
+                  np.where(rows == cols, E[:, rows], 0), den).all(axis=0)
+    for i, j, good in zip(rows, cols, ok):
+        if not good:
+            raise ArithmeticError("output is not idempotent" if i == j
+                                  else "idempotents are not orthogonal")
+
     def key(e: Mat):
         if alg.field.p is not None:
             return tuple(int(v) for v in e.num[:, 0])
@@ -383,10 +397,50 @@ def primitive_idempotents(alg: CommutativeAlgebra) -> List[Mat]:
     return sorted(leaves, key=key)
 
 
-def _frobenius_matrix(alg: CommutativeAlgebra) -> Mat:
+def _frobenius_fixed_space(alg: CommutativeAlgebra) -> Mat:
+    """A basis of ker(F - 1) for the Frobenius map F(x) = x^p of an algebra
+    over F_p: the columns e_i^p of F come from one square and multiply over
+    all basis vectors at once, and one nullspace gives the kernel."""
+    eye = np.eye(alg.dim, dtype=np.int64)
+    F, _ = alg._powers(eye, 1, alg.field.p)
+    return Mat(alg.field, F - eye).nullspace()
+
+
+def _split_frobenius(alg: CommutativeAlgebra) -> List[Mat]:
+    """The primitive idempotents over F_p, split off the unit.
+
+    A fixed point x = x^p in a local summand eA is c e + n with c in F_p
+    and n nilpotent, and then n = n^p, so n = 0: ker(F - 1) is the span of
+    the primitive idempotents e_b.  A basis vector z of it is a sum of
+    c_b e_b, so for a piece e (a sum of some e_b) the Lagrange idempotents
+    e - (z e - c e)^(p-1), c in F_p, split e by the values c_b.  The basis
+    separates every two e_b, so the split ends with s = dim ker(F - 1)
+    pieces, each a primitive idempotent; any other count is a broken
+    invariant.
+    """
     p = alg.field.p
-    return Mat.from_blocks(alg.field, alg.dim, alg.dim,
-                           [(0, i, alg.left_mult[i].pow(p) @ alg.unit) for i in range(alg.dim)])
+    fixed = _frobenius_fixed_space(alg)
+    s = fixed.ncols
+    pieces = alg.unit.num
+    for t in range(s):
+        if pieces.shape[1] == s:
+            break
+        n = pieces.shape[1]
+        ze = alg._mul_cols(np.repeat(fixed.num[:, t : t + 1], n, axis=1), pieces)
+        step = max(1, _BATCH_ENTRIES // (n * alg.dim + 1))
+        found = []
+        for c0 in range(0, p, step):
+            cs = np.arange(c0, min(p, c0 + step), dtype=np.int64)
+            e = np.repeat(pieces, len(cs), axis=1)  # piece-major, c fastest
+            shifted = (np.repeat(ze, len(cs), axis=1) - e * np.tile(cs, n)) % p
+            E = (e - alg._powers(shifted, 1, p - 1)[0]) % p
+            found.append(E[:, E.any(axis=0)])
+        pieces = np.concatenate(found, axis=1)
+    if pieces.shape[1] != s:
+        raise ArithmeticError(
+            f"{pieces.shape[1]} Lagrange idempotents for a Frobenius-fixed space "
+            f"of dimension {s} (broken invariant)")
+    return [Mat(alg.field, pieces[:, c : c + 1]) for c in range(s)]
 
 
 def _span_basis(vectors: Mat) -> Mat:
@@ -397,131 +451,12 @@ def _span_basis(vectors: Mat) -> Mat:
     return Mat(vectors.field, R.num[: len(piv), :].T.copy(), R.den)
 
 
-def _in_span(v: Mat, basis: Mat) -> bool:
-    if basis.ncols == 0:
-        return v.is_zero()
-    return basis.solve(v) is not None
-
-
-def _split_modp(alg: CommutativeAlgebra) -> List[Mat]:
-    p = alg.field.p
-    n = alg.dim
-    N = 0
-    while p**N < n:
-        N += 1
-    F = _frobenius_matrix(alg)
-    FN = F.pow(max(N, 1)) if N else Mat.identity(alg.field, n)
-    nil_global = _span_basis(FN.nullspace()) if N else Mat.zeros(alg.field, n, 0)
-    I = Mat.identity(alg.field, n)
-
-    out: List[Mat] = []
-
-    def split(e: Mat) -> None:
-        B = _span_basis(alg.mult_matrix(e))  # basis of eA
-        if B.ncols == 0:
-            raise ArithmeticError("zero idempotent reached")
-        # Nil(eA) = ker F^N intersect eA
-        if nil_global.ncols:
-            sysm = B.hstack(nil_global.scale(-1))
-            pairs = sysm.nullspace()
-            nilE = _span_basis(B @ Mat(alg.field, pairs.num[: B.ncols, :].copy(), pairs.den)) \
-                if pairs.ncols else Mat.zeros(alg.field, n, 0)
-        else:
-            nilE = Mat.zeros(alg.field, n, 0)
-        # solutions of (F - I) x in Nil(eA), x in eA
-        lhs = (F - I) @ B
-        sysm = lhs if nilE.ncols == 0 else lhs.hstack(nilE.scale(-1))
-        sols = sysm.nullspace()
-        X = B @ Mat(alg.field, sols.num[: B.ncols, :].copy(), sols.den) if sols.ncols \
-            else Mat.zeros(alg.field, n, 0)
-        Xb = _span_basis(X) if X.ncols else X
-        s = Xb.ncols - nilE.ncols
-        if s < 1:
-            raise ArithmeticError("Frobenius-fixed space is too small (broken invariant)")
-        if s == 1:
-            out.append(e)
-            return
-        # pick a fixed vector outside span(e) + Nil(eA)
-        span_e = e if nilE.ncols == 0 else _span_basis(e.hstack(nilE))
-        z = None
-        for c in range(Xb.ncols):
-            cand = Xb.col(c)
-            if not _in_span(cand, span_e):
-                z = cand
-                break
-        if z is None:
-            raise ArithmeticError("no splitting element found (broken invariant)")
-        f = _krylov_minpoly(alg, z, e, modulo=None)
-        roots: List[Tuple[int, int]] = []  # (root, multiplicity)
-        rem = list(f)
-        for c in range(p):
-            m = 0
-            while True:
-                q, r = _poly_divmod(rem, [(-c) % p, 1], p)
-                if r:
-                    break
-                rem, m = q, m + 1
-            if m:
-                roots.append((c, m))
-        if sum(m for _, m in roots) != len(f) - 1:
-            raise ArithmeticError("minimal polynomial did not split over F_p")
-        if len(roots) < 2:
-            raise ArithmeticError("splitting element has a single eigenvalue (broken invariant)")
-        Mz = alg.mult_matrix(z)
-        pieces = []
-        for c, m in roots:
-            fc, _ = _poly_divmod(f, _poly_power([(-c) % p, 1], m, p), p)
-            g = _poly_power([(-c) % p, 1], m, p)
-            d, u, _v = _poly_xgcd(fc, g, p)
-            if len(d) != 1:
-                raise ArithmeticError("cofactors are not coprime")
-            dinv = pow(int(d[0]), p - 2, p)
-            ec = _eval_poly(alg, _poly_mul([x * dinv % p for x in u], fc, p), Mz, e)
-            pieces.append(ec)
-        acc = pieces[0]
-        for q in pieces[1:]:
-            acc = acc + q
-        if acc != e:
-            raise ArithmeticError("spectral idempotents do not sum to e")
-        for q in pieces:
-            if not alg.is_idempotent(q):
-                raise ArithmeticError("spectral piece is not idempotent")
-            split(q)
-
-    split(alg.unit)
-    return out
-
-
-def _poly_power(f: List, k: int, p: Optional[int]) -> List:
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, f, p)
-    return out
-
-
 def _trace_form_radical(alg: CommutativeAlgebra) -> Mat:
-    n = alg.dim
-    gram = np.zeros((n, n), dtype=object)
-    dens = np.zeros((n, n), dtype=object)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(i + 1):
-            t = (alg.left_mult[i] @ alg.left_mult[j]).trace()
-            row.append(t if isinstance(t, Fraction) else Fraction(t))
-        entries.append(row)
-    den = 1
-    for row in entries:
-        for t in row:
-            den = den * t.denominator // math.gcd(den, t.denominator)
-    num = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i + 1):
-            v = int(entries[i][j] * den)
-            num[i, j] = v
-            num[j, i] = v
-    G = Mat(QQ, num, den)
-    return _span_basis(G.nullspace())
+    """The radical of the trace form (x, y) -> tr(L_x L_y) over Q; the Gram
+    matrix tr(L_i L_j) is one contraction of the tensor."""
+    T, r = alg._T, alg.dim
+    gram = _imatmul(T.reshape(r, r * r), T.transpose(0, 2, 1).reshape(r, r * r).T)
+    return _span_basis(Mat(QQ, gram, alg._den ** 2).nullspace())
 
 
 def _split_rational(alg: CommutativeAlgebra) -> List[Mat]:
@@ -559,7 +494,7 @@ def _split_rational(alg: CommutativeAlgebra) -> List[Mat]:
             if not roots:
                 continue
             c = roots[0]
-            g, r = _poly_divmod(fbar, [-c, Fraction(1)], None)
+            g, r = _poly_divmod(fbar, [-c, Fraction(1)])
             if r:
                 raise ArithmeticError("claimed root does not divide")
             gc = Fraction(0)
@@ -606,26 +541,22 @@ class CenterOfGroupAlgebra:
         self.group = G
         self.field = field
         self.classes = G.conjugacy_classes()
-        r = len(self.classes)
-        reps = [c[0] for c in self.classes]
-        T = np.zeros((r, r, r), dtype=np.int64)
-        for i, Ci in enumerate(self.classes):
-            prod = G.table[np.ix_(list(Ci), [g for Cj in self.classes for g in Cj])]
-            # column blocks correspond to classes j
-            off = 0
-            for j, Cj in enumerate(self.classes):
-                blk = prod[:, off : off + len(Cj)]
-                counts = np.bincount(blk.ravel(), minlength=G.order)
-                for k, rep in enumerate(reps):
-                    T[i, k, j] = counts[rep]
-                off += len(Cj)
-        unit = np.zeros((r, 1), dtype=np.int64)
-        unit[0, 0] = 1
         if self.classes[0] != (G.identity,):
             raise ArithmeticError("identity class must come first")
-        self.algebra = CommutativeAlgebra(
-            field, [Mat(field, T[i]) for i in range(r)], Mat(field, unit))
-        self._tensor = T
+        r = len(self.classes)
+        self._class_of = np.empty(G.order, dtype=np.int64)
+        for i, C in enumerate(self.classes):
+            self._class_of[list(C)] = i
+        # T[i, k, j] = #{(a, b) in C_i x C_j : ab is the representative of C_k},
+        # one bincount over the pairs whose product is a representative
+        reps = np.array([C[0] for C in self.classes], dtype=np.int64)
+        cls, table = self._class_of, G.table
+        a, b = np.nonzero(table == reps[cls[table]])
+        T = np.bincount((cls[a] * r + cls[table[a, b]]) * r + cls[b],
+                        minlength=r ** 3).reshape(r, r, r)
+        unit = np.zeros((r, 1), dtype=np.int64)
+        unit[0, 0] = 1
+        self.algebra = CommutativeAlgebra._of(field, T, Mat(field, unit))
 
     @property
     def dim(self) -> int:
@@ -634,11 +565,7 @@ class CenterOfGroupAlgebra:
     def class_vector_to_elements(self, v: Mat) -> np.ndarray:
         """Expand class-sum coordinates to a coefficient per group element
         (integers; interpret mod p or over den as appropriate)."""
-        out = np.zeros(self.group.order, dtype=object)
-        for i, C in enumerate(self.classes):
-            for g in C:
-                out[g] = int(v.num[i, 0])
-        return out
+        return np.array([int(x) for x in v.num[:, 0]], dtype=object)[self._class_of]
 
     def multiply(self, x: Mat, y: Mat) -> Mat:
         return self.algebra.multiply(x, y)
@@ -661,11 +588,8 @@ def block_decomposition(G: FiniteGroup, field: Field) -> List[Block]:
     blocks = []
     for bi, e in enumerate(idems):
         vec = Z.class_vector_to_elements(e)
-        M = np.zeros((G.order, G.order), dtype=np.int64)
-        for g in range(G.order):
-            c = int(vec[g])
-            if c:
-                M[G.table[g], np.arange(G.order)] += c
+        # multiplication by e on kG: M[k, j] is the coefficient of k j^-1 in e
+        M = vec[G.table[:, G.inverse]]
         dim = Mat(field, M, e.den).rank()
         blocks.append(Block(bi, e, vec, e.den, dim))
     if sum(b.dimension for b in blocks) != G.order:
@@ -818,13 +742,6 @@ class CrossedBurnsideAlgebra:
         expected[:, u, :] = _burnside_structure(self.group).transpose(0, 2, 1)
         return bool(np.array_equal(self._left[np.ix_(u, np.arange(self.rank), u)], expected))
 
-    def as_algebra(self, field: Field) -> CommutativeAlgebra:
-        unit = np.zeros((self.rank, 1), dtype=np.int64)
-        unit[self.unit_index, 0] = 1
-        return CommutativeAlgebra(
-            field, [Mat(field, self._left[i]) for i in range(self.rank)],
-            Mat(field, unit), check=False)
-
     # -- the coholological map to the center -------------------------------
 
     def rho_coh_matrix(self) -> np.ndarray:
@@ -853,7 +770,7 @@ class CrossedBurnsideAlgebra:
         Z = CenterOfGroupAlgebra(G, QQ)
         unit_ok = bool(R[self.unit_index, 0] == 1 and not np.any(R[self.unit_index, 1:]))
         # rho(e_i e_j) against rho(e_i) rho(e_j) in Z(kG), for every i, j
-        T = Z._tensor
+        T = Z.algebra._T
         _require_exact(self.rank * _abs_max(self._left) * _abs_max(R), 63, "the rho_coh check")
         _require_exact(T.shape[0] ** 2 * _abs_max(T) * _abs_max(R) ** 2, 63, "the rho_coh check")
         hom_ok = bool(np.array_equal(np.einsum("ikj,kc->ijc", self._left, R),

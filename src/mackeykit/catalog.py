@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, List
+from typing import Dict
 
 from .groups import FiniteGroup, group_from_generators, group_from_table
 
@@ -42,7 +42,3 @@ def load_group(ref: str) -> FiniteGroup:
         return builtin_group(ref)
     with open(ref) as fh:
         return group_from_spec(json.load(fh))
-
-
-def all_builtin_groups() -> List[FiniteGroup]:
-    return [builtin_group(n) for n in BUILTIN_NAMES]

@@ -13,6 +13,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -61,10 +62,6 @@ SCHEMA_VERSION = 1
 
 class CliError(Exception):
     """Malformed request or exceeded cap; maps to exit code 2."""
-
-
-class IdentityFailure(Exception):
-    """A checked identity failed; maps to exit code 1."""
 
 
 def _parse_field(prime: Optional[int]) -> Field:
@@ -429,7 +426,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every `run` shares it."""
     top = argparse.ArgumentParser(
         prog="mackeykit",
         description="Exact verification toolkit for induction/restriction "

@@ -478,9 +478,6 @@ class Subgroup:
         G = self.parent
         return G._intern(self.mask[G.table[G.table[G.inverse[g]], g]])
 
-    def is_normal(self) -> bool:
-        return self.parent.normalizer(self).order == self.parent.order
-
     def intersection(self, other: "Subgroup") -> "Subgroup":
         return self.parent._intern(self.mask & other.mask)
 

@@ -41,10 +41,6 @@ class Field:
         if self.p is not None:
             _check_int64_prime(self.p)
 
-    @property
-    def char(self) -> int:
-        return 0 if self.p is None else self.p
-
     def __repr__(self) -> str:
         return "QQ" if self.p is None else f"GF({self.p})"
 
@@ -258,10 +254,6 @@ class Mat:
         return cls(field, _compact(num) if num.size else num.astype(np.int64), den)
 
     @classmethod
-    def from_cols(cls, field: Field, cols: Sequence[Sequence]) -> "Mat":
-        return cls.from_rows(field, cols).T
-
-    @classmethod
     def from_blocks(cls, field: Field, nrows: int, ncols: int,
                     blocks: Iterable[Tuple[int, int, "Mat"]]) -> "Mat":
         """The nrows x ncols matrix with each `(row, col, block)` added in at
@@ -422,9 +414,6 @@ class Mat:
 
     def col(self, j: int) -> "Mat":
         return Mat(self.field, self.num[:, j : j + 1].copy(), self.den)
-
-    def take_cols(self, idx: Sequence[int]) -> "Mat":
-        return Mat(self.field, self.num[:, list(idx)].copy(), self.den)
 
     def vec(self) -> "Mat":
         """Column-major flattening as a single column."""

@@ -16,6 +16,7 @@ import numpy as np
 from mackeykit.burnside import (
     CenterOfGroupAlgebra,
     CrossedBurnsideAlgebra,
+    _frobenius_fixed_space,
     block_decomposition,
 )
 from mackeykit.catalog import BUILTIN_NAMES, builtin_group
@@ -268,23 +269,36 @@ def test_c07_rho_coh_unital_surjective_homomorphism():
 
 
 def _primitive_idempotents_by_enumeration(G, field):
-    """Scan the whole finite center (p^classes vectors), keep idempotents,
-    and filter the primitive ones by refinability."""
-    Z = CenterOfGroupAlgebra(G, field)
-    idems = []
-    for coeffs in itertools.product(range(field.p), repeat=Z.dim):
-        v = Mat(field, np.array(coeffs, dtype=np.int64).reshape(-1, 1))
-        if Z.multiply(v, v) == v:
-            idems.append(v)
-    prim = []
-    for e in idems:
-        if e.is_zero():
-            continue
-        if any((not f.is_zero()) and f != e and Z.multiply(e, f) == f
-               for f in idems):
-            continue
-        prim.append(e)
-    return len(idems), prim
+    """Scan the whole finite center (p^classes vectors) inside kG itself:
+    expand each class-sum vector to a coefficient per group element,
+    multiply by the group table, keep the idempotents, and filter the
+    primitive ones by refinability.  Returns the number of idempotents and
+    the primitive ones as class-sum columns."""
+    p = field.p
+    classes = G.conjugacy_classes()
+    class_of = np.empty(G.order, dtype=np.int64)
+    for i, C in enumerate(classes):
+        class_of[list(C)] = i
+
+    def times(U, V):
+        # row by row, (U V)[a b] collects U[a] V[b]
+        out = np.zeros_like(U)
+        for a in range(G.order):
+            out[:, G.table[a]] += U[:, a : a + 1] * V
+        return out % p
+
+    coeffs = np.array(list(itertools.product(range(p), repeat=len(classes))), dtype=np.int64)
+    elements = coeffs[:, class_of]
+    idems = coeffs[(times(elements, elements) == elements).all(axis=1)]
+    E = idems[:, class_of]
+    n = len(idems)
+    e, f = np.divmod(np.arange(n * n), n)
+    refines = (times(E[e], E[f]) == E[f]).all(axis=1).reshape(n, n)  # e f = f
+    nonzero = E.any(axis=1)
+    prim = [Mat(field, idems[a].reshape(-1, 1)) for a in range(n)
+            if nonzero[a] and not any(refines[a, b] and nonzero[b] and b != a
+                                      for b in range(n))]
+    return n, prim
 
 
 def test_c08_s3_blocks_match_center_enumeration():
@@ -303,6 +317,26 @@ def test_c08_s3_blocks_match_center_enumeration():
     assert elapsed < 5.0, f"budget exceeded: {elapsed:.1f}s"
     _report("C8 S3 blocks vs center scan",
             f"8 and 27 center vectors enumerated, {elapsed:.1f}s")
+
+
+def test_blocks_match_center_enumeration_for_every_builtin_group():
+    # every built-in group and prime with p^(number of classes) <= 20000
+    cases = 0
+    for name in BUILTIN_NAMES:
+        G = builtin_group(name)
+        r = len(G.conjugacy_classes())
+        for p in (q for q in range(2, 150) if all(q % d for d in range(2, q))):
+            if p ** r > 20000:
+                break
+            field = GF(p)
+            _, prim = _primitive_idempotents_by_enumeration(G, field)
+            blocks = block_decomposition(G, field)
+            got = sorted(tuple(map(int, b.idempotent_classes.num.ravel())) for b in blocks)
+            want = sorted(tuple(map(int, e.num.ravel())) for e in prim)
+            assert got == want, (name, p)
+            assert _frobenius_fixed_space(CenterOfGroupAlgebra(G, field).algebra).ncols == len(prim)
+            cases += 1
+    assert cases == 79
 
 
 # -- criterion 9: Green correspondence for (S4, S3, C3) at p = 3 ---------------------

@@ -16,6 +16,7 @@ from mackeykit.burnside import (
     CrossedBurnsideAlgebra,
     GSet,
     NotSplitOverRationals,
+    _frobenius_fixed_space,
     block_decomposition,
     burnside_multiply,
     burnside_vector,
@@ -248,6 +249,182 @@ def test_primitive_idempotents_artinian_product_with_nil():
     assert idems[0] + idems[1] == alg.unit
     for e in idems:
         assert alg.multiply(e, e) == e
+
+
+# -- the structure-tensor checks against per-pair loops ------------------------
+
+
+def _per_pair_verdict(field, left, unit):
+    """The message of the first failing check of a per-pair scan over the
+    left-multiplication matrices, on Mats (the reference the tensor checks
+    must agree with), or None when every check passes."""
+    r = len(left)
+
+    def mult_matrix(x):
+        out = Mat.zeros(field, r, r)
+        for i in range(r):
+            out = out + left[i].scale(x.entry(i, 0))
+        return out
+
+    if not mult_matrix(unit).is_identity():
+        return "unit law fails"
+    for i in range(r):
+        for j in range(i):
+            if left[i].col(j) != left[j].col(i):
+                return f"not commutative at basis pair {(i, j)}"
+    for i in range(r):
+        for j in range(r):
+            if mult_matrix(left[i].col(j)) != left[i] @ left[j]:
+                return f"not associative at basis pair {(i, j)}"
+    return None
+
+
+def _tensor_verdict(field, left, unit):
+    try:
+        CommutativeAlgebra(field, left, unit)
+    except ArithmeticError as exc:
+        return str(exc)
+    return None
+
+
+def _rebased(field, left, unit, P):
+    """The same algebra on the basis f_a = sum_i P[i, a] e_i."""
+    r = len(left)
+    Pm = Mat(field, P)
+    Pinv = Pm.inv()
+    new = []
+    for a in range(r):
+        La = Mat.zeros(field, r, r)
+        for i in range(r):
+            La = La + left[i].scale(Pm.entry(i, a))
+        new.append(Pinv @ La @ Pm)
+    return new, Pinv @ unit
+
+
+def _center_data(name, field, P=None):
+    alg = CenterOfGroupAlgebra(builtin_group(name), field).algebra
+    left, unit = alg.left_mult, alg.unit
+    return (left, unit) if P is None else _rebased(field, left, unit, P)
+
+
+# (group, field, a change of basis with denominators over Q, or None)
+_CHECK_CASES = [
+    ("s3", QQ, None),
+    ("d8", QQ, np.array([[2, 1, 0, 0, 0], [0, 1, 0, 0, 3], [0, 0, 1, 0, 0],
+                         [1, 0, 0, 5, 0], [0, 0, 0, 1, 1]])),
+    ("s4", GF(3), None),
+    ("q8", GF(7), np.array([[1, 2, 3, 4, 5], [0, 1, 6, 2, 0], [0, 0, 1, 3, 1],
+                            [0, 0, 0, 1, 4], [0, 0, 0, 0, 1]])),
+]
+
+
+@pytest.mark.parametrize("name,field,P", _CHECK_CASES, ids=[c[0] + repr(c[1]) for c in _CHECK_CASES])
+def test_tensor_checks_name_the_first_failing_pair(name, field, P):
+    left, unit = _center_data(name, field, P)
+    assert _tensor_verdict(field, left, unit) is None
+    assert _per_pair_verdict(field, left, unit) is None
+    r = len(left)
+    rng = np.random.default_rng(11)
+    kinds = set()
+    # one broken constant, then two (so that two pairs can fail and the
+    # order of the scan matters)
+    for count in [1] * 30 + [2] * 30:
+        broken = list(left)
+        for _ in range(count):
+            i, k, j = (int(x) for x in rng.integers(0, r, size=3))
+            delta = np.zeros((r, r), dtype=np.int64)
+            delta[k, j] = 1
+            broken[i] = broken[i] + Mat(field, delta).scale(Fraction(1, 2) if field.p is None else 1)
+        want = _per_pair_verdict(field, broken, unit)  # None: still an algebra
+        assert _tensor_verdict(field, broken, unit) == want
+        kinds.add(str(want).split(" at ")[0])
+    assert kinds - {"None"} == {"unit law fails", "not commutative", "not associative"}
+
+
+def test_tensor_checks_name_the_pair_of_a_commuting_associativity_break():
+    # a symmetric change to e_1 e_2 = e_2 e_1 keeps commutativity and breaks
+    # associativity at the first pair the per-pair scan meets
+    field = QQ
+    left, unit = _center_data("d8", field)
+    r = len(left)
+    for i, j, k in [(1, 2, 3), (2, 4, 0), (3, 3, 1)]:
+        delta = np.zeros((r, r), dtype=np.int64)
+        delta[k, j] = 1
+        broken = list(left)
+        broken[i] = left[i] + Mat(field, delta)
+        if i != j:
+            swap = np.zeros((r, r), dtype=np.int64)
+            swap[k, i] = 1
+            broken[j] = left[j] + Mat(field, swap)
+        want = _per_pair_verdict(field, broken, unit)
+        assert want.startswith("not associative")
+        assert _tensor_verdict(field, broken, unit) == want
+
+
+def test_tensor_products_exact_past_int64_for_a_large_prime():
+    # (p - 1)^2 r >= 2^63: every contraction needs Python integers
+    p = 2147483647
+    field = GF(p)
+    rng = np.random.default_rng(5)
+    P = np.triu(rng.integers(1, p, size=(5, 5)))
+    left, unit = _center_data("d8", field, P)
+    r = len(left)
+    assert (p - 1) ** 2 * r >= 2 ** 63
+    assert max(int(L.num.max()) for L in left) > 2 ** 30
+    alg = CommutativeAlgebra(field, left, unit)
+    assert alg.left_mult == left and alg.unit == unit
+    for _ in range(5):
+        x = Mat(field, rng.integers(0, p, size=(r, 1)))
+        y = Mat(field, rng.integers(0, p, size=(r, 1)))
+        Lx = Mat.zeros(field, r, r)
+        for i in range(r):
+            Lx = Lx + left[i].scale(x.entry(i, 0))
+        assert alg.mult_matrix(x) == Lx
+        assert alg.multiply(x, y) == Lx @ y
+        assert alg.power(x, 3) == Lx @ Lx @ x
+    broken = list(left)
+    broken[2] = left[2] + Mat(field, np.eye(r, dtype=np.int64))
+    want = _per_pair_verdict(field, broken, unit)
+    assert want is not None and _tensor_verdict(field, broken, unit) == want
+
+
+def test_left_mult_reads_back_copies():
+    alg = _poly_algebra(QQ, [-1, 0])
+    L = alg.left_mult
+    L[1].num[0, 0] = 7
+    assert alg.left_mult[1] == Mat(QQ, np.array([[0, 1], [1, 0]]))
+
+
+# -- the Frobenius-fixed splitter over F_p ---------------------------------------
+
+
+@pytest.mark.parametrize("p,coeffs,s", [
+    (2, [0, 0], 1),         # F_2[x]/(x^2): local with a nilpotent
+    (3, [1, 0], 1),         # F_3[x]/(x^2 + 1) = F_9: a field extension
+    (5, [-1, 0], 2),        # F_5 x F_5
+    (3, [0, 0, -1], 2),     # F_3[x]/(x^2 (x - 1))
+    (2, [-1, 0, 0], 2),     # F_2[x]/(x^3 - 1) = F_2 x F_4
+    (7, [-1, 0, 0], 3),     # F_7[x]/(x^3 - 1) = F_7^3
+])
+def test_frobenius_fixed_space_counts_primitive_idempotents(p, coeffs, s):
+    alg = _poly_algebra(GF(p), coeffs)
+    assert _frobenius_fixed_space(alg).ncols == s
+    idems = primitive_idempotents(alg)
+    assert len(idems) == s
+    if s == 1:
+        assert idems == [alg.unit]
+
+
+@pytest.mark.parametrize("name", ["s3", "d8", "a4", "s4"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_frobenius_fixed_space_dimension_is_the_block_count(name, p):
+    G = builtin_group(name)
+    Z = CenterOfGroupAlgebra(G, GF(p))
+    fixed = _frobenius_fixed_space(Z.algebra)
+    for c in range(fixed.ncols):
+        z = fixed.col(c)
+        assert Z.algebra.power(z, p) == z
+    assert fixed.ncols == len(block_decomposition(G, GF(p)))
 
 
 # -- center of the group algebra and blocks -----------------------------------

@@ -259,6 +259,32 @@ def test_missing_required_prime_exits_2(capsys):
     assert run(["blocks", "--group", "s3"]) == 2
 
 
+def test_shared_parser_gives_the_bytes_of_fresh_parsers(capsys):
+    # one process, one parser: two subcommands, a bad usage, then a good call
+    calls = [["blocks", "--group", "s4", "--prime", "2"],
+             ["isocomma", "--group", "s3", "--left", "1", "--right", "1"],
+             ["blocks", "--group", "s3"],
+             ["tom", "--group", "d8", "--format", "text"]]
+
+    def outcomes(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = run(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    fresh = outcomes(fresh=True)
+    cli._build_parser.cache_clear()
+    shared = outcomes(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    assert "--prime" in shared[2][2]
+    assert shared == fresh
+
+
 def test_identity_failure_exits_1(capsys, monkeypatch):
     # no honest failing input exists for a correct build, so exercise the
     # plumbing: a handler reporting a failed identity must yield exit 1
