@@ -170,6 +170,49 @@ def rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     return a, piv
 
 
+def _rank_mod_stack(a: np.ndarray, p: int) -> np.ndarray:
+    """Ranks mod p of a stack a[m, r, c] of integer matrices, all eliminated
+    at once.  In each column the pivot of every matrix is its first nonzero
+    row; every row, the pivot row included, is replaced by
+    pivot * row - entry * pivot_row, so pivot rows vanish and are never
+    chosen again.  Exact for primes with (p-1)^2 < 2^63: both products are
+    below 2^63 and so is their difference."""
+    _check_int64_prime(p)
+    a = np.asarray(a, dtype=np.int64) % p
+    m, r, c = a.shape
+    rank = np.zeros(m, dtype=np.int64)
+    if r == 0:
+        return rank
+    rows = np.arange(m)
+    for j in range(c):
+        col = a[:, :, j]
+        nz = col != 0
+        has = nz.any(axis=1)
+        if not has.any():
+            continue
+        prow = a[rows, nz.argmax(axis=1), j:]  # a zero column leaves its matrix as it is
+        pv = np.where(has, prow[:, 0], 1)
+        a[:, :, j:] = (a[:, :, j:] * pv[:, None, None] - col[:, :, None] * prow[:, None, :]) % p
+        rank += has
+    return rank
+
+
+def _pow_mod_stack(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a[k]^e mod p for every square matrix of a stack, by square and
+    multiply through the stacked exact product `_imatmul`."""
+    out = None
+    base = np.asarray(a, dtype=np.int64) % p
+    while e:
+        if e & 1:
+            out = base if out is None else (_imatmul(out, base) % p).astype(np.int64)
+        e >>= 1
+        if e:
+            base = (_imatmul(base, base) % p).astype(np.int64)
+    if out is None:
+        return np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape).copy()
+    return out
+
+
 def _rref_fraction(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
     nr = len(rows)
     nc = len(rows[0]) if nr else 0

@@ -23,7 +23,6 @@ directions are constructed and their composites checked to be identities.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,7 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, GSet, InjectiveHom, Subgroup, gset_from_subgroup
-from .linalg import Field, GF, Mat, QQ, perm_to_mat
+from .linalg import (Field, GF, Mat, QQ, _imatmul, _pow_mod_stack, _rank_mod_stack,
+                     perm_to_mat)
 
 __all__ = [
     "Module",
@@ -70,6 +70,7 @@ __all__ = [
 
 MAX_DECOMPOSE_DIM = 200
 EXHAUSTIVE_END_CAP = 16384
+SEARCH_WINDOW_ENTRIES = 1 << 16  # largest batch of stacked matrices, in entries
 
 
 class DecompositionError(RuntimeError):
@@ -697,9 +698,13 @@ def module_isomorphism(M: Module, N: Module, seed: int = 0,
                        tries: int = 60) -> Optional[ModuleHom]:
     """Search for an isomorphism M -> N.
 
-    Over F_p the span of Hom(M, N) is searched exhaustively when it has at
-    most EXHAUSTIVE_END_CAP elements (a definitive verdict); otherwise, and
-    always over Q, basis elements and seeded random combinations are tried.
+    The basis of Hom(M, N) is tried first.  Over F_p the span is then
+    searched exhaustively when it has at most EXHAUSTIVE_END_CAP elements
+    (a definitive verdict); otherwise, and always over Q, seeded random
+    combinations are tried.  Over F_p the candidates are tested for
+    invertibility in batches, in this fixed order, and the first invertible
+    one is returned, so the result is the one that testing them one by one
+    would give.
     """
     if M.dim != N.dim or M.field != N.field or M.group is not N.group:
         return None
@@ -708,26 +713,28 @@ def module_isomorphism(M: Module, N: Module, seed: int = 0,
     basis = hom_space(M, N)
     if not basis:
         return None
-    for h in basis:
-        if h.mat.is_invertible():
-            return h
     p, e = M.field.p, len(basis)
-    if p is not None and p**e <= EXHAUSTIVE_END_CAP:
-        for coeffs in itertools.product(range(p), repeat=e):
-            mat = _combine(basis, coeffs)
+    if p is None:
+        for h in basis:
+            if h.mat.is_invertible():
+                return h
+        rng = np.random.default_rng(seed)
+        for _ in range(tries):
+            mat = _combine(basis, [int(c) for c in rng.integers(-5, 6, size=e)])
             if mat is not None and mat.is_invertible():
                 return ModuleHom(M, N, mat, check=False)
         return None
-    rng = np.random.default_rng(seed)
-    for _ in range(tries):
-        if p is not None:
-            coeffs = [int(c) for c in rng.integers(0, p, size=e)]
-        else:
-            coeffs = [int(c) for c in rng.integers(-5, 6, size=e)]
-        mat = _combine(basis, coeffs)
-        if mat is not None and mat.is_invertible():
-            return ModuleHom(M, N, mat, check=False)
-    return None
+    B = _hom_stack(basis)
+    if p**e <= EXHAUSTIVE_END_CAP:
+        combinations = (p**e, _every_combination(B, p))
+    else:
+        combinations = (tries, _sampled(B, p, seed))
+    hit = _first_passing([(e, lambda lo, hi: B[lo:hi]), combinations],
+                         lambda z: _rank_mod_stack(z, p) == M.dim, M.dim * M.dim)
+    if hit is None:
+        return None
+    section, k, mat = hit
+    return basis[k] if section == 0 else ModuleHom(M, N, Mat(M.field, mat), check=False)
 
 
 def _combine(basis: List[ModuleHom], coeffs) -> Optional[Mat]:
@@ -737,6 +744,67 @@ def _combine(basis: List[ModuleHom], coeffs) -> Optional[Mat]:
             term = h.mat.scale(int(c))
             out = term if out is None else out + term
     return out
+
+
+def _hom_stack(basis: List[ModuleHom]) -> np.ndarray:
+    """The numerators of a list of homs with denominator 1 (every hom over
+    F_p, and the orbital basis over Q) as one stack [e, rows, cols]."""
+    return np.stack([h.mat.num for h in basis]).astype(np.int64)
+
+
+def _combinations(B: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
+    """sum_i coeffs[k, i] B[i] mod p for every row k, as one contraction."""
+    e, r, c = B.shape
+    return (_imatmul(coeffs, B.reshape(e, r * c)) % p).astype(np.int64).reshape(-1, r, c)
+
+
+def _sampled(B: np.ndarray, p: int, seed: int):
+    """`make` for the seeded random combinations of B.  Each combination's
+    coefficients come from one `rng.integers(0, p, size=e)` call, drawn
+    only when a window asks for them; windows ask for consecutive rows, so
+    the stream is the one that a one-by-one search draws."""
+    rng = np.random.default_rng(seed)
+    e = len(B)
+
+    def make(lo: int, hi: int) -> np.ndarray:
+        return _combinations(B, np.array([rng.integers(0, p, size=e) for _ in range(lo, hi)]), p)
+    return make
+
+
+def _every_combination(B: np.ndarray, p: int):
+    """`make` for all p^e combinations of B in `itertools.product` order:
+    the coefficients of combination k are the base-p digits of k, most
+    significant first."""
+    place = p ** np.arange(len(B) - 1, -1, -1, dtype=np.int64)
+
+    def make(lo: int, hi: int) -> np.ndarray:
+        k = np.arange(lo, hi, dtype=np.int64)[:, None]
+        return _combinations(B, k // place % p, p)
+    return make
+
+
+def _first_passing(sections, test, entries: int):
+    """The first candidate, in order, that passes a vectorised `test`.
+
+    `sections` lists (count, make) pairs, where `make(lo, hi)` stacks
+    candidates lo..hi-1 of its section.  Each section is made and tested in
+    windows of 4, 16, 64, ... matrices, up to SEARCH_WINDOW_ENTRIES entries
+    (a matrix has `entries`), so an early hit costs one small batch and
+    temporaries stay small.  The least passing index of a window wins, so
+    the hit is the one that testing one candidate at a time would return.
+    Returns (section, index in section, matrix) or None.
+    """
+    cap = max(1, SEARCH_WINDOW_ENTRIES // max(1, entries))
+    for s, (count, make) in enumerate(sections):
+        lo, w = 0, 4
+        while lo < count:
+            hi = min(count, lo + w)
+            stack = make(lo, hi)
+            ok = np.flatnonzero(test(stack))
+            if ok.size:
+                return s, lo + int(ok[0]), stack[ok[0]]
+            lo, w = hi, min(4 * w, cap)
+    return None
 
 
 @dataclass
@@ -754,13 +822,16 @@ class DecompositionResult:
 def decompose(M: Module, seed: int = 0) -> DecompositionResult:
     """Split M into indecomposable summands with a change-of-basis certificate.
 
-    Splitting elements are drawn from End(M): basis elements, pairwise
-    products, then seeded random combinations; a non-scalar z with
+    Splitting elements are drawn from End(M) in a fixed order: basis
+    elements, pairwise products, then seeded random combinations; a z with
     0 < rank(z^dim) < dim yields a Fitting splitting ker(z^dim) + im(z^dim).
-    A leaf is accepted when End is one-dimensional or, when |End| is at most
-    EXHAUSTIVE_END_CAP, after an exhaustive search finds no splitting
-    element (a complete locality test); otherwise the sampled candidates
-    must all be nilpotent-or-invertible and the leaf is marked uncertified.
+    The candidates are tested in batches, and the first one that splits is
+    used, the same one that testing them one by one would find, so the
+    result does not depend on the batching.  A leaf is accepted when End is
+    one-dimensional or, when |End| is at most EXHAUSTIVE_END_CAP, after an
+    exhaustive search finds no splitting element (a complete locality
+    test); otherwise every sampled candidate was nilpotent or invertible
+    and the leaf is marked uncertified.
     """
     if M.field.p is None:
         raise ValueError("decompose requires a prime field")
@@ -825,51 +896,48 @@ def decompose(M: Module, seed: int = 0) -> DecompositionResult:
 
 
 def _find_splitter(X: Module, seed: int):
-    """A splitting endomorphism of X, or True/False for a (certified?) leaf."""
-    if X.dim == 1:
+    """A splitting endomorphism of X, or True/False for a leaf.
+
+    True means the leaf is certified indecomposable: End(X) is one-
+    dimensional, or all of its p^e elements were searched.  False means
+    only the sampled candidates were searched.  The candidates, in order:
+    the basis of End(X), the pairwise products of its first eight elements,
+    40 + 10e seeded random combinations, and, when p^e is at most
+    EXHAUSTIVE_END_CAP, every combination in `itertools.product` order.
+    They are tested in batches (`_first_passing`) and the first z with
+    0 < rank(z^dim) < dim is returned, the one that testing them one by
+    one would find; a scalar z has rank(z^dim) 0 or dim, so it never passes.
+    """
+    d = X.dim
+    if d == 1:
         return True
     E = hom_space(X, X)
     e = len(E)
     if e == 1:
         return True
     p = X.field.p
-    candidates: List[Mat] = [h.mat for h in E]
-    for i in range(min(e, 8)):
-        for j in range(min(e, 8)):
-            candidates.append(E[i].mat @ E[j].mat)
-    rng = np.random.default_rng(seed)
-    for _ in range(40 + 10 * e):
-        coeffs = rng.integers(0, p, size=e)
-        m = _combine(E, [int(c) for c in coeffs])
-        if m is not None:
-            candidates.append(m)
-    for z in candidates:
-        if _is_scalar(z):
-            continue
-        r = z.pow(X.dim).rank()
-        if 0 < r < X.dim:
-            return z
-    if p**e <= EXHAUSTIVE_END_CAP:
-        for coeffs in itertools.product(range(p), repeat=e):
-            m = _combine(E, coeffs)
-            if m is None or _is_scalar(m):
-                continue
-            r = m.pow(X.dim).rank()
-            if 0 < r < X.dim:
-                return m
-        return True  # certified: no idempotent other than 0 and 1 exists
-    for z in candidates:  # sampled nilpotent-or-invertible certification
-        r = z.pow(X.dim).rank()
-        if r not in (0, X.dim):
-            return z
-    return False
+    B = _hom_stack(E)
+    q = min(e, 8)
 
+    def products(lo, hi):
+        k = np.arange(lo, hi)
+        return (_imatmul(B[k // q], B[k % q]) % p).astype(np.int64)
 
-def _is_scalar(m: Mat) -> bool:
-    d = m.nrows
-    lam = m.num[0, 0]
-    return bool(np.array_equal(m.num.astype(object),
-                               (np.eye(d, dtype=object) * lam)))
+    sections = [(e, lambda lo, hi: B[lo:hi]),
+                (q * q, products),
+                (40 + 10 * e, _sampled(B, p, seed))]
+    exhaustive = p**e <= EXHAUSTIVE_END_CAP
+    if exhaustive:
+        sections.append((p**e, _every_combination(B, p)))
+
+    def splits(z):
+        r = _rank_mod_stack(_pow_mod_stack(z, d, p), p)
+        return (0 < r) & (r < d)
+
+    hit = _first_passing(sections, splits, d * d)
+    if hit is None:
+        return exhaustive  # certified only if no idempotent other than 0 and 1 exists
+    return Mat(X.field, hit[2])
 
 
 @dataclass
@@ -919,40 +987,56 @@ def is_summand(M: Module, X: Module, seed: int = 0) -> Optional[SummandWitness]:
 # vertices and the Green correspondence
 
 
-def _relative_trace_span(M: Module, S: Subgroup) -> List[Mat]:
-    """Images Tr^G_S(phi) = sum_t A(t) phi A(t)^-1 over a basis of End_kS(Res M).
+def _relative_trace_stack(M: Module, S: Subgroup) -> np.ndarray:
+    """Tr^G_S(phi) = sum_t A(t) phi A(t)^-1 over the basis of End_kS(Res M)
+    of a permutation module, as one stack [b, d, d].
 
-    On a permutation module conjugating by A(t) moves entry (i, j) to
-    (t.i, t.j), so each term is a gather of phi.
+    Conjugating by A(t) moves entry (i, j) to (t.i, t.j), so every term of
+    every trace is a gather of the basis stack by I = action[t^-1]; the
+    gathers are summed a chunk of basis elements at a time.
     """
     G = M.group
     resM = restrict_to(M, S)
-    basis = hom_space(resM, resM)
+    B = _hom_stack(hom_space(resM, resM))
+    reps, _ = G.left_transversal(S)
+    I = M.gset.action[[G.inv(t) for t in reps]]
+    rows, cols = I[:, :, None], I[:, None, :]
+    step = max(1, SEARCH_WINDOW_ENTRIES // I.size // M.dim)
+    return np.concatenate([B[k:k + step][:, rows, cols].sum(axis=1)
+                           for k in range(0, len(B), step)])
+
+
+def _relative_trace_span(M: Module, S: Subgroup) -> List[Mat]:
+    """Images Tr^G_S(phi) = sum_t A(t) phi A(t)^-1 over a basis of End_kS(Res M)."""
+    if M.is_permutation:
+        return [Mat(M.field, t) for t in _relative_trace_stack(M, S)]
+    G = M.group
+    resM = restrict_to(M, S)
     reps, _ = G.left_transversal(S)
     out = []
-    for h in basis:
+    for h in hom_space(resM, resM):
         acc = None
         for t in reps:
-            if M.is_permutation:
-                inv_t = M.gset.action[G.inv(t)]
-                term = Mat(M.field, h.mat.num[np.ix_(inv_t, inv_t)], h.mat.den)
-            else:
-                term = M.action(t) @ h.mat @ M.action_inv(t)
+            term = M.action(t) @ h.mat @ M.action_inv(t)
             acc = term if acc is None else acc + term
         out.append(acc)
     return out
 
+
 def relatively_projective(M: Module, S: Subgroup) -> bool:
     """Higman's criterion: M is relatively S-projective iff the identity lies
     in the image of the relative trace from End_kS(Res_S M)."""
-    traces = _relative_trace_span(M, S)
-    if not traces:
-        return False
     f = M.field
-    stacked = Mat.from_blocks(f, M.dim * M.dim, len(traces),
-                              [(0, j, t.vec()) for j, t in enumerate(traces)])
-    target = Mat.identity(f, M.dim).vec()
-    return stacked.solve(target) is not None
+    if M.is_permutation:  # column k is vec(Tr(phi_k)), read off the stack
+        T = _relative_trace_stack(M, S)
+        stacked = Mat(f, T.transpose(0, 2, 1).reshape(len(T), -1).T)
+    else:
+        traces = _relative_trace_span(M, S)
+        stacked = Mat.from_blocks(f, M.dim * M.dim, len(traces),
+                                  [(0, j, t.vec()) for j, t in enumerate(traces)])
+    if stacked.ncols == 0:
+        return False
+    return stacked.solve(Mat.identity(f, M.dim).vec()) is not None
 
 
 @dataclass
@@ -968,14 +1052,22 @@ def vertex(M: Module, require_indecomposable: bool = True) -> VertexResult:
     Scans all conjugacy classes of p-subgroups for relative projectivity
     (Higman's criterion) and returns the unique minimal class; a hard error
     is raised if the minimal relatively projective classes are not a single
-    conjugacy class, or if M turns out to be decomposable.
+    conjugacy class.  With `require_indecomposable`, M must first be
+    certified indecomposable by `_find_splitter` (End(M) one-dimensional or
+    searched exhaustively): a ValueError is raised if a splitting element
+    is found, and also if End(M) is too large to search, since a sampled
+    search proves nothing.
     """
     p = M.field.p
     if p is None:
         raise ValueError("vertices are defined over prime fields here")
     if require_indecomposable:
         s = _find_splitter(M, seed=0)
-        if not isinstance(s, bool):
+        if s is False:
+            raise ValueError(
+                "indecomposability could not be certified: End(M) has more than "
+                f"{EXHAUSTIVE_END_CAP} elements and a sampled search found no splitting")
+        if s is not True:
             raise ValueError("vertex requires an indecomposable module")
     G = M.group
     pclasses = [S for S in G.subgroups_up_to_conjugacy()

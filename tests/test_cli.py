@@ -251,6 +251,22 @@ def test_decomposable_module_vertex_exits_2(capsys):
     assert "indecomposable" in rep["reason"]
 
 
+def test_uncertified_module_vertex_exits_2(capsys, tmp_path):
+    # End of the regular F_3[C9]-module is too large to search exhaustively
+    spec = tmp_path / "c9.json"
+    spec.write_text(json.dumps({"name": "c9", "degree": 9,
+                                "generators": [[1, 2, 3, 4, 5, 6, 7, 8, 0]]}))
+    code, rep = run_json(capsys, ["vertex", "--group", str(spec), "--prime", "3",
+                                  "--module", "regular"])
+    assert code == 2
+    assert rep["status"] == "error"
+    assert "could not be certified" in rep["reason"]
+    code, rep = run_json(capsys, ["vertex", "--group", str(spec), "--prime", "3",
+                                  "--module", "trivial"])
+    assert code == 0
+    assert rep["payload"]["vertex"]["order"] == 9
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate", "--group", "s3"]) == 2
 

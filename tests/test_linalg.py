@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mackeykit.linalg import (GF, QQ, Field, Mat, _frac_eq, _imatmul, _isum_segments,
-                              perm_to_mat, rref_mod)
+                              _pow_mod_stack, _rank_mod_stack, perm_to_mat, rref_mod)
 
 
 def test_gf_validates_primality():
@@ -256,3 +256,57 @@ def test_rank_of_kron_is_product_of_ranks():
     a = Mat(QQ, np.array([[1, 2], [2, 4], [0, 1]]))   # rank 2
     b = Mat(QQ, np.array([[1, 1], [1, 1]]))           # rank 1
     assert a.kron(b).rank() == a.rank() * b.rank()
+
+
+def _random_stack(rng, p, m, r, c):
+    """m random r x c matrices mod p: zero, identity-like and rank-deficient
+    products among them, besides uniform ones."""
+    a = rng.integers(0, p, size=(m, r, c), dtype=np.int64)
+    if m >= 4:
+        a[0] = 0
+        a[1] = np.eye(r, c, dtype=np.int64)
+        k = max(1, min(r, c) // 2)
+        a[2] = (_imatmul(rng.integers(0, p, size=(r, k)), rng.integers(0, p, size=(k, c))) % p)
+        a[3] = a[2] * 2 % p  # dependent on a[2], same rank
+    return a
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1, 3037000493])
+def test_stacked_rank_matches_rref_mod(p):
+    rng = np.random.default_rng(p % 1000)
+    for m, r, c in [(0, 3, 3), (5, 0, 4), (5, 4, 0), (6, 1, 1), (8, 4, 4), (8, 3, 6),
+                    (8, 6, 3), (12, 7, 7)]:
+        a = _random_stack(rng, p, m, r, c)
+        ranks = _rank_mod_stack(a, p)
+        assert ranks.shape == (m,) and ranks.dtype == np.int64
+        assert ranks.tolist() == [len(rref_mod(x, p)[1]) for x in a], (m, r, c)
+    # low-rank stacks: every matrix a product through an inner dimension of 2
+    a = (_imatmul(rng.integers(0, p, size=(10, 6, 2)), rng.integers(0, p, size=(10, 2, 6))) % p)
+    a = a.astype(np.int64)
+    assert _rank_mod_stack(a, p).tolist() == [len(rref_mod(x, p)[1]) for x in a]
+    assert max(_rank_mod_stack(a, p)) <= 2
+
+
+def test_stacked_rank_reads_integers_outside_the_residues():
+    a = np.array([[[5, 7], [-5, 12]], [[-2, 4], [1, -2]], [[6, 0], [0, -4]]])
+    assert _rank_mod_stack(a, 5).tolist() == [len(rref_mod(x, 5)[1]) for x in a] == [1, 1, 2]
+
+
+def test_stacked_rank_rejects_primes_that_overflow_int64():
+    with pytest.raises(ValueError, match="too large"):
+        _rank_mod_stack(np.zeros((1, 2, 2), dtype=np.int64), 4294967311)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1, 3037000493])
+def test_stacked_power_matches_mat_pow(p):
+    # at 2^31 - 1 and above the inner dimension times (p-1)^2 is at least
+    # 2^62, so every product takes the object path
+    rng = np.random.default_rng(p % 997)
+    d = 5
+    a = _random_stack(rng, p, 6, d, d)
+    for e in (0, 1, 2, 3, d):
+        got = _pow_mod_stack(a, e, p)
+        assert got.shape == a.shape and got.dtype == np.int64
+        for x, y in zip(a, got):
+            assert np.array_equal(Mat(GF(p), x).pow(e).num, y), e
+    assert _pow_mod_stack(np.zeros((0, d, d), dtype=np.int64), d, p).shape == (0, d, d)

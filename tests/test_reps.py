@@ -4,6 +4,7 @@ decomposition into indecomposables, vertices, and block membership."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,7 @@ from mackeykit.reps import (
     unit_counit,
     vertex,
 )
-from mackeykit.reps import _relative_trace_span, _vertex_family
+from mackeykit.reps import EXHAUSTIVE_END_CAP, _relative_trace_span, _vertex_family
 
 FIELDS = [GF(2), GF(3), QQ]
 
@@ -550,6 +551,138 @@ def test_decompose_coset_module_s3_mod2():
     assert sorted(m.dim for m in D.summands) == [1, 2]
 
 
+# -- the batched searches against the one-by-one loops they replace ------------------
+
+
+def _reference_combine(basis, coeffs):
+    out = None
+    for c, h in zip(coeffs, basis):
+        if c:
+            term = h.mat.scale(int(c))
+            out = term if out is None else out + term
+    return out
+
+
+def _reference_is_scalar(m):
+    return bool(np.array_equal(m.num.astype(object), np.eye(m.nrows, dtype=object) * m.num[0, 0]))
+
+
+def _reference_find_splitter(X, seed):
+    """The splitting search as it was written before batching: every
+    candidate built and tested one Mat at a time."""
+    if X.dim == 1:
+        return True
+    E = hom_space(X, X)
+    e = len(E)
+    if e == 1:
+        return True
+    p = X.field.p
+    candidates = [h.mat for h in E]
+    for i in range(min(e, 8)):
+        for j in range(min(e, 8)):
+            candidates.append(E[i].mat @ E[j].mat)
+    rng = np.random.default_rng(seed)
+    for _ in range(40 + 10 * e):
+        m = _reference_combine(E, [int(c) for c in rng.integers(0, p, size=e)])
+        if m is not None:
+            candidates.append(m)
+    for z in candidates:
+        if _reference_is_scalar(z):
+            continue
+        if 0 < z.pow(X.dim).rank() < X.dim:
+            return z
+    if p**e <= EXHAUSTIVE_END_CAP:
+        for coeffs in itertools.product(range(p), repeat=e):
+            m = _reference_combine(E, coeffs)
+            if m is None or _reference_is_scalar(m):
+                continue
+            if 0 < m.pow(X.dim).rank() < X.dim:
+                return m
+        return True
+    return False
+
+
+def _reference_module_isomorphism(M, N, seed=0, tries=60):
+    """The F_p isomorphism search as it was written before batching."""
+    if M.dim != N.dim or M.field != N.field or M.group is not N.group:
+        return None
+    if [M.action(c[0]).trace() for c in M.group.conjugacy_classes()] != \
+            [N.action(c[0]).trace() for c in N.group.conjugacy_classes()]:
+        return None
+    basis = hom_space(M, N)
+    if not basis:
+        return None
+    for h in basis:
+        if h.mat.is_invertible():
+            return h
+    p, e = M.field.p, len(basis)
+    if p**e <= EXHAUSTIVE_END_CAP:
+        for coeffs in itertools.product(range(p), repeat=e):
+            mat = _reference_combine(basis, coeffs)
+            if mat is not None and mat.is_invertible():
+                return ModuleHom(M, N, mat, check=False)
+        return None
+    rng = np.random.default_rng(seed)
+    for _ in range(tries):
+        mat = _reference_combine(basis, [int(c) for c in rng.integers(0, p, size=e)])
+        if mat is not None and mat.is_invertible():
+            return ModuleHom(M, N, mat, check=False)
+    return None
+
+
+def _same_search_result(a, b):
+    if isinstance(a, bool) or isinstance(b, bool) or a is None or b is None:
+        return a is b
+    mat_a = a.mat if isinstance(a, ModuleHom) else a
+    mat_b = b.mat if isinstance(b, ModuleHom) else b
+    return mat_a == mat_b
+
+
+REFERENCE_CASES = [(name, p) for name in ["c2", "c3", "c4", "v4", "s3", "q8", "d8", "a4", "s4"]
+                   for p in (2, 3) if builtin_group(name).order % p == 0] + [("s4", 5)]
+
+
+@pytest.mark.parametrize("name,p", REFERENCE_CASES)
+def test_batched_searches_pick_the_candidates_of_the_one_by_one_loops(name, p, monkeypatch):
+    """Every k[G/H], and every dense module decompose splits off on the way:
+    the batched splitter and isomorphism searches return the matrix (or the
+    verdict) of the one-by-one loops, and decompose run on the loops gives
+    the same transform, summands, isomorphism classes and certification."""
+    from mackeykit import reps
+    G = builtin_group(name)
+    batched_split, batched_iso = reps._find_splitter, reps.module_isomorphism
+    calls = {"split": 0, "iso": 0}
+
+    def split(X, seed):
+        want = _reference_find_splitter(X, seed)
+        assert _same_search_result(batched_split(X, seed), want), (name, p, X)
+        calls["split"] += 1
+        return want
+
+    def iso(M, N, seed=0):
+        want = _reference_module_isomorphism(M, N, seed)
+        assert _same_search_result(batched_iso(M, N, seed), want), (name, p, M)
+        calls["iso"] += 1
+        return want
+
+    modules = coset_modules(G, GF(p))
+    for M in modules:
+        got = decompose(M)
+        with monkeypatch.context() as mp:
+            mp.setattr(reps, "_find_splitter", split)
+            mp.setattr(reps, "module_isomorphism", iso)
+            want = decompose(M)
+        assert [S.dim for S in got.summands] == [S.dim for S in want.summands]
+        assert got.transform == want.transform
+        assert got.iso_classes == want.iso_classes
+        assert got.certified == want.certified
+    for M in modules:  # permutation modules against each other
+        for N in modules:
+            if M.dim == N.dim:
+                iso(M, N)
+    assert calls["split"] >= len(modules)
+
+
 # -- isomorphism testing -------------------------------------------------------------
 
 
@@ -662,6 +795,29 @@ def test_vertex_rejects_decomposable():
     G = builtin_group("s3")
     with pytest.raises(ValueError):
         vertex(regular_module(G, GF(2)))
+
+
+def _cyclic_9():
+    return group_from_generators(9, [[1, 2, 3, 4, 5, 6, 7, 8, 0]])
+
+
+def test_vertex_refuses_a_leaf_that_was_only_sampled():
+    # End of the regular F_3[C9]-module has 3^9 > EXHAUSTIVE_END_CAP elements,
+    # so the search can only sample it and proves nothing
+    G = _cyclic_9()
+    M = regular_module(G, GF(3))
+    assert 3**9 > EXHAUSTIVE_END_CAP
+    with pytest.raises(ValueError, match="could not be certified"):
+        vertex(M)
+    # the Higman scan itself still runs when indecomposability is not required
+    assert vertex(M, require_indecomposable=False).vertex.order == 1
+
+
+def test_vertex_accepts_a_certified_leaf():
+    G = _cyclic_9()
+    C3 = next(S for S in G.subgroups_up_to_conjugacy() if S.order == 3)
+    assert vertex(permutation_module(G, C3, GF(3))).vertex.order == 3
+    assert vertex(trivial_module(G, GF(3))).vertex.order == 9
 
 
 def test_block_membership_s3_mod2():
