@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, GSet, gset_from_subgroup, gset_induce, gset_restrict
-from .linalg import Field, Mat, QQ, _frac_eq, _imatmul, _isum_segments, _scale_arr
+from .linalg import Field, Mat, QQ, _common, _frac_eq, _imatmul, _isum_segments, _mm
 
 __all__ = [
     "GSet",
@@ -153,9 +153,8 @@ class CommutativeAlgebra:
         for L in left_mult:
             if L.shape != (r, r) or L.field != field:
                 raise ValueError("bad left-multiplication matrix")
-        den = math.lcm(1, *(L.den for L in left_mult))
-        T = (np.stack([_scale_arr(L.num, den // L.den) for L in left_mult]) if r
-             else np.zeros((0, 0, 0), dtype=np.int64))
+        nums, den = _common(left_mult)
+        T = np.stack(nums) if r else np.zeros((0, 0, 0), dtype=np.int64)
         self._build(field, T, den, unit)
 
     @classmethod
@@ -180,23 +179,17 @@ class CommutativeAlgebra:
     def left_mult(self) -> List[Mat]:
         return [Mat(self.field, Ti.copy(), self._den) for Ti in self._T]
 
-    def _mm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact stacked product a @ b, reduced mod p over F_p."""
-        out = _imatmul(a, b)
-        p = self.field.p
-        return out if p is None else (out % p).astype(np.int64)
-
     def _verify(self) -> None:
         """The unit law, then commutativity (e_i e_j against e_j e_i for
         j < i), then associativity ((e_i e_j) e_k against e_i (e_j e_k) for
         every k), each failure named by its first basis pair (i, j) in
         row-major order.  Associativity is one contraction per row i, so
         memory stays O(r^3)."""
-        T, r = self._T, self.dim
+        T, r, p = self._T, self.dim, self.field.p
         if r > ASSOCIATIVITY_DIM_CAP:
             raise ValueError(f"dimension {r} exceeds the verification cap")
         flat = T.reshape(r, r * r)
-        one = self._mm(self.unit.num.T, flat).reshape(r, r)  # sum of u_i L_i
+        one = _mm(self.unit.num.T, flat, p).reshape(r, r)  # sum of u_i L_i
         if not _frac_eq(one, self.unit.den * self._den, np.eye(r, dtype=np.int64), 1).all():
             raise ArithmeticError("unit law fails")
         bad = np.tril(~(T == T.transpose(2, 1, 0)).all(axis=1), -1)
@@ -204,8 +197,8 @@ class CommutativeAlgebra:
             i, j = np.argwhere(bad)[0]
             raise ArithmeticError(f"not commutative at basis pair {(int(i), int(j))}")
         for i in range(r):
-            lhs = self._mm(T[i].T, flat).reshape(r, r, r)  # [j]: multiplication by e_i e_j
-            rhs = self._mm(T[i], T)                        # [j]: L_i L_j
+            lhs = _mm(T[i].T, flat, p).reshape(r, r, r)  # [j]: multiplication by e_i e_j
+            rhs = _mm(T[i], T, p)                          # [j]: L_i L_j
             bad = ~(lhs == rhs).reshape(r, r * r).all(axis=1)
             if bad.any():
                 raise ArithmeticError(f"not associative at basis pair {(i, int(np.argmax(bad)))}")
@@ -215,13 +208,13 @@ class CommutativeAlgebra:
         numerator arrays, over den(X) den(Y) times the tensor's denominator:
         the multiplication matrices of the X columns, then one stacked
         product with the Y columns, in batches of _BATCH_ENTRIES entries."""
-        r, m = X.shape
+        (r, m), p = X.shape, self.field.p
         flat = self._T.reshape(r, r * r)
         step = max(1, _BATCH_ENTRIES // max(1, r * r))
         out = [np.zeros((0, r), dtype=np.int64)]
         for a in range(0, m, step):
-            L = self._mm(X[:, a : a + step].T, flat).reshape(-1, r, r)
-            out.append(self._mm(L, Y[:, a : a + step].T[:, :, None])[:, :, 0])
+            L = _mm(X[:, a : a + step].T, flat, p).reshape(-1, r, r)
+            out.append(_mm(L, Y[:, a : a + step].T[:, :, None], p)[:, :, 0])
         return np.concatenate(out).T
 
     def _powers(self, X: np.ndarray, den: int, k: int) -> Tuple[np.ndarray, int]:
@@ -238,7 +231,7 @@ class CommutativeAlgebra:
 
     def mult_matrix(self, x: Mat) -> Mat:
         r = self.dim
-        return Mat(self.field, self._mm(x.num.T, self._T.reshape(r, r * r)).reshape(r, r),
+        return Mat(self.field, _mm(x.num.T, self._T.reshape(r, r * r), self.field.p).reshape(r, r),
                    x.den * self._den)
 
     def multiply(self, x: Mat, y: Mat) -> Mat:
@@ -374,8 +367,8 @@ def primitive_idempotents(alg: CommutativeAlgebra) -> List[Mat]:
         leaves = _split_frobenius(alg)
     else:
         leaves = _split_rational(alg)
-    den = math.lcm(*(e.den for e in leaves))
-    E = np.concatenate([_scale_arr(e.num, den // e.den) for e in leaves], axis=1)
+    nums, den = _common(leaves)
+    E = np.concatenate(nums, axis=1)
     total = _isum_segments(E.T, np.zeros(1, dtype=np.int64))[0]
     if alg.field.p is not None:
         total %= alg.field.p

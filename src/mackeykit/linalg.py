@@ -88,6 +88,12 @@ def _imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(object) @ b.astype(object)
 
 
+def _mm(a: np.ndarray, b: np.ndarray, p: Optional[int]) -> np.ndarray:
+    """Exact stacked product a @ b, reduced mod p over F_p."""
+    out = _imatmul(a, b)
+    return out if p is None else (out % p).astype(np.int64)
+
+
 def _isum_segments(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Exact sums along axis 0 of the segments of `a` that begin at
     `starts` (as np.add.reduceat): int64 while the length of `a` times its
@@ -306,16 +312,13 @@ class Mat:
         stay int64 while they fit and become Python integers otherwise.
         """
         blocks = list(blocks)
-        den = 1
         for _, _, b in blocks:
             if b.field != field:
                 raise ValueError(f"field mismatch: {b.field!r} vs {field!r}")
-            den = math.lcm(den, b.den)
-        wide = any(b.num.dtype == object for _, _, b in blocks)
-        out = np.zeros((nrows, ncols), dtype=object if wide else np.int64)
-        for r, c, b in blocks:
-            s = den // b.den
-            a = b.num if s == 1 else _scale_arr(b.num, s)
+        nums, den = _common([b for _, _, b in blocks])
+        out = np.zeros((nrows, ncols), dtype=object if any(a.dtype == object for a in nums)
+                       else np.int64)
+        for (r, c, _), a in zip(blocks, nums):
             region = (slice(r, r + a.shape[0]), slice(c, c + a.shape[1]))
             if out[region].any():
                 a = _add_arr(out[region], a)
@@ -393,9 +396,7 @@ class Mat:
         self._check(other)
         if self.shape != other.shape:
             raise ValueError("shape mismatch in addition")
-        d = self.den * other.den // math.gcd(self.den, other.den)
-        a = _scale_arr(self.num, d // self.den)
-        b = _scale_arr(other.num, d // other.den)
+        (a, b), d = _common([self, other])
         return Mat(self.field, _add_arr(a, b), d)
 
     def __sub__(self, other: "Mat") -> "Mat":
@@ -520,7 +521,7 @@ class Mat:
         R, piv = self.hstack(Mat.identity(self.field, n)).rref()
         if piv != list(range(n)):
             raise ValueError("matrix is not invertible")
-        return Mat(self.field, R.num[:, n:].copy(), R.den).scale(Fraction(self.den, 1))
+        return Mat(self.field, R.num[:, n:].copy(), R.den)
 
     def is_invertible(self) -> bool:
         """Exact invertibility; over Q a full-rank mod-p certificate suffices."""
@@ -547,6 +548,13 @@ class Mat:
                 base = base @ base
             e >>= 1
         return out
+
+
+def _common(mats: Sequence[Mat]) -> Tuple[List[np.ndarray], int]:
+    """The numerators of `mats` over their least common denominator (those
+    already over it are returned as they are, not copied)."""
+    den = math.lcm(1, *(m.den for m in mats))
+    return [m.num if m.den == den else _scale_arr(m.num, den // m.den) for m in mats], den
 
 
 def perm_to_mat(field: Field, perm: Sequence[int]) -> Mat:

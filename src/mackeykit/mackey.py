@@ -36,7 +36,6 @@ gHg^-1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -45,8 +44,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, Subgroup
-from .linalg import Field, Mat, QQ, _compact, _frac_eq, _imatmul, _isum_segments, _scale_arr
-from .reps import Module, ModuleHom, hom_space, restrict_to
+from .linalg import Field, Mat, QQ, _common, _compact, _frac_eq, _isum_segments, _mm
+from .reps import Module, ModuleHom, _monoid_laws, hom_space, restrict_to
 
 __all__ = [
     "OrdinaryMackeyFunctor",
@@ -80,12 +79,6 @@ def _containment_table(subs: Sequence[Subgroup]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # exact stacked arithmetic
-
-
-def _mm(a: np.ndarray, b: np.ndarray, p: Optional[int]) -> np.ndarray:
-    """Exact stacked product a @ b, reduced mod p over F_p."""
-    out = _imatmul(a, b)
-    return out if p is None else (out % p).astype(np.int64)
 
 
 def _starts(sizes: Sequence[int]) -> np.ndarray:
@@ -125,12 +118,6 @@ class _Stack:
 
     def mat(self, field: Field, i: int, j: int) -> Mat:
         return Mat(field, self.block(i, j).copy(), self.den)
-
-
-def _common(mats: Sequence[Mat]) -> Tuple[List[np.ndarray], int]:
-    """The numerators of `mats` over their least common denominator."""
-    den = math.lcm(1, *(m.den for m in mats))
-    return [_scale_arr(m.num, den // m.den) for m in mats], den
 
 
 @dataclass
@@ -641,12 +628,13 @@ def green_from_monoid(X: Module, Y: Module, mul: ModuleHom, unit: ModuleHom) -> 
     if X.dim != 1 or any(not X.action(g).is_identity() for g in range(G.order)):
         raise ValueError("X must be the trivial comonoid")
     d = Y.dim
-    I = Mat.identity(f, d)
     if mul.mat.shape != (d, d * d) or unit.mat.shape != (d, 1):
         raise ValueError("multiplication/unit have wrong shapes")
-    if mul.mat @ mul.mat.kron(I) != mul.mat @ I.kron(mul.mat):
+    assoc, unital = _monoid_laws(mul.mat.num.reshape(d, d, d), mul.mat.den,
+                                 unit.mat.num, unit.mat.den, f.p)
+    if not assoc:
         raise ValueError("input multiplication is not associative")
-    if mul.mat @ unit.mat.kron(I) != I or mul.mat @ I.kron(unit.mat) != I:
+    if not unital:
         raise ValueError("input multiplication is not unital")
     M, bases = _hom_functor(X, Y)
     products: Dict[Subgroup, List[Mat]] = {}

@@ -19,19 +19,25 @@ from these: on the summand of a double coset KxH it sends t (x) n to
 tx (x) n, and its inverse sends v to sum_x sum_t t (x) e(x^-1 t^-1 v) where
 e projects Ind N onto its trivial-coset component as in eps_right.  Both
 directions are constructed and their composites checked to be identities.
+
+All of these maps, the projection maps and a dense induced module's
+matrices are block-monomial, a grid of dim-N blocks whose nonzero blocks
+are action matrices A(g), and `_monomial` builds every one.  The Frobenius
+laws are equalities of index tensors, checked by exact contractions.  Maps
+and law tensors above MAX_DENSE_ENTRIES entries are refused (ValueError)
+before they are allocated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .groups import FiniteGroup, GSet, InjectiveHom, Subgroup, gset_from_subgroup
-from .linalg import (Field, GF, Mat, QQ, _imatmul, _pow_mod_stack, _rank_mod_stack,
-                     perm_to_mat)
+from .linalg import (Field, Mat, _common, _frac_eq, _imatmul, _mm, _pow_mod_stack,
+                     _rank_mod_stack, perm_to_mat)
 
 __all__ = [
     "Module",
@@ -69,6 +75,7 @@ __all__ = [
 ]
 
 MAX_DECOMPOSE_DIM = 200
+MAX_DENSE_ENTRIES = 1 << 22  # largest exchange map or Frobenius law tensor (2048 x 2048)
 EXHAUSTIVE_END_CAP = 16384
 SEARCH_WINDOW_ENTRIES = 1 << 16  # largest batch of stacked matrices, in entries
 
@@ -267,10 +274,7 @@ def induce(hom: InjectiveHom, N: Module) -> Module:
     if N.is_permutation:
         return Module(G, N.field, nc * d, gset=N.gset.induce(hom), basis_labels=labels,
                       check=False)
-    mats = [Mat.from_blocks(N.field, nc * d, nc * d,
-                            [(int(coset[g, c]) * d, c * d, N.action(int(source[g, c])))
-                             for c in range(nc)])
-            for g in range(G.order)]
+    mats = [_monomial(N, nc, nc, coset[g], np.arange(nc), source[g]) for g in range(G.order)]
     return Module(G, N.field, nc * d, mats=mats, basis_labels=labels, check=False)
 
 
@@ -324,17 +328,38 @@ def direct_sum(parts: Sequence[Module]) -> Tuple[Module, List[int]]:
 
 
 # ---------------------------------------------------------------------------
+# block-monomial maps
+
+
+def _refuse_oversize(entries: int, what: str) -> None:
+    if entries > MAX_DENSE_ENTRIES:
+        raise ValueError(f"{what} would have {entries} entries, above the cap of "
+                         f"{MAX_DENSE_ENTRIES}")
+
+
+def _monomial(M: Module, nr: int, nc: int, rows, cols, elems) -> Mat:
+    """The nr x nc grid of dim(M)-square blocks with A(elems[k]) at the
+    distinct positions (rows[k], cols[k]) and zeros elsewhere: the shape of
+    every exchange map here.  One scatter from the action table of a
+    permutation module, one stacked assignment over the common denominator
+    of a dense one; refused (ValueError) above MAX_DENSE_ENTRIES entries
+    before anything is allocated."""
+    d = M.dim
+    _refuse_oversize(nr * nc * d * d, "block-monomial map")
+    rows, cols, elems = (np.asarray(a, dtype=np.int64) for a in (rows, cols, elems))
+    if M.is_permutation:
+        out = np.zeros((nr * d, nc * d), dtype=np.int64)
+        out[rows[:, None] * d + M.gset.action[elems], cols[:, None] * d + np.arange(d)] = 1
+        return Mat(M.field, out)
+    nums, den = _common([M._mats[g] for g in elems.tolist()])
+    wide = any(a.dtype == object for a in nums)
+    out = np.zeros((nr, d, nc, d), dtype=object if wide else np.int64)
+    out[rows, :, cols, :] = np.stack(nums)
+    return Mat(M.field, out.reshape(nr * d, nc * d), den)
+
+
+# ---------------------------------------------------------------------------
 # the two-sided adjunction
-
-
-def _min_coset_data(G: FiniteGroup, H: Subgroup):
-    """(reps, coset_of, c0, t0) with c0 the index of the coset containing the
-    identity and t0 its (minimal) representative; t0 is an element of H."""
-    reps, coset_of = G.left_transversal(H)
-    c0 = int(coset_of[G.identity])
-    t0 = reps[c0]
-    assert t0 in H
-    return reps, coset_of, c0, t0
 
 
 @dataclass
@@ -363,36 +388,6 @@ class AdjunctionData:
         return self.eps_left @ self.eta_right
 
 
-def _eta_left_mat(G: FiniteGroup, H: Subgroup, N: Module) -> Mat:
-    reps, _, c0, t0 = _min_coset_data(G, H)
-    Hel = H.as_group()[1]
-    d = N.dim
-    A = N.action(Hel.index(G.inv(t0)))  # t0^-1 as an element of H
-    return Mat.from_blocks(N.field, len(reps) * d, d, [(c0 * d, 0, A)])
-
-
-def _eps_left_mat(G: FiniteGroup, H: Subgroup, M: Module) -> Mat:
-    reps, _, _, _ = _min_coset_data(G, H)
-    d = M.dim
-    return Mat.from_blocks(M.field, d, len(reps) * d,
-                           [(0, c * d, M.action(t)) for c, t in enumerate(reps)])
-
-
-def _eta_right_mat(G: FiniteGroup, H: Subgroup, M: Module) -> Mat:
-    reps, _, _, _ = _min_coset_data(G, H)
-    d = M.dim
-    return Mat.from_blocks(M.field, len(reps) * d, d,
-                           [(c * d, 0, M.action_inv(t)) for c, t in enumerate(reps)])
-
-
-def _eps_right_mat(G: FiniteGroup, H: Subgroup, N: Module) -> Mat:
-    reps, _, c0, t0 = _min_coset_data(G, H)
-    Hel = H.as_group()[1]
-    d = N.dim
-    A = N.action(Hel.index(t0))  # t0 as an element of H
-    return Mat.from_blocks(N.field, d, len(reps) * d, [(0, c0 * d, A)])
-
-
 def unit_counit(G: FiniteGroup, H: Subgroup, M: Module, N: Module) -> AdjunctionData:
     """Units and counits of the two adjunctions at (M over G, N over H).
 
@@ -400,7 +395,7 @@ def unit_counit(G: FiniteGroup, H: Subgroup, M: Module, N: Module) -> Adjunction
     error.  The composite identities (separability, multiplication by the
     index) are exposed on the returned object but not asserted here.
     """
-    Hgrp, _ = H.as_group()
+    Hgrp, Hel = H.as_group()
     if M.group is not G or N.group is not Hgrp:
         raise ValueError("modules live over the wrong groups")
     incl = H.inclusion_hom()
@@ -408,22 +403,31 @@ def unit_counit(G: FiniteGroup, H: Subgroup, M: Module, N: Module) -> Adjunction
     res_M = restrict(incl, M)
     res_ind_N = restrict(incl, ind_N)
     ind_res_M = induce(incl, res_M)
-    eta_left = ModuleHom(N, res_ind_N, _eta_left_mat(G, H, N))
-    eps_left = ModuleHom(ind_res_M, M, _eps_left_mat(G, H, M))
-    eta_right = ModuleHom(M, ind_res_M, _eta_right_mat(G, H, M))
-    eps_right = ModuleHom(res_ind_N, N, _eps_right_mat(G, H, N))
+    reps, coset_of = G.left_transversal(H)
+    c0 = int(coset_of[G.identity])  # the coset H, whose representative t0 lies in H
+    nc, cs, r = len(reps), np.arange(len(reps)), np.asarray(reps)
+    h0, h0inv = Hel.index(reps[c0]), Hel.index(G.inv(reps[c0]))  # t0, t0^-1 in H
+    # block (c, 0) of eta_right is A(t_c^-1), block (0, c) of eps_left is A(t_c);
+    # eta_left and eps_right have one block, at the coset c0
+    eta_l = lambda X: _monomial(X, nc, 1, [c0], [0], [h0inv])
+    eps_l = lambda X: _monomial(X, 1, nc, [0] * nc, cs, r)
+    eta_r = lambda X: _monomial(X, nc, 1, cs, [0] * nc, G.inverse[r])
+    eps_r = lambda X: _monomial(X, 1, nc, [0], [c0], [h0])
+    eta_left = ModuleHom(N, res_ind_N, eta_l(N))
+    eps_left = ModuleHom(ind_res_M, M, eps_l(M))
+    eta_right = ModuleHom(M, ind_res_M, eta_r(M))
+    eps_right = ModuleHom(res_ind_N, N, eps_r(N))
 
-    nc = ind_N.dim // N.dim
+    # Ind of a map of H-modules with one block at c0 puts that block at
+    # (c, c * nc + c0) for every coset c
     # triangle 1: eps_left(Ind N) o Ind(eta_left) = id on Ind N
-    ind_eta = Mat.identity(N.field, nc).kron(eta_left.mat)
-    t1 = _eps_left_mat(G, H, ind_N) @ ind_eta
+    t1 = eps_l(ind_N) @ _monomial(N, nc * nc, nc, cs * nc + c0, cs, [h0inv] * nc)
     # triangle 2: Res(eps_left M) o eta_left(Res M) = id on Res M
-    t2 = eps_left.mat @ _eta_left_mat(G, H, res_M)
+    t2 = eps_left.mat @ eta_l(res_M)
     # triangle 3: eps_right(Res M) o Res(eta_right) = id on Res M
-    t3 = _eps_right_mat(G, H, res_M) @ eta_right.mat
+    t3 = eps_r(res_M) @ eta_right.mat
     # triangle 4: Ind(eps_right) o eta_right(Ind N) = id on Ind N
-    ind_eps = Mat.identity(N.field, nc).kron(eps_right.mat)
-    t4 = ind_eps @ _eta_right_mat(G, H, ind_N)
+    t4 = _monomial(N, nc, nc * nc, cs, cs * nc + c0, [h0] * nc) @ eta_r(ind_N)
     for name, t in [("left-1", t1), ("left-2", t2), ("right-1", t3), ("right-2", t4)]:
         if not t.is_identity():
             raise ArithmeticError(f"triangle identity {name} fails for H of order {H.order}")
@@ -467,7 +471,7 @@ def mackey_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, N: Module) -> MackeyIso
     d = N.dim
 
     comps: List[MackeyComponent] = []
-    col_meta: List[Tuple[int, List[int]]] = []  # per part: (x, transversal G-elements)
+    ts: List[np.ndarray] = []  # per part: the transversal of K n xHx^-1 in K, times x
     for x, A in zip(dc.representatives, dc.intersections):
         # A = K n xHx^-1 as a group: into K by inclusion, into H by a |-> x^-1 a x
         Agrp, Ael = A.as_group()
@@ -476,26 +480,20 @@ def mackey_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, N: Module) -> MackeyIso
             Hel, G.table[G.table[G.inv(x), list(Ael)], x]).tolist()))
         part = induce(into_K, restrict(into_H, N))
         comps.append(MackeyComponent(x, A.order, part))
-        col_meta.append((x, [Kel[u] for u in into_K.induction_table()[0]]))
+        ts.append(G.table[np.asarray(Kel)[into_K.induction_table()[0]], x])
 
-    left, offsets = direct_sum([c.module for c in comps])
+    left, _ = direct_sum([c.module for c in comps])
     right = restrict(K.inclusion_hom(), induce(H.inclusion_hom(), N))
     w_reps, w_coset_of = G.left_transversal(H)
 
-    # on the x-summand t (x) e_j |-> tx (x) e_j = w (x) A(h) e_j where tx = w h,
-    # and back w (x) e_j |-> t (x) A(h^-1) e_j
-    fwd_blocks: List[Tuple[int, int, Mat]] = []
-    bwd_blocks: List[Tuple[int, int, Mat]] = []
-    for base, (x, ts) in zip(offsets, col_meta):
-        for c, t in enumerate(ts):
-            tx = G.mul(t, x)
-            w = int(w_coset_of[tx])
-            h = int(np.searchsorted(Hel, G.mul(G.inv(w_reps[w]), tx)))
-            fwd_blocks.append((w * d, base + c * d, N.action(h)))
-            bwd_blocks.append((base + c * d, w * d, N.action_inv(h)))
-    fwd = Mat.from_blocks(N.field, right.dim, left.dim, fwd_blocks)
-    bwd = Mat.from_blocks(N.field, left.dim, right.dim, bwd_blocks)
-
+    # block c of the left side (the c-th t of its summand) sends t (x) e_j to
+    # tx (x) e_j = w (x) A(h) e_j where tx = w h, and back w (x) e_j to t (x) A(h^-1) e_j
+    tx = np.concatenate(ts)
+    w = w_coset_of[tx]
+    h = np.searchsorted(Hel, G.table[G.inverse[np.asarray(w_reps)[w]], tx])
+    cs = np.arange(len(tx))
+    fwd = _monomial(N, len(w_reps), len(tx), w, cs, h)
+    bwd = _monomial(N, len(tx), len(w_reps), cs, w, Hgrp.inverse[h])
     forward = ModuleHom(left, right, fwd)
     backward = ModuleHom(right, left, bwd)
     if not (fwd @ bwd).is_identity() or not (bwd @ fwd).is_identity():
@@ -525,54 +523,34 @@ def projection_map(G: FiniteGroup, H: Subgroup, X: Module, Y: Module) -> Project
     Hgrp, _ = H.as_group()
     if X.group is not G or Y.group is not Hgrp:
         raise ValueError("X must live over G and Y over H")
+    _refuse_oversize((H.index * X.dim * Y.dim) ** 2, "projection map")  # before any module
     incl = H.inclusion_hom()
     res_X = restrict(incl, X)
     ind_Y = induce(incl, Y)
     src = induce(incl, tensor(res_X, Y))
     tgt = tensor(X, ind_Y)
+    src_m = induce(incl, tensor(Y, res_X))
+    tgt_m = tensor(ind_Y, X)
     reps, _ = G.left_transversal(H)
     nc, dx, dy = len(reps), X.dim, Y.dim
 
-    blocks = []
-    inv_blocks = []
-    for c, t in enumerate(reps):
-        A = X.action(t)
-        Ainv = X.action_inv(t)
-        for i in range(dx):
-            # source index (c, i, j); target rows (i2, c, j)
-            col = c * dx * dy + i * dy
-            for i2 in range(dx):
-                v = A.num[i2, i]
-                if v:
-                    blocks.append((i2 * nc * dy + c * dy, col,
-                                   Mat(X.field, np.eye(dy, dtype=np.int64)).scale(
-                                       Fraction(int(v), A.den))))
-                w = Ainv.num[i2, i]
-                if w:
-                    inv_blocks.append((c * dx * dy + i2 * dy, i * nc * dy + c * dy,
-                                       Mat(X.field, np.eye(dy, dtype=np.int64)).scale(
-                                           Fraction(int(w), Ainv.den))))
-    pi = ModuleHom(src, tgt, Mat.from_blocks(X.field, tgt.dim, src.dim, blocks))
-    pi_inv = ModuleHom(tgt, src, Mat.from_blocks(X.field, src.dim, tgt.dim, inv_blocks))
+    # the mirror sends (c, j, i) to sum_i2 A(t_c)[i2, i] (c, j, i2): block (c, j)
+    # of its grid is A(t_c), and A(t_c^-1) in its inverse
+    k = np.arange(nc * dy)
+    t = np.repeat(reps, dy)
+    mir = _monomial(X, nc * dy, nc * dy, k, k, t)
+    mir_inv = _monomial(X, nc * dy, nc * dy, k, k, G.inverse[t])
+    # pi is the mirror read at other indices: its target (i2, c, j) and source
+    # (c, i, j) are the mirror's (c, j, i2) and (c, j, i)
+    at = np.arange(nc * dy * dx).reshape(nc, dy, dx)  # the mirror's index of (c, j, i)
+    at_tgt, at_src = at.transpose(2, 0, 1).ravel(), at.transpose(0, 2, 1).ravel()
+    pi = ModuleHom(src, tgt, Mat(X.field, mir.num[np.ix_(at_tgt, at_src)], mir.den))
+    pi_inv = ModuleHom(tgt, src, Mat(X.field, mir_inv.num[np.ix_(at_src, at_tgt)], mir_inv.den))
     if not (pi.mat @ pi_inv.mat).is_identity() or not (pi_inv.mat @ pi.mat).is_identity():
         raise ArithmeticError("projection map is not invertible")
-
-    src_m = induce(incl, tensor(Y, res_X))
-    tgt_m = tensor(ind_Y, X)
-    blocks = []
-    inv_blocks = []
-    for c, t in enumerate(reps):
-        A = X.action(t)
-        Ainv = X.action_inv(t)
-        # source index (c, j, i) -> target (c, j, i2) scaled by A[i2, i]
-        for j in range(dy):
-            row0 = (c * dy + j) * dx
-            col0 = c * dy * dx + j * dx
-            blocks.append((row0, col0, A))
-            inv_blocks.append((col0, row0, Ainv))
-    mirror = ModuleHom(src_m, tgt_m, Mat.from_blocks(X.field, tgt_m.dim, src_m.dim, blocks))
-    mirror_inv = ModuleHom(tgt_m, src_m, Mat.from_blocks(X.field, src_m.dim, tgt_m.dim, inv_blocks))
-    if not (mirror.mat @ mirror_inv.mat).is_identity() or not (mirror_inv.mat @ mirror.mat).is_identity():
+    mirror = ModuleHom(src_m, tgt_m, mir)
+    mirror_inv = ModuleHom(tgt_m, src_m, mir_inv)
+    if not (mir @ mir_inv).is_identity() or not (mir_inv @ mir).is_identity():
         raise ArithmeticError("mirror projection map is not invertible")
     return ProjectionData(pi, pi_inv, mirror, mirror_inv)
 
@@ -599,55 +577,70 @@ class FrobeniusObject:
     counit: ModuleHom    # A -> k
 
     def verify(self) -> List[FrobeniusLaw]:
-        A = self.module
-        k = self.unit.source
-        d = A.dim
-        f = A.field
-        I = Mat.identity(f, d)
+        """The seven laws as equalities of the index tensors m[k, i, j] (the
+        coefficient of e_k in mu(e_i (x) e_j)) and c[i, j, k] (that of
+        e_i (x) e_j in delta(e_k)), by exact contractions."""
+        d, p = self.module.dim, self.module.field.p
         mu, de, io, ep = self.mul.mat, self.comul.mat, self.unit.mat, self.counit.mat
-        swap = _swap_mat(f, d, d)
-        laws = [
-            FrobeniusLaw("associativity", mu @ mu.kron(I) == mu @ I.kron(mu)),
-            FrobeniusLaw("coassociativity", de.kron(I) @ de == I.kron(de) @ de),
-            FrobeniusLaw("unit", (mu @ io.kron(I) == I) and (mu @ I.kron(io) == I)),
-            FrobeniusLaw("counit", (ep.kron(I) @ de == I) and (I.kron(ep) @ de == I)),
-            FrobeniusLaw("frobenius",
-                         (mu.kron(I) @ I.kron(de) == de @ mu)
-                         and (I.kron(mu) @ de.kron(I) == de @ mu)),
-            FrobeniusLaw("specialness", mu @ de == I),
-            FrobeniusLaw("commutativity", (mu @ swap == mu) and (swap @ de == de)),
+        m, c = mu.num.reshape(d, d, d), de.num.reshape(d, d, d)
+        assoc, unit = _monoid_laws(m, mu.den, io.num, io.den, p)
+        # delta is coassociative and counital exactly when c[i, j, k], read as
+        # the product of e_j and e_k in e_i, is associative and unital
+        coassoc, counit = _monoid_laws(c.transpose(2, 0, 1), de.den, ep.num.T, ep.den, p)
+        # sum_a c[k,l,a] m[a,i,j] = sum_a m[k,i,a] c[a,l,j] = sum_a c[k,a,i] m[l,a,j],
+        # all three over the denominator of mu times that of delta
+        dm = _mm(c, m.reshape(d, d * d), p).reshape(d, d, d, d)                     # [k, l, i, j]
+        frob = [_mm(m, c.reshape(d, d * d), p),                                     # [k, i, (l, j)]
+                _mm(c.transpose(0, 2, 1), m.transpose(1, 0, 2).reshape(d, d * d), p)]
+        return [
+            FrobeniusLaw("associativity", assoc),
+            FrobeniusLaw("coassociativity", coassoc),
+            FrobeniusLaw("unit", unit),
+            FrobeniusLaw("counit", counit),
+            FrobeniusLaw("frobenius", all(np.array_equal(
+                f.reshape(d, d, d, d).transpose(0, 2, 1, 3), dm) for f in frob)),
+            FrobeniusLaw("specialness", (mu @ de).is_identity()),
+            FrobeniusLaw("commutativity", np.array_equal(m, m.transpose(0, 2, 1))
+                         and np.array_equal(c, c.transpose(1, 0, 2))),
         ]
-        return laws
 
     @property
     def ok(self) -> bool:
         return all(l.holds for l in self.verify())
 
 
-def _swap_mat(field: Field, a: int, b: int) -> Mat:
-    perm = [(i % b) * a + (i // b) for i in range(a * b)]
-    return perm_to_mat(field, perm)
+def _monoid_laws(m: np.ndarray, dm: int, u: np.ndarray, du: int,
+                 p: Optional[int]) -> Tuple[bool, bool]:
+    """Associativity and two-sided unitality of the multiplication with index
+    tensor m[k, i, j] (the coefficient of e_k in e_i e_j, numerators over dm)
+    and unit column u (over du), as exact contractions:
+
+        sum_a m[l, a, k] m[a, i, j] = sum_a m[l, i, a] m[a, j, k],
+        sum_a m[k, a, j] u[a] = sum_a m[k, j, a] u[a] = [k = j].
+
+    The d^4 tensors are refused (ValueError) above MAX_DENSE_ENTRIES entries.
+    """
+    d = m.shape[0]
+    _refuse_oversize(d ** 4, "associativity tensor")
+    left = _mm(m.transpose(0, 2, 1), m.reshape(d, d * d), p)  # [l, k, (i, j)]
+    right = _mm(m, m.reshape(d, d * d), p)                    # [l, i, (j, k)]
+    assoc = np.array_equal(left.reshape(d, d, d, d).transpose(0, 2, 3, 1),
+                           right.reshape(d, d, d, d))
+    one = np.eye(d, dtype=np.int64)[:, :, None]
+    unit = all(_frac_eq(_mm(t, u, p), dm * du, one, 1).all() for t in (m.transpose(0, 2, 1), m))
+    return assoc, bool(unit)
 
 
 def frobenius_object(G: FiniteGroup, H: Subgroup, field: Field) -> FrobeniusObject:
     A = permutation_module(G, H, field)
     d = A.dim
     mu = np.zeros((d, d * d), dtype=np.int64)
-    de = np.zeros((d * d, d), dtype=np.int64)
-    for i in range(d):
-        mu[i, i * d + i] = 1
-        de[i * d + i, i] = 1
+    mu[np.arange(d), np.arange(d) * (d + 1)] = 1  # e_i e_j = [i = j] e_i
     unit = np.ones((d, 1), dtype=np.int64)
-    counit = np.ones((1, d), dtype=np.int64)
-    AA = tensor(A, A)
-    k = trivial_module(G, field)
-    return FrobeniusObject(
-        A,
-        ModuleHom(AA, A, Mat(field, mu)),
-        ModuleHom(A, AA, Mat(field, de)),
-        ModuleHom(k, A, Mat(field, unit)),
-        ModuleHom(A, k, Mat(field, counit)),
-    )
+    AA, k = tensor(A, A), trivial_module(G, field)
+    return FrobeniusObject(A, ModuleHom(AA, A, Mat(field, mu)),
+                           ModuleHom(A, AA, Mat(field, mu.T.copy())),
+                           ModuleHom(k, A, Mat(field, unit)), ModuleHom(A, k, Mat(field, unit.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +662,14 @@ def hom_space(M: Module, N: Module) -> List[ModuleHom]:
         raise ValueError("hom space needs a common group and field")
     f = M.field
     if M.is_permutation and N.is_permutation:
-        lab = M.gset.product(N.gset).action.min(axis=0)  # orbit minimum per point
-        return [ModuleHom(M, N, Mat(f, (lab == m).reshape(M.dim, N.dim).T.astype(np.int64)))
+        act = M.gset.product(N.gset).action
+        lab = act.min(axis=0)  # orbit minimum per point
+        # a G-invariant labelling makes every indicator equivariant: one gather
+        # per generator checks them all
+        if any(not np.array_equal(lab[act[s]], lab) for s in M.group.generators()):
+            raise ArithmeticError("orbit labelling of X x Y is not G-invariant")
+        return [ModuleHom(M, N, Mat(f, (lab == m).reshape(M.dim, N.dim).T.astype(np.int64)),
+                          check=False)
                 for m in np.unique(lab)]
     n = M.dim * N.dim
     blocks = []

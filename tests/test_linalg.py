@@ -119,6 +119,20 @@ def test_inverse(field):
     assert (a @ inv).is_identity() and (inv @ a).is_identity()
 
 
+def test_inverse_of_matrices_with_a_denominator():
+    assert Mat.from_rows(QQ, [[Fraction(1, 2)]]).inv() == Mat.from_rows(QQ, [[2]])
+    rng = np.random.default_rng(29)
+    checked = 0
+    while checked < 20:
+        n = int(rng.integers(1, 6))
+        a = Mat(QQ, rng.integers(-4, 5, size=(n, n)), int(rng.integers(2, 13)))
+        if a.den == 1 or not a.is_invertible():
+            continue
+        inv = a.inv()
+        assert (a @ inv).is_identity() and (inv @ a).is_identity()
+        checked += 1
+
+
 def test_singular_matrix_not_invertible():
     a = Mat(QQ, np.array([[1, 2], [2, 4]]))
     assert not a.is_invertible()

@@ -5,16 +5,18 @@ decomposition into indecomposables, vertices, and block membership."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mackeykit.burnside import block_decomposition
-from mackeykit.catalog import builtin_group
+from mackeykit.catalog import BUILTIN_NAMES, builtin_group
 from mackeykit.groups import GSet, group_from_generators
-from mackeykit.linalg import GF, QQ, Mat
+from mackeykit.linalg import GF, QQ, Mat, perm_to_mat
 from mackeykit.reps import (
+    FrobeniusObject,
     Module,
     ModuleHom,
     block_of,
@@ -253,6 +255,18 @@ def test_orbital_hom_basis_runs_no_elimination(monkeypatch):
     assert calls == {"rref": 0, "nullspace": 0}
 
 
+@pytest.mark.parametrize("name", ["s3", "d8", "a4", "s4"])
+def test_orbital_indicators_pass_the_equivariance_check(name):
+    """hom_space checks the orbit labelling once instead of each indicator;
+    every indicator it returns still passes the per-map check."""
+    G = builtin_group(name)
+    mods = coset_modules(G, GF(3))
+    for M in mods:
+        for N in mods:
+            for h in hom_space(M, N):
+                ModuleHom(M, N, h.mat, check=True)
+
+
 def test_hom_space_deterministic():
     G = builtin_group("s3")
     M = permutation_module(G, G.subgroups_up_to_conjugacy()[1], GF(2))
@@ -430,14 +444,214 @@ def test_frobenius_perturbed_multiplication_fails():
     bad = fro.mul.mat.num.copy()
     bad[0, 0] = 0  # drop e_0 * e_0
     broken = ModuleHom(fro.mul.source, fro.mul.target, Mat(GF(2), bad), check=False)
-    from mackeykit.reps import FrobeniusObject
-
     wrong = FrobeniusObject(fro.module, broken, fro.comul, fro.unit, fro.counit)
     results = {l.name: l.holds for l in wrong.verify()}
     assert not wrong.ok
     assert not results["unit"]
     assert not results["specialness"]
     assert results["coassociativity"]  # the comultiplication was untouched
+
+
+# -- reference assemblers for the exchange maps and the Frobenius laws -------------
+#
+# The block-by-block constructions that the library replaced with one
+# block-monomial routine and with index-tensor contractions, kept here as the
+# oracle: every map must agree in numerators, denominator and dtype, and every
+# law verdict must agree.
+
+
+def _ref_induce_mats(H, N):
+    G, incl = H.parent, H.inclusion_hom()
+    reps, coset, source = incl.induction_table()
+    nc, d = len(reps), N.dim
+    return [Mat.from_blocks(N.field, nc * d, nc * d,
+                            [(int(coset[g, c]) * d, c * d, N.action(int(source[g, c])))
+                             for c in range(nc)])
+            for g in range(G.order)]
+
+
+def _ref_adjunction_mats(G, H, M, N):
+    reps, coset_of = G.left_transversal(H)
+    c0 = int(coset_of[G.identity])
+    t0 = reps[c0]
+    Hel = H.as_group()[1]
+    nc, dm, dn = len(reps), M.dim, N.dim
+    eta_left = Mat.from_blocks(N.field, nc * dn, dn, [(c0 * dn, 0, N.action(Hel.index(G.inv(t0))))])
+    eps_left = Mat.from_blocks(M.field, dm, nc * dm,
+                               [(0, c * dm, M.action(t)) for c, t in enumerate(reps)])
+    eta_right = Mat.from_blocks(M.field, nc * dm, dm,
+                                [(c * dm, 0, M.action_inv(t)) for c, t in enumerate(reps)])
+    eps_right = Mat.from_blocks(N.field, dn, nc * dn, [(0, c0 * dn, N.action(Hel.index(t0)))])
+    return eta_left, eps_left, eta_right, eps_right
+
+
+def _ref_mackey_mats(G, K, H, N):
+    Hgrp, Hel = H.as_group()
+    Kel = K.as_group()[1]
+    d = N.dim
+    w_reps, w_coset_of = G.left_transversal(H)
+    fwd, bwd, base = [], [], 0
+    dc = G.double_cosets(K, H)
+    for x, A in zip(dc.representatives, dc.intersections):
+        ts = sorted({min(G.mul(k, a) for a in A.elements) for k in Kel})  # K / (K n xHx^-1)
+        for c, t in enumerate(ts):
+            tx = G.mul(t, x)
+            w = int(w_coset_of[tx])
+            h = int(np.searchsorted(Hel, G.mul(G.inv(w_reps[w]), tx)))
+            fwd.append((w * d, base + c * d, N.action(h)))
+            bwd.append((base + c * d, w * d, N.action_inv(h)))
+        base += len(ts) * d
+    right = len(w_reps) * d
+    return (Mat.from_blocks(N.field, right, base, fwd), Mat.from_blocks(N.field, base, right, bwd))
+
+
+def _ref_projection_mats(G, H, X, Y):
+    reps, _ = G.left_transversal(H)
+    nc, dx, dy = len(reps), X.dim, Y.dim
+    n = nc * dx * dy
+    eye = lambda v, den: Mat(X.field, np.eye(dy, dtype=np.int64)).scale(Fraction(int(v), den))
+    pi, pi_inv, mirror, mirror_inv = [], [], [], []
+    for c, t in enumerate(reps):
+        A, Ainv = X.action(t), X.action_inv(t)
+        for i in range(dx):
+            col = c * dx * dy + i * dy
+            for i2 in range(dx):
+                if A.num[i2, i]:
+                    pi.append((i2 * nc * dy + c * dy, col, eye(A.num[i2, i], A.den)))
+                if Ainv.num[i2, i]:
+                    pi_inv.append((c * dx * dy + i2 * dy, i * nc * dy + c * dy,
+                                   eye(Ainv.num[i2, i], Ainv.den)))
+        for j in range(dy):
+            k = (c * dy + j) * dx
+            mirror.append((k, k, A))
+            mirror_inv.append((k, k, Ainv))
+    return [Mat.from_blocks(X.field, n, n, b) for b in (pi, pi_inv, mirror, mirror_inv)]
+
+
+def _ref_frobenius_verdicts(fro):
+    d, f = fro.module.dim, fro.module.field
+    I = Mat.identity(f, d)
+    mu, de, io, ep = fro.mul.mat, fro.comul.mat, fro.unit.mat, fro.counit.mat
+    swap = perm_to_mat(f, [(i % d) * d + (i // d) for i in range(d * d)])
+    return [
+        mu @ mu.kron(I) == mu @ I.kron(mu),
+        de.kron(I) @ de == I.kron(de) @ de,
+        (mu @ io.kron(I) == I) and (mu @ I.kron(io) == I),
+        (ep.kron(I) @ de == I) and (I.kron(ep) @ de == I),
+        (mu.kron(I) @ I.kron(de) == de @ mu) and (I.kron(mu) @ de.kron(I) == de @ mu),
+        mu @ de == I,
+        (mu @ swap == mu) and (swap @ de == de),
+    ]
+
+
+def _conjugated_copy(M):
+    """M with every matrix conjugated by an integer P of determinant 5, whose
+    inverse over Q has denominator 5 (P is invertible over F_2 and F_3 too)."""
+    d = M.dim
+    num = np.eye(d, dtype=np.int64) + np.eye(d, k=1, dtype=np.int64)
+    num[0, 0] = 5
+    P = Mat(M.field, num)
+    Pinv = P.inv()
+    return module_from_matrices(M.group, M.field,
+                                [P @ M.action(g) @ Pinv for g in range(M.group.order)])
+
+
+MODULE_KINDS = {"perm": lambda M: M, "dense": dense_copy, "conjugated": _conjugated_copy}
+
+
+def _same_mat(a, b):
+    return a.num.dtype == b.num.dtype and a.den == b.den and np.array_equal(a.num, b.num)
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES))
+def test_exchange_maps_equal_the_block_assemblers(name):
+    """induce (dense path), unit_counit, mackey_iso and projection_map against
+    the block-by-block assemblers, for permutation modules, dense copies and
+    dense copies with denominators, over Q, F_2 and F_3."""
+    G = builtin_group(name)
+    subs = G.subgroups_up_to_conjugacy()
+    S = max((T for T in subs if T.order < G.order), key=lambda T: T.order, default=subs[0])
+    compared = with_den = 0
+    for field in FIELDS:
+        for kind, make in MODULE_KINDS.items():
+            X = make(permutation_module(G, S, field))
+            for H in subs:
+                Hgrp = H.as_group()[0]
+                N = make(regular_module(Hgrp, field))
+                pairs = []
+                ind = induce_from(N, H)
+                if not N.is_permutation:
+                    pairs += zip([ind.action(g) for g in range(G.order)], _ref_induce_mats(H, N))
+                ad = unit_counit(G, H, X, N)
+                pairs += zip([ad.eta_left.mat, ad.eps_left.mat, ad.eta_right.mat, ad.eps_right.mat],
+                             _ref_adjunction_mats(G, H, X, N))
+                pr = projection_map(G, H, X, N)
+                pairs += zip([pr.pi.mat, pr.pi_inverse.mat, pr.mirror.mat, pr.mirror_inverse.mat],
+                             _ref_projection_mats(G, H, X, N))
+                for K in subs:
+                    mi = mackey_iso(G, K, H, N)
+                    pairs += zip([mi.forward.mat, mi.backward.mat], _ref_mackey_mats(G, K, H, N))
+                for new, ref in pairs:
+                    assert _same_mat(new, ref), (name, field, kind, H.elements)
+                    compared += 1
+                    with_den += ref.den > 1
+    assert compared > 0
+    if name != "c2":  # a dimension-1 X or N is conjugated to itself
+        assert with_den > 0
+
+
+@pytest.mark.parametrize("name", ["c3", "v4", "s3", "q8"])
+@pytest.mark.parametrize("field", FIELDS)
+def test_frobenius_verdicts_equal_the_kronecker_laws_on_corruptions(name, field):
+    """Seeded corruptions of the four structure maps, one entry changed or
+    one map scaled: the seven tensor-law verdicts equal the Kronecker ones."""
+    G = builtin_group(name)
+    rng = np.random.default_rng(5)
+    patterns = set()
+    for H in G.subgroups_up_to_conjugacy():
+        fro = frobenius_object(G, H, field)
+        for trial in range(12):
+            maps = [fro.mul, fro.comul, fro.unit, fro.counit]
+            k = int(rng.integers(0, 4))
+            m = maps[k].mat
+            if trial % 3 == 0:
+                new = m.scale(Fraction(int(rng.integers(1, 4)), int(rng.choice([1, 5]))))
+            else:
+                num = m.num.copy()
+                num[int(rng.integers(0, m.nrows)), int(rng.integers(0, m.ncols))] += \
+                    int(rng.integers(1, 3))
+                new = Mat(field, num, m.den)
+            maps[k] = ModuleHom(maps[k].source, maps[k].target, new, check=False)
+            bad = FrobeniusObject(fro.module, *maps)
+            got = bad.verify()
+            assert [l.name for l in got] == [l.name for l in fro.verify()]
+            verdicts = [l.holds for l in got]
+            assert verdicts == _ref_frobenius_verdicts(bad), (H.elements, trial)
+            patterns.add(tuple(verdicts))
+    assert len(patterns) > 2
+
+
+def test_projection_map_refuses_an_oversize_map_before_allocating():
+    """S5 with the trivial H would need a 14400 x 14400 dense map."""
+    G = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]])
+    X = regular_module(G, GF(2))
+    T = G.trivial_subgroup()
+    Y = trivial_module(T.as_group()[0], GF(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the cap"):
+            projection_map(G, T, X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_frobenius_laws_refuse_oversize_tensors():
+    G = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]])
+    fro = frobenius_object(G, G.trivial_subgroup(), GF(2))  # d = 120, d^4 > 2^22
+    with pytest.raises(ValueError, match="above the cap"):
+        fro.verify()
 
 
 # -- tensor and conjugation ---------------------------------------------------------
