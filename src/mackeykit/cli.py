@@ -43,6 +43,7 @@ from .mackey import (
 from .reps import (
     DecompositionError,
     Module,
+    _refuse_oversize,
     decompose,
     frobenius_object,
     green_correspondent,
@@ -313,6 +314,8 @@ def _cmd_verify(G: FiniteGroup, args) -> Tuple[Dict, List[str]]:
     failures: List[str] = []
     phases: List[Dict] = []
     subs = G.subgroups_up_to_conjugacy()
+    for H in subs:  # the projection maps' sizes are known before any phase runs
+        _refuse_oversize((H.index * H.index) ** 2, "projection map")
 
     def phase(name: str, instances: int) -> None:
         phases.append({"name": name, "instances": instances})

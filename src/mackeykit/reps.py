@@ -20,9 +20,11 @@ tx (x) n, and its inverse sends v to sum_x sum_t t (x) e(x^-1 t^-1 v) where
 e projects Ind N onto its trivial-coset component as in eps_right.  Both
 directions are constructed and their composites checked to be identities.
 
-All of these maps, the projection maps and a dense induced module's
-matrices are block-monomial, a grid of dim-N blocks whose nonzero blocks
-are action matrices A(g), and `_monomial` builds every one.  The Frobenius
+All of these maps and the projection maps are block-monomial, a grid of
+dim-N blocks whose nonzero blocks are action matrices A(g), and `_monomial`
+builds every one; a dense module's action is one exact stack A[g], so its
+restriction, induction, Fitting splits, relative traces and block
+membership are gathers and stacked products.  The Frobenius
 laws are equalities of index tensors, checked by exact contractions.  Maps
 and law tensors above MAX_DENSE_ENTRIES entries are refused (ValueError)
 before they are allocated.
@@ -36,8 +38,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, GSet, InjectiveHom, Subgroup, gset_from_subgroup
-from .linalg import (Field, Mat, _common, _frac_eq, _imatmul, _mm, _pow_mod_stack,
-                     _rank_mod_stack, perm_to_mat)
+from .linalg import (Field, Mat, _common, _compact, _frac_eq, _imatmul, _mm,
+                     _pow_mod_stack, _rank_mod_stack, perm_to_mat)
 
 __all__ = [
     "Module",
@@ -98,41 +100,43 @@ class Module:
 
     The action is either a `GSet` on the basis (a permutation module, whose
     action table is the G-set's; permutation modules and everything built
-    from them stay in this form) or one exact matrix per group element.
-    Construction checks the action exactly: A(e) = I and A(s)A(g) = A(sg)
-    for every generator s and every g, which proves A is a homomorphism.
-    Modules derived by the functors in this file are homomorphic by
-    construction and skip the re-check.
+    from them stay in this form) or one exact stack, the numerators A[g]
+    ([|G|, dim, dim], reduced mod p over F_p) over one common denominator.
+    The matrices passed in are stacked once and `action(g)` copies a slice,
+    so editing either leaves the module as it was.  Construction checks
+    the action exactly: A(e) = I and A(s)A(g) = A(sg) for every generator s
+    and every g, which proves A is a homomorphism.  Modules derived by the
+    functors in this file are built by `_of`, skipping the re-check.
     """
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        field: Field,
-        dim: int,
-        gset: Optional[GSet] = None,
-        mats: Optional[List[Mat]] = None,
-        basis_labels: Optional[List] = None,
-        check: bool = True,
-    ):
+    def __init__(self, group: FiniteGroup, field: Field, dim: int, gset: Optional[GSet] = None,
+                 mats: Optional[List[Mat]] = None, basis_labels: Optional[List] = None,
+                 check: bool = True):
         if (gset is None) == (mats is None):
             raise ValueError("exactly one of gset/mats must be given")
-        self.group = group
-        self.field = field
-        self.dim = dim
-        self.gset = gset
-        self._mats = mats
-        self.basis_labels = basis_labels
         if gset is not None and (gset.group is not group or gset.size != dim):
             raise ValueError("permutation action has wrong group or size")
+        A, den = None, 1
         if mats is not None:
             if len(mats) != group.order:
                 raise ValueError("need one matrix per group element")
-            for m in mats:
-                if m.shape != (dim, dim) or m.field != field:
-                    raise ValueError("bad action matrix")
+            if any(m.shape != (dim, dim) or m.field != field for m in mats):
+                raise ValueError("bad action matrix")
+            nums, den = _common(mats)
+            A = np.stack(nums)
+        self.group, self.field, self.dim, self.gset = group, field, dim, gset
+        self._A, self._den, self.basis_labels = A, den, basis_labels
         if check:
             self.verify_action()
+
+    @classmethod
+    def _of(cls, group: FiniteGroup, field: Field, A: np.ndarray, den: int = 1,
+            basis_labels: Optional[List] = None) -> "Module":
+        """The dense module of the stack A[g] over `den`, unchecked."""
+        M = cls.__new__(cls)
+        M.group, M.field, M.dim, M.gset = group, field, A.shape[1], None
+        M._A, M._den, M.basis_labels = A, den, basis_labels
+        return M
 
     # -- action access ---------------------------------------------------
 
@@ -143,26 +147,34 @@ class Module:
     def action(self, g: int) -> Mat:
         if self.gset is not None:
             return perm_to_mat(self.field, self.gset.action[g])
-        assert self._mats is not None
-        return self._mats[g]
+        return Mat(self.field, self._A[g].copy(), self._den)
 
     def action_inv(self, g: int) -> Mat:
         return self.action(self.group.inv(g))
 
+    def _stack(self) -> Tuple[np.ndarray, int]:
+        """The action stack and its denominator, for either kind of module."""
+        if self.gset is None:
+            return self._A, self._den
+        A = np.zeros((self.group.order, self.dim, self.dim), dtype=np.int64)
+        A[np.arange(self.group.order)[:, None], self.gset.action, np.arange(self.dim)] = 1
+        return A, 1
+
     def verify_action(self) -> None:
         """Exact check: A(e) = I and A(s)A(g) = A(sg) for every generator s
-        and every g."""
+        and every g, one stacked product A(s)A per generator; a failure
+        names the first pair (s, g) in that order."""
         if self.gset is not None:
             self.gset.verify()
             return
-        G, A = self.group, self._mats
-        assert A is not None
-        if not A[G.identity].is_identity():
+        G, A, den = self.group, self._A, self._den
+        if not _frac_eq(A[G.identity], den, np.eye(self.dim, dtype=np.int64), 1).all():
             raise ValueError("identity does not act as the identity")
         for s in G.generators():
-            for g in range(G.order):
-                if A[s] @ A[g] != A[G.table[s, g]]:
-                    raise ValueError(f"action is not a homomorphism at pair {(s, g)}")
+            ok = _frac_eq(_mm(A[s], A, self.field.p), den * den, A[G.table[s]], den)
+            bad = ~ok.reshape(G.order, -1).all(axis=1)
+            if bad.any():
+                raise ValueError(f"action is not a homomorphism at pair {(s, int(bad.argmax()))}")
 
     def label(self, idx: int):
         return self.basis_labels[idx] if self.basis_labels is not None else idx
@@ -255,8 +267,7 @@ def restrict(hom: InjectiveHom, M: Module) -> Module:
         raise ValueError("module does not live over the hom's target")
     if M.is_permutation:
         return Module(hom.source, M.field, M.dim, gset=M.gset.restrict(hom), check=False)
-    mats = [M._mats[i] for i in hom.map]
-    return Module(hom.source, M.field, M.dim, mats=mats, check=False)
+    return Module._of(hom.source, M.field, M._A[list(hom.map)], M._den)
 
 
 def restrict_to(M: Module, S: Subgroup) -> Module:
@@ -274,8 +285,11 @@ def induce(hom: InjectiveHom, N: Module) -> Module:
     if N.is_permutation:
         return Module(G, N.field, nc * d, gset=N.gset.induce(hom), basis_labels=labels,
                       check=False)
-    mats = [_monomial(N, nc, nc, coset[g], np.arange(nc), source[g]) for g in range(G.order)]
-    return Module(G, N.field, nc * d, mats=mats, basis_labels=labels, check=False)
+    # A(g) is the nc x nc grid with A_N(source[g, c]) at block (coset[g, c], c)
+    _refuse_oversize((nc * d) ** 2, "block-monomial map")
+    A = np.zeros((G.order, nc, d, nc, d), dtype=N._A.dtype)
+    A[np.arange(G.order)[:, None], coset, :, np.arange(nc), :] = N._A[source]
+    return Module._of(G, N.field, A.reshape(G.order, nc * d, nc * d), N._den, labels)
 
 
 def induce_from(N: Module, S: Subgroup) -> Module:
@@ -341,9 +355,9 @@ def _monomial(M: Module, nr: int, nc: int, rows, cols, elems) -> Mat:
     """The nr x nc grid of dim(M)-square blocks with A(elems[k]) at the
     distinct positions (rows[k], cols[k]) and zeros elsewhere: the shape of
     every exchange map here.  One scatter from the action table of a
-    permutation module, one stacked assignment over the common denominator
-    of a dense one; refused (ValueError) above MAX_DENSE_ENTRIES entries
-    before anything is allocated."""
+    permutation module, one gather from the action stack of a dense one;
+    refused (ValueError) above MAX_DENSE_ENTRIES entries before anything is
+    allocated."""
     d = M.dim
     _refuse_oversize(nr * nc * d * d, "block-monomial map")
     rows, cols, elems = (np.asarray(a, dtype=np.int64) for a in (rows, cols, elems))
@@ -351,11 +365,9 @@ def _monomial(M: Module, nr: int, nc: int, rows, cols, elems) -> Mat:
         out = np.zeros((nr * d, nc * d), dtype=np.int64)
         out[rows[:, None] * d + M.gset.action[elems], cols[:, None] * d + np.arange(d)] = 1
         return Mat(M.field, out)
-    nums, den = _common([M._mats[g] for g in elems.tolist()])
-    wide = any(a.dtype == object for a in nums)
-    out = np.zeros((nr, d, nc, d), dtype=object if wide else np.int64)
-    out[rows, :, cols, :] = np.stack(nums)
-    return Mat(M.field, out.reshape(nr * d, nc * d), den)
+    out = np.zeros((nr, d, nc, d), dtype=M._A.dtype)
+    out[rows, :, cols, :] = M._A[elems]
+    return Mat(M.field, out.reshape(nr * d, nc * d), M._den)
 
 
 # ---------------------------------------------------------------------------
@@ -746,9 +758,11 @@ def _combine(basis: List[ModuleHom], coeffs) -> Optional[Mat]:
 
 
 def _hom_stack(basis: List[ModuleHom]) -> np.ndarray:
-    """The numerators of a list of homs with denominator 1 (every hom over
-    F_p, and the orbital basis over Q) as one stack [e, rows, cols]."""
-    return np.stack([h.mat.num for h in basis]).astype(np.int64)
+    """The numerators of a list of homs as one stack [e, rows, cols]: the
+    homs themselves over F_p and for the orbital basis over Q.  Otherwise
+    each is its hom times its own denominator, a positive scalar, so the
+    stack spans the same space (all that Higman's criterion tests)."""
+    return _compact(np.stack([h.mat.num for h in basis]))
 
 
 def _combinations(B: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
@@ -838,7 +852,9 @@ def decompose(M: Module, seed: int = 0) -> DecompositionResult:
         raise ValueError(f"dimension {M.dim} exceeds the decomposition cap {MAX_DECOMPOSE_DIM}")
     if M.dim == 0:
         raise ValueError("cannot decompose the zero module")
-    certified = True
+    certified, p = True, M.field.p
+    # P^-1 A(g) P mod p over the elements g that `elems` indexes, as one stack
+    conjugated = lambda X, P, elems: _mm(P.inv().num, _mm(X._stack()[0][elems], P.num, p), p)
 
     def split(X: Module, depth: int) -> Tuple[List[Module], Mat]:
         nonlocal certified
@@ -855,34 +871,28 @@ def decompose(M: Module, seed: int = 0) -> DecompositionResult:
         P = ker.hstack(img)
         if ker.ncols == 0 or img.ncols == 0 or not P.is_invertible():
             raise DecompositionError("Fitting splitting degenerated")
-        Pinv = P.inv()
         a = ker.ncols
-        sub1, sub2 = [], []
-        for g in range(X.group.order):
-            C = Pinv @ X.action(g) @ P
-            if np.any(C.num[:a, a:] != 0) or np.any(C.num[a:, :a] != 0):
-                raise DecompositionError("Fitting subspaces are not invariant")
-            sub1.append(Mat(X.field, C.num[:a, :a].copy(), C.den))
-            sub2.append(Mat(X.field, C.num[a:, a:].copy(), C.den))
-        X1 = Module(X.group, X.field, a, mats=sub1, check=False)
-        X2 = Module(X.group, X.field, X.dim - a, mats=sub2, check=False)
+        C = conjugated(X, P, slice(None))
+        if C[:, :a, a:].any() or C[:, a:, :a].any():
+            raise DecompositionError("Fitting subspaces are not invariant")
+        X1 = Module._of(X.group, X.field, C[:, :a, :a].copy())
+        X2 = Module._of(X.group, X.field, C[:, a:, a:].copy())
         l1, Q1 = split(X1, depth + 1)
         l2, Q2 = split(X2, depth + 1)
         return l1 + l2, P @ Mat.block_diag(X.field, [Q1, Q2])
 
     leaves, P = split(M, 0)
-    # certificate: P^-1 A(g) P is block diagonal with the leaf actions
-    Pinv = P.inv()
-    for s in list(M.group.generators()) + [M.group.identity]:
-        C = Pinv @ M.action(s) @ P
-        off = 0
-        for leaf in leaves:
-            nxt = off + leaf.dim
-            if Mat(M.field, C.num[off:nxt, off:nxt].copy(), C.den) != leaf.action(s):
-                raise DecompositionError("certificate verification failed")
-            if np.any(C.num[off:nxt, nxt:] != 0) or np.any(C.num[nxt:, off:nxt] != 0):
-                raise DecompositionError("certificate has off-diagonal leakage")
-            off = nxt
+    # certificate: P^-1 A(s) P is block diagonal with the leaf actions
+    gens = list(M.group.generators()) + [M.group.identity]
+    C = conjugated(M, P, gens)
+    off = 0
+    for leaf in leaves:
+        nxt = off + leaf.dim
+        if not np.array_equal(C[:, off:nxt, off:nxt], leaf._stack()[0][gens]):
+            raise DecompositionError("certificate verification failed")
+        if C[:, off:nxt, nxt:].any() or C[:, nxt:, off:nxt].any():
+            raise DecompositionError("certificate has off-diagonal leakage")
+        off = nxt
     iso_classes: List[Tuple[int, List[int]]] = []
     for idx, leaf in enumerate(leaves):
         for rep, members in iso_classes:
@@ -987,55 +997,40 @@ def is_summand(M: Module, X: Module, seed: int = 0) -> Optional[SummandWitness]:
 
 
 def _relative_trace_stack(M: Module, S: Subgroup) -> np.ndarray:
-    """Tr^G_S(phi) = sum_t A(t) phi A(t)^-1 over the basis of End_kS(Res M)
-    of a permutation module, as one stack [b, d, d].
+    """Tr^G_S(phi) = sum_t A(t) phi A(t)^-1 over the `_hom_stack` basis of
+    End_kS(Res M), a chunk of basis elements at a time, as one integer
+    stack [b, d, d]: over Q each trace times a positive scalar.
 
-    Conjugating by A(t) moves entry (i, j) to (t.i, t.j), so every term of
-    every trace is a gather of the basis stack by I = action[t^-1]; the
-    gathers are summed a chunk of basis elements at a time.
+    On a permutation module conjugating by A(t) moves entry (i, j) to
+    (t.i, t.j), so every term is a gather of the basis stack by
+    action[t^-1].  On a dense one the terms A(t) phi are one stacked
+    product, and their sum against the A(t^-1) stacked below each other
+    is another.
     """
-    G = M.group
+    G, p, d = M.group, M.field.p, M.dim
     resM = restrict_to(M, S)
     B = _hom_stack(hom_space(resM, resM))
-    reps, _ = G.left_transversal(S)
-    I = M.gset.action[[G.inv(t) for t in reps]]
-    rows, cols = I[:, :, None], I[:, None, :]
-    step = max(1, SEARCH_WINDOW_ENTRIES // I.size // M.dim)
-    return np.concatenate([B[k:k + step][:, rows, cols].sum(axis=1)
-                           for k in range(0, len(B), step)])
-
-
-def _relative_trace_span(M: Module, S: Subgroup) -> List[Mat]:
-    """Images Tr^G_S(phi) = sum_t A(t) phi A(t)^-1 over a basis of End_kS(Res M)."""
+    reps = np.asarray(G.left_transversal(S)[0])
+    nt = len(reps)
     if M.is_permutation:
-        return [Mat(M.field, t) for t in _relative_trace_stack(M, S)]
-    G = M.group
-    resM = restrict_to(M, S)
-    reps, _ = G.left_transversal(S)
-    out = []
-    for h in hom_space(resM, resM):
-        acc = None
-        for t in reps:
-            term = M.action(t) @ h.mat @ M.action_inv(t)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+        I = M.gset.action[G.inverse[reps]]
+        rows, cols = I[:, :, None], I[:, None, :]
+        traces = lambda b: b[:, rows, cols].sum(axis=1)
+    else:
+        left, right = M._A[reps], M._A[G.inverse[reps]].reshape(nt * d, d)
+        traces = lambda b: _mm(_mm(left, b[:, None], p).transpose(0, 2, 1, 3)
+                               .reshape(len(b), d, nt * d), right, p)
+    step = max(1, SEARCH_WINDOW_ENTRIES // (nt * d * d))
+    return np.concatenate([traces(B[k:k + step]) for k in range(0, len(B), step)])
 
 
 def relatively_projective(M: Module, S: Subgroup) -> bool:
     """Higman's criterion: M is relatively S-projective iff the identity lies
-    in the image of the relative trace from End_kS(Res_S M)."""
-    f = M.field
-    if M.is_permutation:  # column k is vec(Tr(phi_k)), read off the stack
-        T = _relative_trace_stack(M, S)
-        stacked = Mat(f, T.transpose(0, 2, 1).reshape(len(T), -1).T)
-    else:
-        traces = _relative_trace_span(M, S)
-        stacked = Mat.from_blocks(f, M.dim * M.dim, len(traces),
-                                  [(0, j, t.vec()) for j, t in enumerate(traces)])
-    if stacked.ncols == 0:
-        return False
-    return stacked.solve(Mat.identity(f, M.dim).vec()) is not None
+    in the image of the relative trace from End_kS(Res_S M).  Column k of
+    the system is vec(Tr(phi_k)), read off the trace stack."""
+    T = _relative_trace_stack(M, S)
+    stacked = Mat(M.field, T.transpose(0, 2, 1).reshape(len(T), -1).T)
+    return stacked.solve(Mat.identity(M.field, M.dim).vec()) is not None
 
 
 @dataclass
@@ -1159,22 +1154,21 @@ def green_correspondent(G: FiniteGroup, H: Subgroup, D: Subgroup, n: Module,
 # block membership
 
 
-def block_of(M: Module, idempotents: Sequence[Tuple[np.ndarray, int]]) -> int:
+def block_of(M: Module, blocks: Sequence) -> int:
     """Index of the block acting as the identity on M.
 
-    `idempotents` lists (group-algebra coefficient vector, block dimension)
-    pairs; exactly one central idempotent must act as the identity and all
-    others as zero, anything else is a hard error.
+    `blocks` are the `Block` records of `burnside.block_decomposition`.
+    Block idempotent i is sum_g (idempotent_elements[g] / idempotent_den) g,
+    so all of them act on M through one contraction of their coefficient
+    vectors with the action stack.  Exactly one must act as the identity
+    and all others as zero; anything else is a hard error.
     """
-    G = M.group
-    p = M.field.p
+    A, den = M._stack()
+    V = _compact(np.array([b.idempotent_elements for b in blocks], dtype=object))
+    E = _mm(V, A.reshape(M.group.order, -1), M.field.p).reshape(-1, M.dim, M.dim)
     hit = []
-    for bi, (vec, _dim) in enumerate(idempotents):
-        acc = Mat.zeros(M.field, M.dim, M.dim)
-        for g in range(G.order):
-            c = int(vec[g]) % p if p is not None else int(vec[g])
-            if c:
-                acc = acc + M.action(g).scale(c)
+    for bi, (b, e) in enumerate(zip(blocks, E)):
+        acc = Mat(M.field, e, den * b.idempotent_den)
         if acc.is_identity():
             hit.append(bi)
         elif not acc.is_zero():

@@ -267,6 +267,28 @@ def test_uncertified_module_vertex_exits_2(capsys, tmp_path):
     assert rep["payload"]["vertex"]["order"] == 9
 
 
+def test_verify_refuses_an_oversize_projection_map_before_any_phase(capsys, monkeypatch,
+                                                                     tmp_path):
+    # S5 with the trivial H would need a 14400 x 14400 projection map
+    spec = tmp_path / "s5.json"
+    spec.write_text(json.dumps({"name": "s5", "degree": 5,
+                                "generators": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]}))
+    calls = []
+    original = cli.verify_isocomma_decomposition
+
+    def counted(G, K, H):
+        calls.append((K, H))
+        return original(G, K, H)
+
+    monkeypatch.setattr(cli, "verify_isocomma_decomposition", counted)
+    code, rep = run_json(capsys, ["verify", "--group", str(spec), "--prime", "2"])
+    assert code == 2
+    assert rep["status"] == "error"
+    assert rep["reason"] == ("projection map would have 207360000 entries, "
+                             "above the cap of 4194304")
+    assert calls == []
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate", "--group", "s3"]) == 2
 

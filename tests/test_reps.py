@@ -39,7 +39,8 @@ from mackeykit.reps import (
     unit_counit,
     vertex,
 )
-from mackeykit.reps import EXHAUSTIVE_END_CAP, _relative_trace_span, _vertex_family
+from mackeykit import reps
+from mackeykit.reps import EXHAUSTIVE_END_CAP, _relative_trace_stack, _vertex_family
 
 FIELDS = [GF(2), GF(3), QQ]
 
@@ -559,6 +560,11 @@ def _conjugated_copy(M):
 MODULE_KINDS = {"perm": lambda M: M, "dense": dense_copy, "conjugated": _conjugated_copy}
 
 
+def _largest_proper(G):
+    subs = G.subgroups_up_to_conjugacy()
+    return max((T for T in subs if T.order < G.order), key=lambda T: T.order, default=subs[0])
+
+
 def _same_mat(a, b):
     return a.num.dtype == b.num.dtype and a.den == b.den and np.array_equal(a.num, b.num)
 
@@ -566,11 +572,12 @@ def _same_mat(a, b):
 @pytest.mark.parametrize("name", list(BUILTIN_NAMES))
 def test_exchange_maps_equal_the_block_assemblers(name):
     """induce (dense path), unit_counit, mackey_iso and projection_map against
-    the block-by-block assemblers, for permutation modules, dense copies and
+    the block-by-block assemblers, and dense induction against one
+    `_monomial` per group element, for permutation modules, dense copies and
     dense copies with denominators, over Q, F_2 and F_3."""
     G = builtin_group(name)
     subs = G.subgroups_up_to_conjugacy()
-    S = max((T for T in subs if T.order < G.order), key=lambda T: T.order, default=subs[0])
+    S = _largest_proper(G)
     compared = with_den = 0
     for field in FIELDS:
         for kind, make in MODULE_KINDS.items():
@@ -581,7 +588,11 @@ def test_exchange_maps_equal_the_block_assemblers(name):
                 pairs = []
                 ind = induce_from(N, H)
                 if not N.is_permutation:
-                    pairs += zip([ind.action(g) for g in range(G.order)], _ref_induce_mats(H, N))
+                    nc, coset, source = H.index, *H.inclusion_hom().induction_table()[1:]
+                    mats = [ind.action(g) for g in range(G.order)]
+                    pairs += zip(mats, _ref_induce_mats(H, N))
+                    pairs += zip(mats, [reps._monomial(N, nc, nc, coset[g], range(nc), source[g])
+                                        for g in range(G.order)])
                 ad = unit_counit(G, H, X, N)
                 pairs += zip([ad.eta_left.mat, ad.eps_left.mat, ad.eta_right.mat, ad.eps_right.mat],
                              _ref_adjunction_mats(G, H, X, N))
@@ -980,6 +991,22 @@ def test_relative_projectivity_direct():
     assert not relatively_projective(triv, G.trivial_subgroup())
 
 
+def _ref_relative_trace_span(M, S):
+    """Tr^G_S(phi) = sum_t A(t) phi A(t)^-1 over a basis of End_kS(Res M),
+    one Mat product at a time."""
+    G = M.group
+    resM = restrict_to(M, S)
+    transversal, _ = G.left_transversal(S)
+    out = []
+    for h in hom_space(resM, resM):
+        acc = None
+        for t in transversal:
+            term = M.action(t) @ h.mat @ M.action_inv(t)
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
 @pytest.mark.parametrize("name", ["d8", "s4"])
 def test_relative_trace_by_gathers_equals_dense_conjugation(name):
     G = builtin_group(name)
@@ -988,7 +1015,9 @@ def test_relative_trace_by_gathers_equals_dense_conjugation(name):
     for M in coset_modules(G, field):
         Md = dense_copy(M)
         for S in p_classes:
-            assert _relative_trace_span(M, S) == _relative_trace_span(Md, S), (M.dim, S.order)
+            T, Td = _relative_trace_stack(M, S), _relative_trace_stack(Md, S)
+            assert np.array_equal(T % 2, Td), (M.dim, S.order)
+            assert [Mat(field, t) for t in Td] == _ref_relative_trace_span(Md, S)
 
 
 @pytest.mark.parametrize("name,orders", [("d8", (1, 2, 4, 8)), ("s4", (3, 6, 12))])
@@ -1037,13 +1066,12 @@ def test_vertex_accepts_a_certified_leaf():
 def test_block_membership_s3_mod2():
     G = builtin_group("s3")
     blocks = block_decomposition(G, GF(2))
-    idems = [(b.idempotent_elements, b.dimension) for b in blocks]
-    bi_triv = block_of(trivial_module(G, GF(2)), idems)
+    bi_triv = block_of(trivial_module(G, GF(2)), blocks)
     assert blocks[bi_triv].dimension == 2  # the principal block
     H = next(S for S in G.subgroups_up_to_conjugacy() if S.order == 2)
     D = decompose(permutation_module(G, H, GF(2)))
     two_dim = next(m for m in D.summands if m.dim == 2)
-    bi_simple = block_of(two_dim, idems)
+    bi_simple = block_of(two_dim, blocks)
     assert blocks[bi_simple].dimension == 4
     assert bi_simple != bi_triv
 
@@ -1066,3 +1094,196 @@ def test_green_vertex_family_has_the_classes_of_all_elements_outside_h(name):
             assert set(family) <= brute
             assert ({lat.class_index(S) for S in family}
                     == {lat.class_index(S) for S in brute})
+
+
+# -- the dense action stack against the per-element loops it replaced ----------------
+#
+# A dense module keeps its action as one numerator stack; the loops below are
+# the one-Mat-at-a-time versions of verify_action, the Fitting splits of
+# decompose, the relative trace and block_of, kept as oracles (dense
+# induction is checked with the exchange maps above).  Dense copies and
+# copies conjugated by an integer matrix with a rational inverse make
+# denominators and object dtype occur.
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _ref_verify_action(G, mats):
+    if not mats[G.identity].is_identity():
+        raise ValueError("identity does not act as the identity")
+    for s in G.generators():
+        for g in range(G.order):
+            if mats[s] @ mats[g] != mats[G.table[s, g]]:
+                raise ValueError(f"action is not a homomorphism at pair {(s, g)}")
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES))
+def test_verify_action_rejects_a_corrupted_stack_at_the_double_loops_pair(name):
+    G = builtin_group(name)
+    rng = np.random.default_rng(3)
+    for field in FIELDS:
+        for kind in ("dense", "conjugated"):
+            M = MODULE_KINDS[kind](permutation_module(G, _largest_proper(G), field))
+            mats = [M.action(g) for g in range(G.order)]
+            assert _outcome(_ref_verify_action, G, mats) is None
+            for g0 in (G.identity, G.generators()[-1], int(rng.integers(G.order))):
+                bad = list(mats)
+                num = bad[g0].num.copy()
+                num[0, -1] += 1
+                bad[g0] = Mat(field, num, bad[g0].den)
+                want = _outcome(_ref_verify_action, G, bad)
+                assert want is not None
+                assert _outcome(module_from_matrices, G, field, bad) == want, (field, kind, g0)
+
+
+def _ref_split(X, seed=0):
+    """decompose's recursion with its per-element split Pinv @ A(g) @ P."""
+    z = reps._find_splitter(X, seed)
+    if isinstance(z, bool):
+        return [X], Mat.identity(X.field, X.dim)
+    zn = z.pow(X.dim)
+    ker = zn.nullspace()
+    im_basis, piv = zn.T.rref()
+    P = ker.hstack(Mat(X.field, im_basis.num[: len(piv), :].T.copy(), im_basis.den))
+    Pinv, a = P.inv(), ker.ncols
+    sub1, sub2 = [], []
+    for g in range(X.group.order):
+        C = Pinv @ X.action(g) @ P
+        assert not C.num[:a, a:].any() and not C.num[a:, :a].any()
+        sub1.append(Mat(X.field, C.num[:a, :a].copy(), C.den))
+        sub2.append(Mat(X.field, C.num[a:, a:].copy(), C.den))
+    l1, Q1 = _ref_split(module_from_matrices(X.group, X.field, sub1), seed)
+    l2, Q2 = _ref_split(module_from_matrices(X.group, X.field, sub2), seed)
+    return l1 + l2, P @ Mat.block_diag(X.field, [Q1, Q2])
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES))
+def test_decompose_equals_the_per_element_split(name):
+    G = builtin_group(name)
+    for field in (GF(2), GF(3)):
+        for kind, make in MODULE_KINDS.items():
+            for M in coset_modules(G, field):
+                if M.dim > 12:
+                    continue
+                X = make(M)
+                D = decompose(X)
+                leaves, P = _ref_split(X)
+                assert _same_mat(D.transform, P), (field, kind, M.dim)
+                assert [m.dim for m in D.summands] == [m.dim for m in leaves]
+                for new, ref in zip(D.summands, leaves):
+                    for g in range(G.order):
+                        assert _same_mat(new.action(g), ref.action(g))
+                # the whole group, not just the certificate's generators
+                Pinv = P.inv()
+                for g in range(G.order):
+                    assert Pinv @ X.action(g) @ P == Mat.block_diag(
+                        field, [m.action(g) for m in leaves])
+
+
+def _is_positive_multiple(t, ref):
+    """Mat(t) = c * ref for some c > 0 (over Q; c = 1 over F_p)."""
+    f = ref.field
+    if f.p is not None:
+        return Mat(f, t) == ref
+    nz = np.flatnonzero(ref.num)
+    if nz.size == 0:
+        return not t.any()
+    i, j = np.unravel_index(nz[0], ref.shape)
+    c = Fraction(int(t[i, j])) / ref.entry(i, j)
+    return c > 0 and Mat(f, t) == ref.scale(c)
+
+
+def _ref_relatively_projective(M, S):
+    traces = _ref_relative_trace_span(M, S)
+    stacked = Mat.from_blocks(M.field, M.dim * M.dim, len(traces),
+                              [(0, j, t.vec()) for j, t in enumerate(traces)])
+    return stacked.solve(Mat.identity(M.field, M.dim).vec()) is not None
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES))
+def test_relative_traces_equal_the_per_element_sums(name):
+    G = builtin_group(name)
+    subs = G.subgroups_up_to_conjugacy()
+    seen_den = False
+    for field in FIELDS:
+        for kind, make in MODULE_KINDS.items():
+            M = make(permutation_module(G, _largest_proper(G), field))
+            seen_den |= any(M.action(g).den > 1 for g in range(G.order))
+            for S in subs:
+                T, ref = _relative_trace_stack(M, S), _ref_relative_trace_span(M, S)
+                assert len(T) == len(ref)
+                assert all(_is_positive_multiple(t, r) for t, r in zip(T, ref)), (field, kind)
+                assert relatively_projective(M, S) == _ref_relatively_projective(M, S)
+    assert seen_den or name == "c2"
+
+
+def _ref_block_of(M, blocks):
+    """block_of's scale-and-add loop, reading each idempotent's denominator."""
+    hit = []
+    for bi, b in enumerate(blocks):
+        acc = Mat.zeros(M.field, M.dim, M.dim)
+        for g in range(M.group.order):
+            c = Fraction(int(b.idempotent_elements[g]), b.idempotent_den)
+            if c:
+                acc = acc + M.action(g).scale(c)
+        if acc.is_identity():
+            hit.append(bi)
+        elif not acc.is_zero():
+            raise ArithmeticError(f"block idempotent {bi} acts neither as 0 nor as 1")
+    if len(hit) != 1:
+        raise ArithmeticError(f"module does not lie in a single block: hits {hit}")
+    return hit[0]
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES))
+def test_block_of_equals_the_scale_and_add_loop(name):
+    G = builtin_group(name)
+    compared = 0
+    for field in FIELDS:
+        blocks = _outcome(block_decomposition, G, field)
+        if isinstance(blocks, str):  # not split over Q
+            continue
+        for kind, make in MODULE_KINDS.items():
+            for M in [trivial_module(G, field)] + coset_modules(G, field):
+                X = make(M)
+                assert _outcome(block_of, X, blocks) == _outcome(_ref_block_of, X, blocks)
+                compared += 1
+    assert compared > 0
+
+
+def test_block_of_over_q_reads_the_idempotent_denominator():
+    G = builtin_group("s3")
+    blocks = block_decomposition(G, QQ)
+    assert sorted(b.idempotent_den for b in blocks) == [3, 6, 6]
+    X = permutation_module(G, next(S for S in G.subgroups_up_to_conjugacy() if S.order == 2), QQ)
+    # columns e0 - e1, e1 - e2 span the 2-dimensional simple summand, e0 + e1 + e2 the trivial
+    P = Mat(QQ, np.array([[1, 0, 1], [-1, 1, 1], [0, -1, 1]]))
+    Pinv = P.inv()
+    assert Pinv.den == 3
+    two = module_from_matrices(G, QQ, [Mat(QQ, (C := Pinv @ X.action(g) @ P).num[:2, :2].copy(),
+                                           C.den) for g in range(G.order)])
+    dims = [blocks[block_of(M, blocks)].dimension
+            for M in (trivial_module(G, QQ), sign_module(QQ), two)]
+    assert dims == [1, 1, 4]
+
+
+def test_dense_module_is_a_snapshot_of_its_matrices():
+    G = builtin_group("s3")
+    X = permutation_module(G, G.subgroups_up_to_conjugacy()[1], QQ)
+    for M in (dense_copy(X), _conjugated_copy(X)):
+        mats = [M.action(g) for g in range(G.order)]
+        before = [m.to_fractions() for m in mats]
+        N = module_from_matrices(G, QQ, mats)
+        for m in mats:      # edits to what was passed in
+            m.num[...] = 7
+        mats[1] = Mat.identity(QQ, 3)
+        for g in range(G.order):   # edits to what was read back
+            N.action(g).num[...] = 5
+        assert [N.action(g).to_fractions() for g in range(G.order)] == before
+        N.verify_action()
