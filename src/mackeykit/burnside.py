@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, GSet, gset_from_subgroup, gset_induce, gset_restrict
-from .linalg import Field, Mat, QQ, _common, _frac_eq, _imatmul, _isum_segments, _mm
+from .linalg import Field, Mat, QQ
 
 __all__ = [
     "GSet",
@@ -140,105 +140,85 @@ _BATCH_ENTRIES = 1 << 18  # entries of the multiplication matrices made at once
 
 class CommutativeAlgebra:
     """A commutative associative unital algebra on a basis e_0, ..., e_{r-1},
-    kept as one exact structure tensor T[i, k, j], the coefficient of e_k in
-    e_i e_j: integer numerators over one common denominator (reduced mod p,
-    over 1, on F_p).  It is built from the left-multiplication matrices of
-    the basis, L_i[k, j] = T[i, k, j], which `left_mult` reads back as
-    copies, and the unit column.  The unit law, commutativity and
+    kept as one exact structure tensor, the stack `Mat` T[i, k, j] of the
+    coefficients of e_k in e_i e_j.  It is built from the left-multiplication
+    matrices of the basis, L_i[k, j] = T[i, k, j], which `left_mult` reads
+    back as copies, and the unit column.  The unit law, commutativity and
     associativity are verified at construction for dimensions up to
     ASSOCIATIVITY_DIM_CAP; every product is a contraction with T."""
 
     def __init__(self, field: Field, left_mult: List[Mat], unit: Mat):
         r = len(left_mult)
-        for L in left_mult:
-            if L.shape != (r, r) or L.field != field:
-                raise ValueError("bad left-multiplication matrix")
-        nums, den = _common(left_mult)
-        T = np.stack(nums) if r else np.zeros((0, 0, 0), dtype=np.int64)
-        self._build(field, T, den, unit)
-
-    @classmethod
-    def _of(cls, field: Field, T: np.ndarray, unit: Mat) -> "CommutativeAlgebra":
-        """From an integer structure tensor T[i, k, j] and the unit column."""
-        alg = cls.__new__(cls)
-        alg._build(field, T, 1, unit)
-        return alg
-
-    def _build(self, field: Field, T: np.ndarray, den: int, unit: Mat) -> None:
-        if unit.shape != (len(T), 1):
+        if unit.shape != (r, 1):
             raise ValueError("unit must be a column vector")
-        if field.p is not None:
-            T = (T % field.p).astype(np.int64)
-        self.field = field
-        self._T, self._den = T, den
-        self.unit = unit
-        self.dim = len(T)
+        self.field, self.dim, self.unit = field, r, unit
+        self._T = Mat.stack(field, left_mult, (r, r))  # refuses another shape or field
+        self._flat = self._T.reshape(r, r * r)          # row i: the entries of L_i
         self._verify()
 
     @property
     def left_mult(self) -> List[Mat]:
-        return [Mat(self.field, Ti.copy(), self._den) for Ti in self._T]
+        return [self._T[i].copy() for i in range(self.dim)]
 
     def _verify(self) -> None:
         """The unit law, then commutativity (e_i e_j against e_j e_i for
         j < i), then associativity ((e_i e_j) e_k against e_i (e_j e_k) for
         every k), each failure named by its first basis pair (i, j) in
-        row-major order.  Associativity is one contraction per row i, so
-        memory stays O(r^3)."""
-        T, r, p = self._T, self.dim, self.field.p
+        row-major order.  Associativity is one contraction per batch of
+        rows i, of at most _BATCH_ENTRIES entries (or one row), so memory
+        stays O(r^3)."""
+        T, flat, r = self._T, self._flat, self.dim
         if r > ASSOCIATIVITY_DIM_CAP:
             raise ValueError(f"dimension {r} exceeds the verification cap")
-        flat = T.reshape(r, r * r)
-        one = _mm(self.unit.num.T, flat, p).reshape(r, r)  # sum of u_i L_i
-        if not _frac_eq(one, self.unit.den * self._den, np.eye(r, dtype=np.int64), 1).all():
+        if (self.unit.T @ flat).reshape(r, r) != Mat.identity(self.field, r):  # sum of u_i L_i
             raise ArithmeticError("unit law fails")
-        bad = np.tril(~(T == T.transpose(2, 1, 0)).all(axis=1), -1)
+        bad = np.tril(~T.eq(T.transpose(2, 1, 0)).all(axis=1), -1)
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise ArithmeticError(f"not commutative at basis pair {(int(i), int(j))}")
-        for i in range(r):
-            lhs = _mm(T[i].T, flat, p).reshape(r, r, r)  # [j]: multiplication by e_i e_j
-            rhs = _mm(T[i], T, p)                          # [j]: L_i L_j
-            bad = ~(lhs == rhs).reshape(r, r * r).all(axis=1)
+        step = max(1, _BATCH_ENTRIES // max(1, r ** 3))
+        for i0 in range(0, r, step):
+            Ti = T[i0 : i0 + step]
+            # [i, j]: multiplication by e_i e_j, against L_i L_j
+            lhs = (Ti.transpose(0, 2, 1) @ flat).reshape(-1, r, r, r)
+            rhs = Ti[:, None] @ T
+            bad = ~lhs.eq(rhs).reshape(-1, r, r * r).all(axis=2)
             if bad.any():
-                raise ArithmeticError(f"not associative at basis pair {(i, int(np.argmax(bad)))}")
+                i, j = np.argwhere(bad)[0]
+                raise ArithmeticError(f"not associative at basis pair {(i0 + int(i), int(j))}")
 
-    def _mul_cols(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Numerators of the products X[:, c] Y[:, c] of the columns of two
-        numerator arrays, over den(X) den(Y) times the tensor's denominator:
-        the multiplication matrices of the X columns, then one stacked
-        product with the Y columns, in batches of _BATCH_ENTRIES entries."""
-        (r, m), p = X.shape, self.field.p
-        flat = self._T.reshape(r, r * r)
+    def _mul_cols(self, X: Mat, Y: Mat) -> Mat:
+        """The products X[:, c] Y[:, c] of the columns of two matrices: the
+        multiplication matrices of the X columns, then one stacked product
+        with the Y columns, in batches of _BATCH_ENTRIES entries."""
+        r, m = X.shape
         step = max(1, _BATCH_ENTRIES // max(1, r * r))
-        out = [np.zeros((0, r), dtype=np.int64)]
-        for a in range(0, m, step):
-            L = _mm(X[:, a : a + step].T, flat, p).reshape(-1, r, r)
-            out.append(_mm(L, Y[:, a : a + step].T[:, :, None], p)[:, :, 0])
-        return np.concatenate(out).T
+        if m > step:
+            return Mat.concat(self.field, [self._mul_cols(X[:, a : a + step], Y[:, a : a + step])
+                                           for a in range(0, m, step)], axis=1)
+        L = (X.transpose() @ self._flat).reshape(m, r, r)
+        return (L @ Y.transpose().reshape(m, r, 1)).reshape(m, r).transpose()
 
-    def _powers(self, X: np.ndarray, den: int, k: int) -> Tuple[np.ndarray, int]:
-        """The k-th powers of the columns of X (over den) by square and
-        multiply: their numerators and common denominator."""
-        out, out_den = np.repeat(self.unit.num, X.shape[1], axis=1), self.unit.den
+    def _powers(self, X: Mat, k: int) -> Mat:
+        """The k-th powers of the columns of X, by square and multiply."""
+        out = self.unit[:, [0] * X.ncols]
         while k:
             if k & 1:
-                out, out_den = self._mul_cols(out, X), out_den * den * self._den
+                out = self._mul_cols(out, X)
             k >>= 1
             if k:
-                X, den = self._mul_cols(X, X), den * den * self._den
-        return out, out_den
+                X = self._mul_cols(X, X)
+        return out
 
     def mult_matrix(self, x: Mat) -> Mat:
         r = self.dim
-        return Mat(self.field, _mm(x.num.T, self._T.reshape(r, r * r), self.field.p).reshape(r, r),
-                   x.den * self._den)
+        return (x.T @ self._flat).reshape(r, r)
 
     def multiply(self, x: Mat, y: Mat) -> Mat:
-        return Mat(self.field, self._mul_cols(x.num, y.num), x.den * y.den * self._den)
+        return self._mul_cols(x, y)
 
     def power(self, x: Mat, k: int) -> Mat:
-        return Mat(self.field, *self._powers(x.num, x.den, k))
+        return self._powers(x, k)
 
     def is_idempotent(self, x: Mat) -> bool:
         return self.multiply(x, x) == x
@@ -291,12 +271,12 @@ def _krylov_minpoly(alg: CommutativeAlgebra, z: Mat, e: Mat, modulo: Mat) -> Lis
     cur = e
     while True:
         k = len(powers)
-        stack = Mat.from_blocks(f, alg.dim, k, [(0, j, v) for j, v in enumerate(powers)])
+        stack = Mat.concat(f, powers, axis=1)
         cur = Mz @ cur
         sysm = stack if modulo.ncols == 0 else stack.hstack(modulo)
         sol = sysm.solve(cur)
         if sol is not None:
-            return [-Fraction(int(sol.num[i, 0]), sol.den) for i in range(k)] + [Fraction(1)]
+            return [-c for c, in sol.to_fractions()[:k]] + [Fraction(1)]
         powers.append(cur)
         if len(powers) > alg.dim + 1:
             raise ArithmeticError("minimal polynomial search exceeded the dimension")
@@ -367,36 +347,27 @@ def primitive_idempotents(alg: CommutativeAlgebra) -> List[Mat]:
         leaves = _split_frobenius(alg)
     else:
         leaves = _split_rational(alg)
-    nums, den = _common(leaves)
-    E = np.concatenate(nums, axis=1)
-    total = _isum_segments(E.T, np.zeros(1, dtype=np.int64))[0]
-    if alg.field.p is not None:
-        total %= alg.field.p
-    if not _frac_eq(total, den, alg.unit.num[:, 0], alg.unit.den).all():
+    f = alg.field
+    E = Mat.concat(f, leaves, axis=1)
+    if E @ Mat(f, np.ones((len(leaves), 1), dtype=np.int64)) != alg.unit:
         raise ArithmeticError("idempotents do not sum to the unit")
     # e_i e_j for j <= i in one batch: e_i on the diagonal, 0 off it
     rows, cols = np.tril_indices(len(leaves))
-    ok = _frac_eq(alg._mul_cols(E[:, rows], E[:, cols]), den * den * alg._den,
-                  np.where(rows == cols, E[:, rows], 0), den).all(axis=0)
+    prod = alg._mul_cols(E[:, rows], E[:, cols])
+    ok = np.where(rows == cols, prod.eq(E[:, rows]).all(axis=0), (prod.num == 0).all(axis=0))
     for i, j, good in zip(rows, cols, ok):
         if not good:
             raise ArithmeticError("output is not idempotent" if i == j
                                   else "idempotents are not orthogonal")
-
-    def key(e: Mat):
-        if alg.field.p is not None:
-            return tuple(int(v) for v in e.num[:, 0])
-        return tuple(Fraction(int(v), e.den) for v in e.num[:, 0])
-    return sorted(leaves, key=key)
+    return sorted(leaves, key=Mat.to_fractions)
 
 
 def _frobenius_fixed_space(alg: CommutativeAlgebra) -> Mat:
     """A basis of ker(F - 1) for the Frobenius map F(x) = x^p of an algebra
     over F_p: the columns e_i^p of F come from one square and multiply over
     all basis vectors at once, and one nullspace gives the kernel."""
-    eye = np.eye(alg.dim, dtype=np.int64)
-    F, _ = alg._powers(eye, 1, alg.field.p)
-    return Mat(alg.field, F - eye).nullspace()
+    eye = Mat.identity(alg.field, alg.dim)
+    return (alg._powers(eye, alg.field.p) - eye).nullspace()
 
 
 def _split_frobenius(alg: CommutativeAlgebra) -> List[Mat]:
@@ -411,29 +382,30 @@ def _split_frobenius(alg: CommutativeAlgebra) -> List[Mat]:
     pieces, each a primitive idempotent; any other count is a broken
     invariant.
     """
-    p = alg.field.p
+    f, p = alg.field, alg.field.p
     fixed = _frobenius_fixed_space(alg)
     s = fixed.ncols
-    pieces = alg.unit.num
+    pieces = alg.unit
     for t in range(s):
-        if pieces.shape[1] == s:
+        if pieces.ncols == s:
             break
-        n = pieces.shape[1]
-        ze = alg._mul_cols(np.repeat(fixed.num[:, t : t + 1], n, axis=1), pieces)
+        n = pieces.ncols
+        ze = alg._mul_cols(fixed[:, [t] * n], pieces)
         step = max(1, _BATCH_ENTRIES // (n * alg.dim + 1))
         found = []
         for c0 in range(0, p, step):
             cs = np.arange(c0, min(p, c0 + step), dtype=np.int64)
-            e = np.repeat(pieces, len(cs), axis=1)  # piece-major, c fastest
-            shifted = (np.repeat(ze, len(cs), axis=1) - e * np.tile(cs, n)) % p
-            E = (e - alg._powers(shifted, 1, p - 1)[0]) % p
-            found.append(E[:, E.any(axis=0)])
-        pieces = np.concatenate(found, axis=1)
-    if pieces.shape[1] != s:
+            at = np.repeat(np.arange(n), len(cs))  # piece-major, c fastest
+            e = pieces[:, at]
+            shifted = Mat(f, ze.num[:, at] - e.num * np.tile(cs, n))
+            E = e - alg._powers(shifted, p - 1)
+            found.append(E[:, E.num.any(axis=0)])
+        pieces = Mat.concat(f, found, axis=1)
+    if pieces.ncols != s:
         raise ArithmeticError(
-            f"{pieces.shape[1]} Lagrange idempotents for a Frobenius-fixed space "
+            f"{pieces.ncols} Lagrange idempotents for a Frobenius-fixed space "
             f"of dimension {s} (broken invariant)")
-    return [Mat(alg.field, pieces[:, c : c + 1]) for c in range(s)]
+    return [pieces[:, c : c + 1] for c in range(s)]
 
 
 def _span_basis(vectors: Mat) -> Mat:
@@ -448,8 +420,8 @@ def _trace_form_radical(alg: CommutativeAlgebra) -> Mat:
     """The radical of the trace form (x, y) -> tr(L_x L_y) over Q; the Gram
     matrix tr(L_i L_j) is one contraction of the tensor."""
     T, r = alg._T, alg.dim
-    gram = _imatmul(T.reshape(r, r * r), T.transpose(0, 2, 1).reshape(r, r * r).T)
-    return _span_basis(Mat(QQ, gram, alg._den ** 2).nullspace())
+    gram = alg._flat @ T.transpose(0, 2, 1).reshape(r, r * r).T
+    return _span_basis(gram.nullspace())
 
 
 def _split_rational(alg: CommutativeAlgebra) -> List[Mat]:
@@ -549,7 +521,7 @@ class CenterOfGroupAlgebra:
                         minlength=r ** 3).reshape(r, r, r)
         unit = np.zeros((r, 1), dtype=np.int64)
         unit[0, 0] = 1
-        self.algebra = CommutativeAlgebra._of(field, T, Mat(field, unit))
+        self.algebra = CommutativeAlgebra(field, [Mat(field, Ti) for Ti in T], Mat(field, unit))
 
     @property
     def dim(self) -> int:
@@ -763,7 +735,7 @@ class CrossedBurnsideAlgebra:
         Z = CenterOfGroupAlgebra(G, QQ)
         unit_ok = bool(R[self.unit_index, 0] == 1 and not np.any(R[self.unit_index, 1:]))
         # rho(e_i e_j) against rho(e_i) rho(e_j) in Z(kG), for every i, j
-        T = Z.algebra._T
+        T = Z.algebra._T.num
         _require_exact(self.rank * _abs_max(self._left) * _abs_max(R), 63, "the rho_coh check")
         _require_exact(T.shape[0] ** 2 * _abs_max(T) * _abs_max(R) ** 2, 63, "the rho_coh check")
         hom_ok = bool(np.array_equal(np.einsum("ikj,kc->ijc", self._left, R),

@@ -1,10 +1,12 @@
 """Exact linear algebra over prime fields and the rationals.
 
-A matrix is an integer numpy array `num` together with a positive common
-denominator `den` (always 1 over F_p).  Every operation is exact: mod-p
-products go through float64 BLAS only while the inner dimension times
-(p-1)^2 stays below 2**53, and integer products escalate from int64 to
-Python bignums (object dtype) before they could overflow.
+`Mat` is the one exact array type of the package: an integer numpy array
+`num` of shape (..., r, c), a matrix or a stack of them, together with one
+positive common denominator `den` (always 1 over F_p, where the numerators
+are reduced mod p).  Every operation is exact: mod-p products go through
+float64 BLAS only while the inner dimension times (p-1)^2 stays below
+2**53, and integer products escalate from int64 to Python bignums (object
+dtype) before they could overflow, and drop back once they fit again.
 """
 
 from __future__ import annotations
@@ -88,12 +90,6 @@ def _imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(object) @ b.astype(object)
 
 
-def _mm(a: np.ndarray, b: np.ndarray, p: Optional[int]) -> np.ndarray:
-    """Exact stacked product a @ b, reduced mod p over F_p."""
-    out = _imatmul(a, b)
-    return out if p is None else (out % p).astype(np.int64)
-
-
 def _isum_segments(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Exact sums along axis 0 of the segments of `a` that begin at
     `starts` (as np.add.reduceat): int64 while the length of `a` times its
@@ -101,15 +97,6 @@ def _isum_segments(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     if a.dtype != object and len(a) * _absmax(a) >= _I62:
         a = a.astype(object)
     return np.add.reduceat(a, starts, axis=0)
-
-
-def _frac_eq(a: np.ndarray, da: int, b: np.ndarray, db: int) -> np.ndarray:
-    """Entrywise a / da == b / db for integer arrays (broadcast), by
-    cross-multiplying the denominators."""
-    if da != db:
-        g = math.gcd(da, db)
-        a, b = _scale_arr(a, db // g), _scale_arr(b, da // g)
-    return a == b
 
 
 def _scale_arr(a: np.ndarray, s: int) -> np.ndarray:
@@ -244,19 +231,29 @@ def _rref_fraction(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], Li
 
 
 class Mat:
-    """Exact matrix over F_p or Q."""
+    """Exact matrix, or stack of matrices, over F_p or Q.
+
+    `num` has shape (..., r, c): a 2-D Mat is one matrix, and leading axes
+    index a stack of r x c matrices that share the one denominator `den`.
+    Products, sums and comparisons broadcast over the stack axes as numpy
+    does; indexing gathers along any axes and keeps the denominator.  The
+    readers (`entry`, `to_jsonable`, `trace`, ...) and the eliminations
+    (`rref`, `nullspace`, `solve`, `inv`, ...) take a 2-D Mat.
+    """
 
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field: Field, num: np.ndarray, den: int = 1):
         num = np.asarray(num)
-        if num.ndim != 2:
-            raise ValueError("matrix data must be 2-dimensional")
+        if num.ndim < 2:
+            raise ValueError("matrix data must have at least 2 dimensions")
         if num.dtype not in (np.dtype(np.int64), np.dtype(object)):
             num = num.astype(np.int64)
         p = field.p
         if p is not None:
-            num = num.astype(np.int64) % p
+            num = num % p
+            if num.dtype != np.int64:
+                num = num.astype(np.int64)
             if den % p == 0:
                 raise ZeroDivisionError("denominator vanishes mod p")
             if den % p != 1:
@@ -270,12 +267,21 @@ class Mat:
             if den != 1:
                 g = math.gcd(_content(num), den)
                 if g > 1:
-                    num = (num // g) if num.dtype != object else num // g
+                    num = num // g
                     den //= g
             num = _compact(num)
         self.field = field
         self.num = num
         self.den = den
+
+    @classmethod
+    def _of(cls, field: Field, num: np.ndarray, den: int = 1) -> "Mat":
+        """The Mat of numerators that are already exact and reduced: int64
+        or object, below p over F_p, over a positive `den` (1 over F_p).
+        Nothing is checked, copied or normalised."""
+        out = cls.__new__(cls)
+        out.field, out.num, out.den = field, num, den
+        return out
 
     # ---- constructors -------------------------------------------------
 
@@ -303,23 +309,41 @@ class Mat:
         return cls(field, _compact(num) if num.size else num.astype(np.int64), den)
 
     @classmethod
+    def concat(cls, field: Field, mats: Sequence["Mat"], axis: int = 0) -> "Mat":
+        """`mats` joined along `axis`, as np.concatenate, over the least
+        common denominator of their own."""
+        nums, den = _common(field, mats)
+        return cls._of(field, _compact(np.concatenate(nums, axis=axis)), den)
+
+    @classmethod
+    def stack(cls, field: Field, mats: Sequence["Mat"], shape: Tuple[int, ...]) -> "Mat":
+        """`mats`, each of `shape`, along a new first axis over their least
+        common denominator; no mats give the empty stack (0, *shape)."""
+        mats = list(mats)
+        if any(m.shape != tuple(shape) for m in mats):
+            raise ValueError("shape mismatch in stack")
+        empty = cls._of(field, np.zeros((0, *shape), dtype=np.int64))
+        return cls.concat(field, [m[None] for m in mats] + [empty])
+
+    @classmethod
     def from_blocks(cls, field: Field, nrows: int, ncols: int,
                     blocks: Iterable[Tuple[int, int, "Mat"]]) -> "Mat":
         """The nrows x ncols matrix with each `(row, col, block)` added in at
-        offset (row, col); overlapping blocks are summed.
+        offset (row, col); overlapping blocks are summed.  Blocks that are
+        stacks place every matrix of the stack at once (their stack axes
+        broadcast).
 
         Blocks are brought to the lcm of their denominators exactly: entries
         stay int64 while they fit and become Python integers otherwise.
         """
         blocks = list(blocks)
-        for _, _, b in blocks:
-            if b.field != field:
-                raise ValueError(f"field mismatch: {b.field!r} vs {field!r}")
-        nums, den = _common([b for _, _, b in blocks])
-        out = np.zeros((nrows, ncols), dtype=object if any(a.dtype == object for a in nums)
+        nums, den = _common(field, [b for _, _, b in blocks])
+        leads = {a.shape[:-2] for a in nums}
+        lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
+        out = np.zeros(lead + (nrows, ncols), dtype=object if any(a.dtype == object for a in nums)
                        else np.int64)
         for (r, c, _), a in zip(blocks, nums):
-            region = (slice(r, r + a.shape[0]), slice(c, c + a.shape[1]))
+            region = (Ellipsis, slice(r, r + a.shape[-2]), slice(c, c + a.shape[-1]))
             if out[region].any():
                 a = _add_arr(out[region], a)
             if a.dtype == object and out.dtype != object:
@@ -340,14 +364,14 @@ class Mat:
 
     @property
     def nrows(self) -> int:
-        return self.num.shape[0]
+        return self.num.shape[-2]
 
     @property
     def ncols(self) -> int:
-        return self.num.shape[1]
+        return self.num.shape[-1]
 
     @property
-    def shape(self) -> Tuple[int, int]:
+    def shape(self) -> Tuple[int, ...]:
         return self.num.shape
 
     def entry(self, i: int, j: int):
@@ -375,77 +399,117 @@ class Mat:
         return bool(np.array_equal(self.num, np.eye(self.nrows, dtype=np.int64)))
 
     def __repr__(self) -> str:
-        return f"Mat({self.field!r}, {self.nrows}x{self.ncols})"
+        return f"Mat({self.field!r}, {'x'.join(map(str, self.shape))})"
+
+    def eq(self, other: "Mat") -> np.ndarray:
+        """Entrywise self == other as a boolean array, broadcast as numpy
+        does, by cross-multiplying the denominators."""
+        self._check(other)
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if da != db:
+            g = math.gcd(da, db)
+            a, b = _scale_arr(a, db // g), _scale_arr(b, da // g)
+        return a == b
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
         if self.field != other.field or self.shape != other.shape:
             return False
-        return bool(_frac_eq(self.num, self.den, other.num, other.den).all())
+        return bool(self.eq(other).all())
 
     __hash__ = None  # type: ignore[assignment]
+
+    # ---- gathers and shapes ---------------------------------------------
+
+    def __getitem__(self, key) -> "Mat":
+        """num[key] over the same denominator, for any numpy index that
+        leaves at least two axes: a gather, not a copy, of the numerators."""
+        return self._like(self.num[key])
+
+    def _like(self, num: np.ndarray) -> "Mat":
+        if num.ndim < 2:
+            raise ValueError("a gather from a Mat must leave at least 2 dimensions")
+        return Mat._of(self.field, num, self.den)
+
+    def take(self, index: np.ndarray) -> "Mat":
+        """The entries at the row-major positions `index` of the numerator,
+        an integer array of at least two dimensions, over the same
+        denominator."""
+        return self._like(self.num.take(index))
+
+    def reshape(self, *shape) -> "Mat":
+        return self._like(self.num.reshape(*shape))
+
+    def transpose(self, *axes) -> "Mat":
+        return Mat._of(self.field, self.num.transpose(*axes), self.den)
+
+    def copy(self) -> "Mat":
+        """A Mat of its own: a copy of the numerators, normalised as the
+        constructor normalises them."""
+        return Mat(self.field, self.num.copy(), self.den)
+
+    @property
+    def T(self) -> "Mat":
+        """The transpose of every matrix of the stack, as a copy."""
+        return Mat._of(self.field, np.swapaxes(self.num, -1, -2).copy(), self.den)
 
     # ---- arithmetic ----------------------------------------------------
 
     def _check(self, other: "Mat") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._check(other)
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in addition")
-        (a, b), d = _common([self, other])
-        return Mat(self.field, _add_arr(a, b), d)
+        return self._sum(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
+        return self._sum(other, -1)
+
+    def _sum(self, other: "Mat", sign: int) -> "Mat":
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch in addition")
+        (a, b), d = _common(self.field, [self, other])
+        p = self.field.p
+        if p is not None:  # residues: a sum or difference of two stays in int64
+            return Mat._of(self.field, (a + b if sign > 0 else a - b) % p)
+        return Mat(self.field, _add_arr(a, b if sign > 0 else _scale_arr(b, -1)), d)
 
     def __neg__(self) -> "Mat":
         return Mat(self.field, _scale_arr(self.num, -1), self.den)
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        """The product, broadcast over the stack axes of both factors."""
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        num = _imatmul(self.num, other.num)
-        if self.field.p is not None:
-            num %= self.field.p
-            return Mat(self.field, num)
-        return Mat(self.field, num, self.den * other.den)
+        num, p = _imatmul(self.num, other.num), self.field.p
+        if p is None:
+            return Mat(self.field, num, self.den * other.den)
+        if num.dtype == object:
+            return Mat._of(self.field, (num % p).astype(np.int64))
+        num %= p  # a new array, already reduced: no second pass through the constructor
+        return Mat._of(self.field, num)
 
     def scale(self, s) -> "Mat":
         s = Fraction(s)
         return Mat(self.field, _scale_arr(self.num, s.numerator), self.den * s.denominator)
 
-    @property
-    def T(self) -> "Mat":
-        return Mat(self.field, self.num.T.copy(), self.den)
-
     def hstack(self, other: "Mat") -> "Mat":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch in hstack")
-        return Mat.from_blocks(self.field, self.nrows, self.ncols + other.ncols,
-                               [(0, 0, self), (0, self.ncols, other)])
+        return Mat.concat(self.field, [self, other], axis=-1)
 
     def vstack(self, other: "Mat") -> "Mat":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch in vstack")
-        return Mat.from_blocks(self.field, self.nrows + other.nrows, self.ncols,
-                               [(0, 0, self), (self.nrows, 0, other)])
+        return Mat.concat(self.field, [self, other], axis=-2)
 
     def kron(self, other: "Mat") -> "Mat":
+        """The Kronecker product, of every pair of matrices of the two
+        stacks broadcast against each other."""
         self._check(other)
         a, b = self.num, other.num
-        if a.dtype == object or b.dtype == object:
+        if a.dtype == object or b.dtype == object or _absmax(a) * _absmax(b) >= _I62:
             a, b = a.astype(object), b.astype(object)
-        else:
-            ma = int(np.abs(a).max(initial=0))
-            mb = int(np.abs(b).max(initial=0))
-            if ma * mb >= _I62:
-                a, b = a.astype(object), b.astype(object)
-        num = np.kron(a, b)
+        num = a[..., :, None, :, None] * b[..., None, :, None, :]
+        num = num.reshape(num.shape[:-4] + (self.nrows * other.nrows, self.ncols * other.ncols))
         if self.field.p is not None:
             num %= self.field.p
         return Mat(self.field, num, self.den * other.den)
@@ -482,24 +546,19 @@ class Mat:
         return len(self.rref()[1])
 
     def nullspace(self) -> "Mat":
-        """Matrix whose columns are a basis of the right kernel."""
+        """Matrix whose columns are a basis of the right kernel: column k is
+        the identity on the k-th free column and minus its entries of the
+        RREF on the pivots."""
         R, piv = self.rref()
-        free = [c for c in range(self.ncols) if c not in piv]
+        free = np.ones(self.ncols, dtype=bool)
+        free[piv] = False
+        free = np.flatnonzero(free)
+        big = R.num.dtype == object or R.den >= _I62
+        out = np.zeros((self.ncols, len(free)), dtype=object if big else np.int64)
+        out[free, np.arange(len(free))] = R.den
+        out[piv] = -R.num[:len(piv), free]
         if self.field.p is not None:
-            p = self.field.p
-            out = np.zeros((self.ncols, len(free)), dtype=np.int64)
-            for k, f in enumerate(free):
-                out[f, k] = 1
-                for i, c in enumerate(piv):
-                    out[c, k] = (-int(R.num[i, f])) % p
-            return Mat(self.field, out)
-        out = np.zeros((self.ncols, len(free)), dtype=object)
-        for k, f in enumerate(free):
-            out[f, k] = R.den
-            for i, c in enumerate(piv):
-                out[c, k] = -int(R.num[i, f])
-        if not free:
-            out = out.astype(np.int64)
+            return Mat._of(self.field, out % self.field.p)
         return Mat(self.field, out, R.den)
 
     def solve(self, b: "Mat") -> Optional["Mat"]:
@@ -510,8 +569,7 @@ class Mat:
         if any(c >= n for c in piv):
             return None
         out = np.zeros((n, b.ncols), dtype=R.num.dtype if R.num.dtype == object else np.int64)
-        for i, c in enumerate(piv):
-            out[c] = R.num[i, n:]
+        out[piv] = R.num[:len(piv), n:]
         return Mat(self.field, out, R.den)
 
     def inv(self) -> "Mat":
@@ -550,9 +608,13 @@ class Mat:
         return out
 
 
-def _common(mats: Sequence[Mat]) -> Tuple[List[np.ndarray], int]:
-    """The numerators of `mats` over their least common denominator (those
-    already over it are returned as they are, not copied)."""
+def _common(field: Field, mats: Sequence[Mat]) -> Tuple[List[np.ndarray], int]:
+    """The numerators of `mats`, all over `field`, over their least common
+    denominator (those already over it are returned as they are, not
+    copied)."""
+    for m in mats:
+        if m.field != field:
+            raise ValueError(f"field mismatch: {m.field!r} vs {field!r}")
     den = math.lcm(1, *(m.den for m in mats))
     return [m.num if m.den == den else _scale_arr(m.num, den // m.den) for m in mats], den
 

@@ -4,10 +4,9 @@ A functor here is a table: one free module per subgroup of G (all
 subgroups, not just class representatives, so conjugation maps are total),
 a restriction and a transfer matrix per containment K <= H, and a
 conjugation matrix per pair (g, H).  Each kind of map is kept as one stack:
-the exact integer numerators of all its matrices in one array, over one
-common denominator (1 over F_p), read back by gathers.  A Green functor adds
-one structure tensor per level, T_H[i, j, k] = the coefficient of e_k in
-e_i e_j, and a unit.
+the entries of all its matrices in one exact flat `Mat`, read back by
+gathers.  A Green functor adds one structure tensor per level, the stack
+`Mat` T_H[i, j, k] = the coefficient of e_k in e_i e_j, and a unit column.
 
 `verify_mackey_axioms` checks, over every chain and every triple, the four
 axioms: functoriality of restriction and transfer, functoriality of
@@ -18,10 +17,11 @@ conjugation with both maps, and the double-coset (Mackey) formula
 
 Each clause is a batched exact contraction over the stacks, one batch per
 subgroup (per containment for the Mackey formula and the Green clauses):
-products and sums go through `linalg._imatmul` and `linalg._isum_segments`,
-which stay in float64 or int64 under their overflow bounds and use Python
-integers beyond them; results are reduced mod p over F_p, and compared over
-Q by cross-multiplying the stacks' denominators (`linalg._frac_eq`).
+products are broadcast `Mat` products and the double-coset sums go through
+`linalg._isum_segments`, which stay in float64 or int64 under their
+overflow bounds and use Python integers beyond them; results are reduced
+mod p over F_p, and compared entrywise by `Mat.eq`, which cross-multiplies
+the denominators.
 A clause yields one boolean per instance, in a fixed order, and only the
 first FAILURE_LIST_CAP failures are described.
 
@@ -44,7 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, Subgroup
-from .linalg import Field, Mat, QQ, _common, _compact, _frac_eq, _isum_segments, _mm
+from .linalg import Field, Mat, QQ, _isum_segments
 from .reps import Module, ModuleHom, _monoid_laws, hom_space, restrict_to
 
 __all__ = [
@@ -87,37 +87,28 @@ def _starts(sizes: Sequence[int]) -> np.ndarray:
 
 
 class _Stack:
-    """One kind of structure map: the integer numerators of all its
-    matrices, row-major one after another in one array that ends in a zero,
-    over one common denominator.  Block (i, j) begins at start[i, j] and is
-    nr[i, j] x nc[i, j] (0 x 0 where there is none); `shape` holds the three
-    tables side by side."""
+    """One kind of structure map: the entries of all its matrices, row-major
+    one after another, in one exact column `flat` that ends in a zero.
+    Block (i, j) begins at start[i, j] and is nr[i, j] x nc[i, j] (0 x 0
+    where there is none); `shape` holds the three tables side by side."""
 
-    def __init__(self, parts: Sequence[np.ndarray], den: int, start: np.ndarray,
-                 nr: np.ndarray, nc: np.ndarray, p: Optional[int]):
-        flat = np.concatenate([np.asarray(a).ravel() for a in parts]
-                              + [np.zeros(1, dtype=np.int64)])
-        if p is not None:
-            flat = (flat % p).astype(np.int64)
-        self.flat = _compact(flat) if flat.dtype == object else flat.astype(np.int64)
-        self.den = den
+    def __init__(self, parts: Sequence[Mat], field: Field, start: np.ndarray,
+                 nr: np.ndarray, nc: np.ndarray):
+        self.flat = Mat.concat(field, [a.reshape(-1, 1) for a in parts] + [Mat.zeros(field, 1, 1)])
         self.shape = np.stack(np.broadcast_arrays(start, nr, nc), axis=-1)
 
-    def blocks(self, i, j, dr: int, dc: int) -> np.ndarray:
+    def blocks(self, i, j, dr: int, dc: int) -> Mat:
         """The blocks (i, j), with i and j broadcast as index arrays, each
         zero-padded to dr x dc."""
         m = self.shape[i, j][..., None, None, :]
         s, r, c = m[..., 0], m[..., 1], m[..., 2]
         a, b = np.arange(dr)[:, None], np.arange(dc)
-        return self.flat[np.where((a < r) & (b < c), s + a * c + b, -1)]
+        return self.flat.take(np.where((a < r) & (b < c), s + a * c + b, -1))
 
-    def block(self, i: int, j: int) -> np.ndarray:
+    def block(self, i: int, j: int) -> Mat:
         """Block (i, j) itself, a view of the stack."""
         s, r, c = (int(v) for v in self.shape[i, j])
         return self.flat[s:s + r * c].reshape(r, c)
-
-    def mat(self, field: Field, i: int, j: int) -> Mat:
-        return Mat(field, self.block(i, j).copy(), self.den)
 
 
 @dataclass
@@ -149,13 +140,17 @@ class OrdinaryMackeyFunctor:
         conj: Dict[Tuple[int, Subgroup], Mat],
     ):
         lat = group.subgroup_lattice()
-        subs = lat.subgroups
+        self.group, self.field, self.levels = group, field, levels
+        self.subgroups = subs = list(lat.subgroups)
         if set(levels) != set(subs):
             raise ValueError("a functor needs one level at every subgroup")
-        dims = [levels[S].dim for S in subs]
+        self.position, self._cj = lat.position, lat.conj
+        self._dims = dims = np.array([levels[S].dim for S in subs], dtype=np.int64)
+        self._contain = _containment_table(subs)
+        self._pairs = np.nonzero(self._contain)
+        self.containments = [(subs[k], subs[h]) for k, h in zip(*self._pairs)]
         rs, ts = [], []
-        for k, h in zip(*np.nonzero(_containment_table(subs))):
-            K, H = subs[k], subs[h]
+        for (K, H), k, h in zip(self.containments, *self._pairs):
             r, t = res.get((K, H)), tr.get((K, H))
             if r is None or t is None:
                 raise ValueError(f"missing maps for {K.elements} <= {H.elements}")
@@ -174,58 +169,32 @@ class OrdinaryMackeyFunctor:
                 if c.shape != (dims[lat.conj[g, h]], dims[h]) or dims[lat.conj[g, h]] != dims[h]:
                     raise ValueError("conjugation matrix has wrong shape")
                 cs.append(c)
-        (rs, rd), (ts, td), (cs, cd) = _common(rs), _common(ts), _common(cs)
-        G = group.order
-        cs = [np.stack(cs[h * G:(h + 1) * G]) for h in range(len(subs))]
-        self._build(group, field, levels, rs, rd, ts, td, cs, cd)
-
-    @classmethod
-    def _of(cls, group: FiniteGroup, field: Field, levels: Dict[Subgroup, LevelData],
-            res: List[np.ndarray], tr: List[np.ndarray], conj: List[np.ndarray]
-            ) -> "OrdinaryMackeyFunctor":
-        """The functor of integer blocks: res and tr one per containment in
-        (K, H) order, conj one (|G|, d, d) stack per subgroup."""
-        M = cls.__new__(cls)
-        M._build(group, field, levels, res, 1, tr, 1, conj, 1)
-        return M
-
-    def _build(self, group, field, levels, res, res_den, tr, tr_den, conj, conj_den) -> None:
-        lat = group.subgroup_lattice()
-        self.group, self.field, self.levels = group, field, levels
-        self.subgroups = list(lat.subgroups)
-        self.position = lat.position
-        n, p = len(self.subgroups), field.p
-        self._dims = dims = np.array([levels[S].dim for S in self.subgroups], dtype=np.int64)
-        self._contain = _containment_table(self.subgroups)
-        self._pairs = np.nonzero(self._contain)
-        self._cj = lat.conj
-        self.containments = [(self.subgroups[k], self.subgroups[h]) for k, h in zip(*self._pairs)]
+        n = len(subs)
         rows, cols = dims[:, None] * self._contain, dims * self._contain
         start = np.zeros((n, n), dtype=np.int64)
-        start[self._pairs] = _starts([a.size for a in res])
-        self._res = _Stack(res, res_den, start, rows, cols, p)
-        start[self._pairs] = _starts([a.size for a in tr])
-        self._tr = _Stack(tr, tr_den, start, cols, rows, p)
+        start[self._pairs] = _starts((rows * cols)[self._pairs])
+        self._res = _Stack(rs, field, start, rows, cols)
+        self._tr = _Stack(ts, field, start, cols, rows)
         sq = np.broadcast_to(dims, (group.order, n))
-        start = _starts([a.size for a in conj]) + np.arange(group.order)[:, None] * dims ** 2
-        self._conj = _Stack(conj, conj_den, start, sq, sq, p)
+        start = _starts(dims ** 2 * group.order) + np.arange(group.order)[:, None] * dims ** 2
+        self._conj = _Stack(cs, field, start, sq, sq)
 
     def level(self, S: Subgroup) -> LevelData:
         return self.levels[S]
 
     @cached_property
     def res(self) -> Mapping[Tuple[Subgroup, Subgroup], Mat]:
-        return MappingProxyType({KH: self._res.mat(self.field, k, h)
+        return MappingProxyType({KH: self._res.block(k, h).copy()
                                  for KH, k, h in zip(self.containments, *self._pairs)})
 
     @cached_property
     def tr(self) -> Mapping[Tuple[Subgroup, Subgroup], Mat]:
-        return MappingProxyType({KH: self._tr.mat(self.field, k, h)
+        return MappingProxyType({KH: self._tr.block(k, h).copy()
                                  for KH, k, h in zip(self.containments, *self._pairs)})
 
     @cached_property
     def conj(self) -> Mapping[Tuple[int, Subgroup], Mat]:
-        return MappingProxyType({(g, H): self._conj.mat(self.field, g, h)
+        return MappingProxyType({(g, H): self._conj.block(g, h).copy()
                                  for g in range(self.group.order)
                                  for h, H in enumerate(self.subgroups)})
 
@@ -294,7 +263,7 @@ def _parts(count: int, entries: int) -> List[np.ndarray]:
 def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
     """Exhaustive check of the four Mackey-functor axioms over all chains,
     conjugation pairs, and double-coset triples."""
-    G, p = M.group, M.field.p
+    G, f = M.group, M.field
     lat = G.subgroup_lattice()
     subs, dims, contain, cj = M.subgroups, M._dims, M._contain, M._cj
     R, T, C = M._res, M._tr, M._conj
@@ -307,11 +276,11 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
         D = _dmax(dims)
         ids = np.arange(n)
         # the identity of each level, padded
-        eye = (np.arange(D)[:, None] == np.arange(D)) & (np.arange(D) < dims[:, None, None])
-        res_ok = _frac_eq(R.blocks(ids, ids, D, D), R.den, eye, 1).all(axis=(1, 2))
-        tr_ok = _frac_eq(T.blocks(ids, ids, D, D), T.den, eye, 1).all(axis=(1, 2))
+        eye = Mat(f, (np.arange(D)[:, None] == np.arange(D)) & (np.arange(D) < dims[:, None, None]))
+        res_ok = R.blocks(ids, ids, D, D).eq(eye).all(axis=(1, 2))
+        tr_ok = T.blocks(ids, ids, D, D).eq(eye).all(axis=(1, 2))
         for h, H in enumerate(subs):
-            c_ok = _frac_eq(C.blocks(np.array(H.elements), h, D, D), C.den, eye[h], 1).all(axis=(1, 2))
+            c_ok = C.blocks(np.array(H.elements), h, D, D).eq(eye[h]).all(axis=(1, 2))
             yield (np.concatenate([[res_ok[h], tr_ok[h]], c_ok]),
                    lambda i, H=H: (f"res at {H.elements}", f"tr at {H.elements}")[i] if i < 2
                    else f"c_{H.elements[i - 2]} on {H.elements}")
@@ -324,12 +293,10 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
         ks, hs = np.flatnonzero(contain[:, l]), np.flatnonzero(contain[l])
         dk, dh, dl = _dmax(dims[ks]), _dmax(dims[hs]), dims[l]
         kh = (ks[:, None], hs)
-        prod = _mm(R.blocks(ks, l, dk, dl)[:, None], R.blocks(l, hs, dl, dh)[None], p)
-        ok = _frac_eq(prod, R.den ** 2, R.blocks(*kh, dk, dh), R.den)
-        res_ok3[ks[:, None], l, hs] = ok.all(axis=(2, 3))
-        prod = _mm(T.blocks(l, hs, dh, dl)[None], T.blocks(ks, l, dl, dk)[:, None], p)
-        ok = _frac_eq(prod, T.den ** 2, T.blocks(*kh, dh, dk), T.den)
-        tr_ok3[ks[:, None], l, hs] = ok.all(axis=(2, 3))
+        prod = R.blocks(ks, l, dk, dl)[:, None] @ R.blocks(l, hs, dl, dh)[None]
+        res_ok3[ks[:, None], l, hs] = prod.eq(R.blocks(*kh, dk, dh)).all(axis=(2, 3))
+        prod = T.blocks(l, hs, dh, dl)[None] @ T.blocks(ks, l, dl, dk)[:, None]
+        tr_ok3[ks[:, None], l, hs] = prod.eq(T.blocks(*kh, dh, dk)).all(axis=(2, 3))
     chains = np.transpose(np.nonzero(chain))
 
     def chain_text(kind):
@@ -344,18 +311,18 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
         d = dims[h]
         CH = C.blocks(gs, h, d, d)                            # c_g on H
         for hs in _parts(order, order * d * d):
-            lhs = _mm(C.blocks(gs, cj[hs, h][:, None], d, d), CH[hs, None], p)  # c_g c_h
-            conj_ok[h, hs] = _frac_eq(lhs, C.den ** 2, CH[G.table.T[hs]], C.den).all(axis=(2, 3))
+            lhs = C.blocks(gs, cj[hs, h][:, None], d, d) @ CH[hs, None]    # c_g c_h
+            conj_ok[h, hs] = lhs.eq(CH[G.table.T[hs]]).all(axis=(2, 3))
         inner = np.flatnonzero(contain[:, h])
         dk = _dmax(dims[inner])
         for ks in _parts(len(inner), order * dk * max(dk, d)):
             ks = inner[ks]
             CK = C.blocks(gs, ks[:, None], dk, dk)            # [K, g]: c_g on K
             moved = (cj[:, ks].T, cj[:, h])                   # gKg^-1 <= gHg^-1
-            lhs = _mm(CK, R.blocks(ks, h, dk, d)[:, None], p)
-            cr_ok[ks, h] = (lhs == _mm(R.blocks(*moved, dk, d), CH, p)).all(axis=(2, 3))
-            lhs = _mm(CH, T.blocks(ks, h, d, dk)[:, None], p)
-            ct_ok[ks, h] = (lhs == _mm(T.blocks(*moved, d, dk), CK, p)).all(axis=(2, 3))
+            lhs = CK @ R.blocks(ks, h, dk, d)[:, None]
+            cr_ok[ks, h] = lhs.eq(R.blocks(*moved, dk, d) @ CH).all(axis=(2, 3))
+            lhs = CH @ T.blocks(ks, h, d, dk)[:, None]
+            ct_ok[ks, h] = lhs.eq(T.blocks(*moved, d, dk) @ CK).all(axis=(2, 3))
 
     def conj_text(kind):
         def text(i):
@@ -376,21 +343,17 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
         ta = np.concatenate([a for _, a in recs])             # K n xHx^-1
         tb = cj[G.inverse[tx], ta]                            # x^-1Kx n H
         dk, da = dims[k], _dmax(dims[ta])
-        terms = _mm(_mm(T.blocks(ta, k, dk, da), C.blocks(tx, tb, da, da), p),
-                    R.blocks(tb, th, da, D), p)
+        terms = T.blocks(ta, k, dk, da) @ C.blocks(tx, tb, da, da) @ R.blocks(tb, th, da, D)
         above = np.flatnonzero(contain[k])
         for ls in _parts(len(above), n * D * D):
             ls = above[ls]
             dl = _dmax(dims[ls])
-            lhs = _mm(R.blocks(k, ls, dk, dl)[:, None], T.blocks(every, ls[:, None], dl, D), p)
-            for l, lhs_l in zip(ls, lhs):
+            lhs = R.blocks(k, ls, dk, dl)[:, None] @ T.blocks(every, ls[:, None], dl, D)
+            for i, l in enumerate(ls):
                 sel = contain[th, l] & subs[l].mask[tx]       # K\L/H for every H <= L
                 hs, first = np.unique(th[sel], return_index=True)
-                rhs = _isum_segments(terms[sel], first)
-                if p is not None:
-                    rhs %= p
-                mk_ok[l, k, hs] = _frac_eq(lhs_l[hs], R.den * T.den,
-                                      rhs, T.den * C.den * R.den).all(axis=(1, 2))
+                rhs = Mat(f, _isum_segments(terms.num[sel], first), terms.den)
+                mk_ok[l, k, hs] = lhs[i, hs].eq(rhs).all(axis=(1, 2))
     triples = np.transpose(np.nonzero(contain.T[:, :, None] & contain.T[:, None, :]))
 
     def mackey_text(i):
@@ -415,15 +378,15 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
 def cohomological_check(M: OrdinaryMackeyFunctor) -> CheckResult:
     """tr o res = [H:K] . id at every containment; the report lists failures
     (a functor need not be cohomological — the Burnside one is not)."""
-    R, T, p = M._res, M._tr, M.field.p
+    R, T = M._res, M._tr
     orders = np.array([S.order for S in M.subgroups], dtype=np.int64)
     ok = np.ones(M._contain.shape, dtype=bool)
     for h, d in enumerate(M._dims):
         ks = np.flatnonzero(M._contain[:, h])
         dk = _dmax(M._dims[ks])
-        prod = _mm(T.blocks(ks, h, d, dk), R.blocks(ks, h, dk, d), p)
+        prod = T.blocks(ks, h, d, dk) @ R.blocks(ks, h, dk, d)
         want = (orders[h] // orders[ks])[:, None, None] * np.eye(d, dtype=np.int64)
-        ok[ks, h] = _frac_eq(prod, T.den * R.den, want if p is None else want % p, 1).all(axis=(1, 2))
+        ok[ks, h] = prod.eq(Mat(M.field, want)).all(axis=(1, 2))
 
     def text(i):
         K, H = M.containments[i]
@@ -435,19 +398,13 @@ def cohomological_check(M: OrdinaryMackeyFunctor) -> CheckResult:
 # Hom decategorification
 
 
-def _coords_in_basis(basis: List[Mat], targets: List[Mat], field: Field) -> Mat:
-    """Coordinates of matrices in a list basis (by column-stacking), one
-    column per target; hard error when a target is outside the span."""
-    if not basis:
-        if all(t.is_zero() for t in targets):
-            return Mat.zeros(field, 0, len(targets))
-        raise ArithmeticError("element outside the (empty) hom space")
-    n = basis[0].nrows * basis[0].ncols
-
-    def stack(ms: List[Mat]) -> Mat:
-        return Mat.from_blocks(field, n, len(ms), [(0, j, m.vec()) for j, m in enumerate(ms)])
-
-    sol = stack(basis).solve(stack(targets))
+def _coords_in_basis(basis: Mat, targets: Mat) -> Mat:
+    """Coordinates of the matrices of the stack `targets` in the stack
+    `basis` (by column-stacking), one column per target; hard error when a
+    target is outside the span."""
+    n = basis.nrows * basis.ncols
+    vec = lambda S: S.transpose(0, 2, 1).reshape(S.shape[0], n).T
+    sol = vec(basis).solve(vec(targets))
     if sol is None:
         raise ArithmeticError("image left the expected hom space")
     return sol
@@ -465,39 +422,45 @@ def hom_decategorify(X: Module, Y: Module) -> OrdinaryMackeyFunctor:
     return _hom_functor(X, Y)[0]
 
 
-def _hom_functor(X: Module, Y: Module) -> Tuple[OrdinaryMackeyFunctor, Dict[Subgroup, List[Mat]]]:
-    """`hom_decategorify` and the hom basis of every level."""
+def _hom_functor(X: Module, Y: Module) -> Tuple[OrdinaryMackeyFunctor, Dict[Subgroup, Mat]]:
+    """`hom_decategorify` and the hom basis of every level, as a stack.
+    The images Y(t) b X(t)^-1 of a level are one stacked product over the
+    elements t and basis maps b."""
     if X.group is not Y.group or X.field != Y.field:
         raise ValueError("modules must share group and field")
     G, f = X.group, X.field
     lat = G.subgroup_lattice()
     subs, cj = lat.subgroups, lat.conj
-    bases: Dict[Subgroup, List[Mat]] = {}
+    bases: Dict[Subgroup, Mat] = {}
     levels: Dict[Subgroup, LevelData] = {}
     for S in subs:
         hs = hom_space(restrict_to(X, S), restrict_to(Y, S))
-        bases[S] = [h.mat for h in hs]
+        bases[S] = Mat.stack(f, [h.mat for h in hs], (Y.dim, X.dim))
         levels[S] = LevelData(S, len(hs), tuple(range(len(hs))))
+    XA, YA = X._stack(), Y._stack()
+
+    def moved(B: Mat, ts) -> Mat:
+        """Y(t) b X(t)^-1 for every t of `ts` and b of B, t-major."""
+        out = YA[ts][:, None] @ B[None] @ XA[G.inverse[ts]][:, None]
+        return out.reshape(len(ts) * B.shape[0], Y.dim, X.dim)
+
     res: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
     tr: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
     transversals = {K: G.left_transversal(K)[0] for K in subs}
     for k, h in zip(*np.nonzero(_containment_table(subs))):
         K, H = subs[k], subs[h]
-        res[(K, H)] = _coords_in_basis(bases[K], bases[H], f)
-        ts = [t for t in transversals[K] if t in H]  # the cosets tK inside H
-        traces = []
-        for b in bases[K]:
-            acc = None
-            for t in ts:
-                term = Y.action(t) @ b @ X.action_inv(t)
-                acc = term if acc is None else acc + term
-            traces.append(acc)
-        tr[(K, H)] = _coords_in_basis(bases[H], traces, f)
+        res[(K, H)] = _coords_in_basis(bases[K], bases[H])
+        # the relative traces over the cosets tK inside H: the sum over t
+        # is one product with a row of ones
+        ts = np.array([t for t in transversals[K] if t in H], dtype=np.int64)
+        b, ones = bases[K].shape[0], Mat(f, np.ones((1, len(ts)), dtype=np.int64))
+        traces = ones @ moved(bases[K], ts).reshape(len(ts), b * Y.dim * X.dim)
+        tr[(K, H)] = _coords_in_basis(bases[H], traces.reshape(b, Y.dim, X.dim))
     conj: Dict[Tuple[int, Subgroup], Mat] = {}
-    for g in range(G.order):
-        for h, H in enumerate(subs):
-            conj[(g, H)] = _coords_in_basis(
-                bases[subs[cj[g, h]]], [Y.action(g) @ b @ X.action_inv(g) for b in bases[H]], f)
+    for h, H in enumerate(subs):
+        b, images = bases[H].shape[0], moved(bases[H], np.arange(G.order))
+        for g in range(G.order):
+            conj[(g, H)] = _coords_in_basis(bases[subs[cj[g, h]]], images[g * b:(g + 1) * b])
     return OrdinaryMackeyFunctor(G, f, levels, res, tr, conj), bases
 
 
@@ -510,77 +473,55 @@ class GreenFunctorData:
 
     It is built from `products[H]`, the matrices of left multiplication by
     each basis element of level H, and `units[H]`, the unit columns.  Level
-    H keeps one structure tensor T_H[i, j, k] (the coefficient of e_k in
-    e_i e_j) and a unit vector, each kind over one common denominator;
-    `products` and `units` read them back as read-only snapshots of `Mat`s.
+    H keeps its structure tensor T_H[i, j, k] (the coefficient of e_k in
+    e_i e_j) as one stack `Mat` and its unit as a column; `products` and
+    `units` read them back as read-only snapshots of `Mat`s.
     """
 
     def __init__(self, underlying: OrdinaryMackeyFunctor, products: Dict[Subgroup, List[Mat]],
                  units: Dict[Subgroup, Mat], mackey_report: Optional["MackeyAxiomReport"] = None,
                  green_report: Optional["MackeyAxiomReport"] = None):
-        subs = underlying.subgroups
-        ls, den = _common([L for S in subs for L in products[S]])
-        us, uden = _common([units[S] for S in subs])
-        at = np.cumsum([0, *underlying._dims])
-        tensors = [np.stack([L.T for L in ls[a:b]]) if b > a else np.zeros((0, 0, 0), np.int64)
-                   for a, b in zip(at, at[1:])]
-        self._build(underlying, tensors, den, [u[:, 0] for u in us], uden,
-                    mackey_report, green_report)
-
-    @classmethod
-    def _of(cls, underlying: OrdinaryMackeyFunctor, tensors: List[np.ndarray],
-            units: List[np.ndarray]) -> "GreenFunctorData":
-        """Integer structure tensors and units, one per subgroup id."""
-        Gf = cls.__new__(cls)
-        Gf._build(underlying, tensors, 1, units, 1, None, None)
-        return Gf
-
-    def _build(self, underlying, tensors, den, units, unit_den, mackey_report, green_report):
+        f, subs = underlying.field, underlying.subgroups
         self.underlying = underlying
-        self._T, self._T_den = tensors, den
-        self._u, self._u_den = units, unit_den
+        self._T = [Mat.stack(f, [L.T for L in products[S]], (d, d))
+                   for S, d in zip(subs, underlying._dims)]
+        self._u = [units[S] for S in subs]
         self.mackey_report = mackey_report
         self.green_report = green_report
 
     @cached_property
     def products(self) -> Mapping[Subgroup, Tuple[Mat, ...]]:
-        f = self.underlying.field
-        return MappingProxyType({S: tuple(Mat(f, Ti.T.copy(), self._T_den) for Ti in T)
+        return MappingProxyType({S: tuple(T[i].T.copy() for i in range(T.shape[0]))
                                  for S, T in zip(self.underlying.subgroups, self._T)})
 
     @cached_property
     def units(self) -> Mapping[Subgroup, Mat]:
-        f = self.underlying.field
-        return MappingProxyType({S: Mat(f, u[:, None].copy(), self._u_den)
-                                 for S, u in zip(self.underlying.subgroups, self._u)})
+        return MappingProxyType({S: u.copy() for S, u in zip(self.underlying.subgroups, self._u)})
 
     def product(self, H: Subgroup, u: Mat, v: Mat) -> Mat:
         """u v at level H: the sum over i, j of u_i v_j T_H[i, j, :]."""
-        M = self.underlying
-        T, p = self._T[M.position[H]], M.field.p
+        T = self._T[self.underlying.position[H]]
         d = T.shape[0]
-        uT = _mm(u.num.T, T.reshape(d, d * d), p).reshape(d, d)
-        return Mat(M.field, _mm(v.num.T, uT, p).T, u.den * v.den * self._T_den)
+        return (v.T @ (u.T @ T.reshape(d, d * d)).reshape(d, d)).T
 
 
 def verify_green_axioms(Gf: GreenFunctorData) -> MackeyAxiomReport:
     """Per-level ring laws, restrictions as unital ring maps, and both
     Frobenius (projection) formulas on all containments and basis pairs."""
     M = Gf.underlying
-    p, dims, R, Tr = M.field.p, M._dims, M._res, M._tr
-    Ts, td, us, ud = Gf._T, Gf._T_den, Gf._u, Gf._u_den
+    dims, R, Tr, Ts, us = M._dims, M._res, M._tr, Gf._T, Gf._u
 
     def level_rings():
         for H, T, u, d in zip(M.subgroups, Ts, us, dims):
             flat = T.reshape(d, d * d)
-            one = np.eye(d, dtype=np.int64)
-            left = _mm(u[None], flat, p).reshape(d, d)                              # u e_j
-            right = _mm(u[None], T.transpose(1, 0, 2).reshape(d, d * d), p).reshape(d, d)  # e_j u
-            yield ((_frac_eq(left, ud * td, one, 1) & _frac_eq(right, ud * td, one, 1)).all(axis=1),
+            one = Mat.identity(M.field, d)
+            left = (u.T @ flat).reshape(d, d)                                # u e_j
+            right = (u.T @ T.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d)  # e_j u
+            yield ((left.eq(one) & right.eq(one)).all(axis=1),
                    lambda j, H=H: f"unit at {H.elements} col {j}")
-            lhs = _mm(T.reshape(d * d, d), flat, p)                                 # (e_i e_j) e_k
-            rhs = _mm(T.reshape(d * d, d)[None], T, p)                             # e_i (e_j e_k)
-            yield ((lhs.reshape(d, d, d, d) == rhs.reshape(d, d, d, d)).all(axis=3),
+            lhs = T.reshape(d * d, d) @ flat                                 # (e_i e_j) e_k
+            rhs = T.reshape(d * d, d)[None] @ T                              # e_i (e_j e_k)
+            yield (lhs.reshape(d, d, d, d).eq(rhs.reshape(d, d, d, d)).all(axis=3),
                    lambda i, H=H, d=d: "assoc at {} ({},{},{})".format(
                        H.elements, i // (d * d), i // d % d, i % d))
 
@@ -589,20 +530,18 @@ def verify_green_axioms(Gf: GreenFunctorData) -> MackeyAxiomReport:
         dk, dh = dims[k], dims[h]
         r, t = R.block(k, h), Tr.block(k, h)
         TK, TH = Ts[k], Ts[h]
-        unit = _frac_eq(_mm(r, us[h][:, None], p), R.den * ud, us[k][:, None], ud).all()
-        lhs = _mm(TH.reshape(dh * dh, dh), r.T, p).reshape(dh, dh, dk)   # r(e_i e_j)
-        rx = _mm(r.T, TK.reshape(dk, dk * dk), p).reshape(dh, dk, dk)   # r(e_i) e_j
-        rhs = _mm(r.T[None], rx, p)                                      # r(e_i) r(e_j)
-        hom = _frac_eq(lhs, R.den * td, rhs, R.den ** 2 * td).all(axis=2)
+        unit = r @ us[h] == us[k]
+        lhs = (TH.reshape(dh * dh, dh) @ r.T).reshape(dh, dh, dk)   # r(e_i e_j)
+        rx = (r.T @ TK.reshape(dk, dk * dk)).reshape(dh, dk, dk)   # r(e_i) e_j
+        hom = lhs.eq(r.T[None] @ rx).all(axis=2)                    # against r(e_i) r(e_j)
         res_segments.append((np.concatenate([[unit], hom.ravel()]),
                              lambda i, K=K, H=H, dh=dh: f"res unit {K.elements}<={H.elements}"
                              if i == 0 else "res hom {}<={} ({},{})".format(
                                  K.elements, H.elements, *divmod(i - 1, dh))))
-        xr = _mm(r.T, TK.transpose(1, 0, 2).reshape(dk, dk * dk), p).reshape(dh, dk, dk)
+        xr = (r.T @ TK.transpose(1, 0, 2).reshape(dk, dk * dk)).reshape(dh, dk, dk)
         # t(r(x) y) = x t(y) and t(y r(x)) = t(y) x, with xr[i, j] = e_j r(e_i)
-        left = _frac_eq(_mm(rx, t.T, p), R.den * td * Tr.den, _mm(t.T[None], TH, p), Tr.den * td)
-        right = _frac_eq(_mm(xr, t.T, p), R.den * td * Tr.den,
-                    _mm(t.T[None], TH.transpose(1, 0, 2), p), Tr.den * td)
+        left = (rx @ t.T).eq(t.T[None] @ TH)
+        right = (xr @ t.T).eq(t.T[None] @ TH.transpose(1, 0, 2))
         frobenius_segments.append((np.stack([left.all(axis=2), right.all(axis=2)], axis=2),
                                    lambda i, K=K, H=H, dk=dk: "frobenius-{} {}<={} ({},{})".format(
                                        ("left", "right")[i % 2], K.elements, H.elements,
@@ -630,8 +569,7 @@ def green_from_monoid(X: Module, Y: Module, mul: ModuleHom, unit: ModuleHom) -> 
     d = Y.dim
     if mul.mat.shape != (d, d * d) or unit.mat.shape != (d, 1):
         raise ValueError("multiplication/unit have wrong shapes")
-    assoc, unital = _monoid_laws(mul.mat.num.reshape(d, d, d), mul.mat.den,
-                                 unit.mat.num, unit.mat.den, f.p)
+    assoc, unital = _monoid_laws(mul.mat.reshape(d, d, d), unit.mat)
     if not assoc:
         raise ValueError("input multiplication is not associative")
     if not unital:
@@ -639,11 +577,12 @@ def green_from_monoid(X: Module, Y: Module, mul: ModuleHom, unit: ModuleHom) -> 
     M, bases = _hom_functor(X, Y)
     products: Dict[Subgroup, List[Mat]] = {}
     units: Dict[Subgroup, Mat] = {}
-    for S, basis in bases.items():
-        # k = k(x)k -> Y(x)Y -> Y
-        products[S] = [_coords_in_basis(basis, [mul.mat @ a.kron(b) for b in basis], f)
-                       for a in basis]
-        units[S] = _coords_in_basis(basis, [unit.mat], f)
+    for S, B in bases.items():
+        # k = k(x)k -> Y(x)Y -> Y, for every pair (a, b) of basis maps at once
+        b = B.shape[0]
+        ab = _coords_in_basis(B, (mul.mat @ B[:, None].kron(B[None])).reshape(b * b, d, 1))
+        products[S] = [ab[:, i * b:(i + 1) * b] for i in range(b)]
+        units[S] = _coords_in_basis(B, unit.mat[None])
     return GreenFunctorData(M, products, units)
 
 
@@ -680,29 +619,30 @@ def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
         hs, meets = lat.double_cosets(k, s)
         return np.bincount(class_of[level][meets[subs[l].mask[hs]]], minlength=dims[level])
 
-    res, tr = [], []
+    res, tr = {}, {}
     for k, h in zip(*np.nonzero(_containment_table(subs))):
-        res.append(np.stack([count_intersections(k, s, h, k) for s in reps[h]], axis=1))
+        KH = (subs[k], subs[h])
+        res[KH] = Mat(QQ, np.stack([count_intersections(k, s, h, k) for s in reps[h]], axis=1))
         tmat = np.zeros((dims[h], dims[k]), dtype=np.int64)
         tmat[class_of[h][reps[k]], np.arange(dims[k])] = 1
-        tr.append(tmat)
-    conj = []
-    for h in range(len(subs)):
+        tr[KH] = Mat(QQ, tmat)
+    conj = {}
+    for h, H in enumerate(subs):
         cmat = np.zeros((G.order, dims[h], dims[h]), dtype=np.int64)
         cmat[np.arange(G.order)[:, None], class_of[cj[:, h][:, None], cj[:, reps[h]]],
              np.arange(dims[h])] = 1
-        conj.append(cmat)
-    M = OrdinaryMackeyFunctor._of(G, QQ, levels, res, tr, conj)
+        conj.update(((g, H), Mat(QQ, c)) for g, c in enumerate(cmat))
+    M = OrdinaryMackeyFunctor(G, QQ, levels, res, tr, conj)
 
-    tensors = [np.array([[count_intersections(s, t, h, h) for t in r] for s in r],
-                        dtype=np.int64).reshape(d, d, d)
-               for h, (r, d) in enumerate(zip(reps, dims))]
-    units = [(r == h).astype(np.int64) for h, r in enumerate(reps)]
+    products, units = {}, {}
+    for h, (H, r, d) in enumerate(zip(subs, reps, dims)):
+        T = np.array([[count_intersections(s, t, h, h) for t in r] for s in r], dtype=np.int64)
+        products[H] = [Mat(QQ, Ti.T) for Ti in T.reshape(d, d, d)]
+        units[H] = Mat(QQ, (r == h).astype(np.int64)[:, None])
     mrep = verify_mackey_axioms(M)
     if not mrep.ok:
         raise ArithmeticError("Burnside functor failed the Mackey axioms:\n" + mrep.summary())
-    Gf = GreenFunctorData._of(M, tensors, units)
-    Gf.mackey_report = mrep
+    Gf = GreenFunctorData(M, products, units, mrep)
     Gf.green_report = verify_green_axioms(Gf)
     if not Gf.green_report.ok:
         raise ArithmeticError("Burnside functor failed the Green axioms:\n"

@@ -22,10 +22,11 @@ directions are constructed and their composites checked to be identities.
 
 All of these maps and the projection maps are block-monomial, a grid of
 dim-N blocks whose nonzero blocks are action matrices A(g), and `_monomial`
-builds every one; a dense module's action is one exact stack A[g], so its
-restriction, induction, Fitting splits, relative traces and block
-membership are gathers and stacked products.  The Frobenius
-laws are equalities of index tensors, checked by exact contractions.  Maps
+builds every one; a dense module's action is one stack `Mat` A[g], so its
+restriction, induction, tensor products, direct sums, Fitting splits,
+relative traces and block membership are gathers and stacked products.
+The Frobenius laws are equalities of index tensors, checked by exact
+contractions.  Maps
 and law tensors above MAX_DENSE_ENTRIES entries are refused (ValueError)
 before they are allocated.
 """
@@ -38,8 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, GSet, InjectiveHom, Subgroup, gset_from_subgroup
-from .linalg import (Field, Mat, _common, _compact, _frac_eq, _imatmul, _mm,
-                     _pow_mod_stack, _rank_mod_stack, perm_to_mat)
+from .linalg import Field, Mat, _pow_mod_stack, _rank_mod_stack, perm_to_mat
 
 __all__ = [
     "Module",
@@ -100,13 +100,13 @@ class Module:
 
     The action is either a `GSet` on the basis (a permutation module, whose
     action table is the G-set's; permutation modules and everything built
-    from them stay in this form) or one exact stack, the numerators A[g]
-    ([|G|, dim, dim], reduced mod p over F_p) over one common denominator.
-    The matrices passed in are stacked once and `action(g)` copies a slice,
-    so editing either leaves the module as it was.  Construction checks
-    the action exactly: A(e) = I and A(s)A(g) = A(sg) for every generator s
-    and every g, which proves A is a homomorphism.  Modules derived by the
-    functors in this file are built by `_of`, skipping the re-check.
+    from them stay in this form) or one stack `Mat` A of shape
+    [|G|, dim, dim], A[g] the matrix of g.  The matrices passed in are
+    stacked once and `action(g)` copies a slice, so editing either leaves
+    the module as it was.  Construction checks the action exactly:
+    A(e) = I and A(s)A(g) = A(sg) for every generator s and every g, which
+    proves A is a homomorphism.  Modules derived by the functors in this
+    file are built by `_of`, skipping the re-check.
     """
 
     def __init__(self, group: FiniteGroup, field: Field, dim: int, gset: Optional[GSet] = None,
@@ -116,26 +116,22 @@ class Module:
             raise ValueError("exactly one of gset/mats must be given")
         if gset is not None and (gset.group is not group or gset.size != dim):
             raise ValueError("permutation action has wrong group or size")
-        A, den = None, 1
+        A = None
         if mats is not None:
             if len(mats) != group.order:
                 raise ValueError("need one matrix per group element")
-            if any(m.shape != (dim, dim) or m.field != field for m in mats):
-                raise ValueError("bad action matrix")
-            nums, den = _common(mats)
-            A = np.stack(nums)
+            A = Mat.stack(field, mats, (dim, dim))  # refuses another shape or field
         self.group, self.field, self.dim, self.gset = group, field, dim, gset
-        self._A, self._den, self.basis_labels = A, den, basis_labels
+        self._A, self.basis_labels = A, basis_labels
         if check:
             self.verify_action()
 
     @classmethod
-    def _of(cls, group: FiniteGroup, field: Field, A: np.ndarray, den: int = 1,
-            basis_labels: Optional[List] = None) -> "Module":
-        """The dense module of the stack A[g] over `den`, unchecked."""
+    def _of(cls, group: FiniteGroup, A: Mat, basis_labels: Optional[List] = None) -> "Module":
+        """The dense module of the action stack A, unchecked."""
         M = cls.__new__(cls)
-        M.group, M.field, M.dim, M.gset = group, field, A.shape[1], None
-        M._A, M._den, M.basis_labels = A, den, basis_labels
+        M.group, M.field, M.dim, M.gset = group, A.field, A.ncols, None
+        M._A, M.basis_labels = A, basis_labels
         return M
 
     # -- action access ---------------------------------------------------
@@ -147,18 +143,18 @@ class Module:
     def action(self, g: int) -> Mat:
         if self.gset is not None:
             return perm_to_mat(self.field, self.gset.action[g])
-        return Mat(self.field, self._A[g].copy(), self._den)
+        return self._A[g].copy()
 
     def action_inv(self, g: int) -> Mat:
         return self.action(self.group.inv(g))
 
-    def _stack(self) -> Tuple[np.ndarray, int]:
-        """The action stack and its denominator, for either kind of module."""
+    def _stack(self) -> Mat:
+        """The action stack, for either kind of module."""
         if self.gset is None:
-            return self._A, self._den
+            return self._A
         A = np.zeros((self.group.order, self.dim, self.dim), dtype=np.int64)
         A[np.arange(self.group.order)[:, None], self.gset.action, np.arange(self.dim)] = 1
-        return A, 1
+        return Mat._of(self.field, A)
 
     def verify_action(self) -> None:
         """Exact check: A(e) = I and A(s)A(g) = A(sg) for every generator s
@@ -167,12 +163,11 @@ class Module:
         if self.gset is not None:
             self.gset.verify()
             return
-        G, A, den = self.group, self._A, self._den
-        if not _frac_eq(A[G.identity], den, np.eye(self.dim, dtype=np.int64), 1).all():
+        G, A = self.group, self._A
+        if A[G.identity] != Mat.identity(self.field, self.dim):
             raise ValueError("identity does not act as the identity")
         for s in G.generators():
-            ok = _frac_eq(_mm(A[s], A, self.field.p), den * den, A[G.table[s]], den)
-            bad = ~ok.reshape(G.order, -1).all(axis=1)
+            bad = ~(A[s] @ A).eq(A[G.table[s]]).reshape(G.order, -1).all(axis=1)
             if bad.any():
                 raise ValueError(f"action is not a homomorphism at pair {(s, int(bad.argmax()))}")
 
@@ -267,7 +262,7 @@ def restrict(hom: InjectiveHom, M: Module) -> Module:
         raise ValueError("module does not live over the hom's target")
     if M.is_permutation:
         return Module(hom.source, M.field, M.dim, gset=M.gset.restrict(hom), check=False)
-    return Module._of(hom.source, M.field, M._A[list(hom.map)], M._den)
+    return Module._of(hom.source, M._A[list(hom.map)])
 
 
 def restrict_to(M: Module, S: Subgroup) -> Module:
@@ -287,9 +282,9 @@ def induce(hom: InjectiveHom, N: Module) -> Module:
                       check=False)
     # A(g) is the nc x nc grid with A_N(source[g, c]) at block (coset[g, c], c)
     _refuse_oversize((nc * d) ** 2, "block-monomial map")
-    A = np.zeros((G.order, nc, d, nc, d), dtype=N._A.dtype)
-    A[np.arange(G.order)[:, None], coset, :, np.arange(nc), :] = N._A[source]
-    return Module._of(G, N.field, A.reshape(G.order, nc * d, nc * d), N._den, labels)
+    A = np.zeros((G.order, nc, d, nc, d), dtype=N._A.num.dtype)
+    A[np.arange(G.order)[:, None], coset, :, np.arange(nc), :] = N._A.num[source]
+    return Module._of(G, Mat._of(N.field, A.reshape(G.order, nc * d, nc * d), N._A.den), labels)
 
 
 def induce_from(N: Module, S: Subgroup) -> Module:
@@ -321,8 +316,7 @@ def tensor(M: Module, N: Module) -> Module:
     G, dim = M.group, M.dim * N.dim
     if M.is_permutation and N.is_permutation:
         return Module(G, M.field, dim, gset=M.gset.product(N.gset), check=False)
-    mats = [M.action(g).kron(N.action(g)) for g in range(G.order)]
-    return Module(G, M.field, dim, mats=mats, check=False)
+    return Module._of(G, M._stack().kron(N._stack()))
 
 
 def direct_sum(parts: Sequence[Module]) -> Tuple[Module, List[int]]:
@@ -337,8 +331,7 @@ def direct_sum(parts: Sequence[Module]) -> Tuple[Module, List[int]]:
     if all(m.is_permutation for m in parts):
         gset = parts[0].gset.disjoint_union(*(m.gset for m in parts[1:]))
         return Module(G, field, total, gset=gset, check=False), offsets
-    mats = [Mat.block_diag(field, [m.action(g) for m in parts]) for g in range(G.order)]
-    return Module(G, field, total, mats=mats, check=False), offsets
+    return Module._of(G, Mat.block_diag(field, [m._stack() for m in parts])), offsets
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +357,10 @@ def _monomial(M: Module, nr: int, nc: int, rows, cols, elems) -> Mat:
     if M.is_permutation:
         out = np.zeros((nr * d, nc * d), dtype=np.int64)
         out[rows[:, None] * d + M.gset.action[elems], cols[:, None] * d + np.arange(d)] = 1
-        return Mat(M.field, out)
-    out = np.zeros((nr, d, nc, d), dtype=M._A.dtype)
-    out[rows, :, cols, :] = M._A[elems]
-    return Mat(M.field, out.reshape(nr * d, nc * d), M._den)
+        return Mat._of(M.field, out)
+    out = np.zeros((nr, d, nc, d), dtype=M._A.num.dtype)
+    out[rows, :, cols, :] = M._A.num[elems]
+    return Mat(M.field, out.reshape(nr * d, nc * d), M._A.den)
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +549,8 @@ def projection_map(G: FiniteGroup, H: Subgroup, X: Module, Y: Module) -> Project
     # (c, i, j) are the mirror's (c, j, i2) and (c, j, i)
     at = np.arange(nc * dy * dx).reshape(nc, dy, dx)  # the mirror's index of (c, j, i)
     at_tgt, at_src = at.transpose(2, 0, 1).ravel(), at.transpose(0, 2, 1).ravel()
-    pi = ModuleHom(src, tgt, Mat(X.field, mir.num[np.ix_(at_tgt, at_src)], mir.den))
-    pi_inv = ModuleHom(tgt, src, Mat(X.field, mir_inv.num[np.ix_(at_src, at_tgt)], mir_inv.den))
+    pi = ModuleHom(src, tgt, mir[np.ix_(at_tgt, at_src)])
+    pi_inv = ModuleHom(tgt, src, mir_inv[np.ix_(at_src, at_tgt)])
     if not (pi.mat @ pi_inv.mat).is_identity() or not (pi_inv.mat @ pi.mat).is_identity():
         raise ArithmeticError("projection map is not invertible")
     mirror = ModuleHom(src_m, tgt_m, mir)
@@ -592,28 +585,26 @@ class FrobeniusObject:
         """The seven laws as equalities of the index tensors m[k, i, j] (the
         coefficient of e_k in mu(e_i (x) e_j)) and c[i, j, k] (that of
         e_i (x) e_j in delta(e_k)), by exact contractions."""
-        d, p = self.module.dim, self.module.field.p
+        d = self.module.dim
         mu, de, io, ep = self.mul.mat, self.comul.mat, self.unit.mat, self.counit.mat
-        m, c = mu.num.reshape(d, d, d), de.num.reshape(d, d, d)
-        assoc, unit = _monoid_laws(m, mu.den, io.num, io.den, p)
+        m, c = mu.reshape(d, d, d), de.reshape(d, d, d)
+        assoc, unit = _monoid_laws(m, io)
         # delta is coassociative and counital exactly when c[i, j, k], read as
         # the product of e_j and e_k in e_i, is associative and unital
-        coassoc, counit = _monoid_laws(c.transpose(2, 0, 1), de.den, ep.num.T, ep.den, p)
-        # sum_a c[k,l,a] m[a,i,j] = sum_a m[k,i,a] c[a,l,j] = sum_a c[k,a,i] m[l,a,j],
-        # all three over the denominator of mu times that of delta
-        dm = _mm(c, m.reshape(d, d * d), p).reshape(d, d, d, d)                     # [k, l, i, j]
-        frob = [_mm(m, c.reshape(d, d * d), p),                                     # [k, i, (l, j)]
-                _mm(c.transpose(0, 2, 1), m.transpose(1, 0, 2).reshape(d, d * d), p)]
+        coassoc, counit = _monoid_laws(c.transpose(2, 0, 1), ep.T)
+        # sum_a c[k,l,a] m[a,i,j] = sum_a m[k,i,a] c[a,l,j] = sum_a c[k,a,i] m[l,a,j]
+        dm = (c @ m.reshape(d, d * d)).reshape(d, d, d, d)                      # [k, l, i, j]
+        frob = [m @ c.reshape(d, d * d),                                        # [k, i, (l, j)]
+                c.transpose(0, 2, 1) @ m.transpose(1, 0, 2).reshape(d, d * d)]
         return [
             FrobeniusLaw("associativity", assoc),
             FrobeniusLaw("coassociativity", coassoc),
             FrobeniusLaw("unit", unit),
             FrobeniusLaw("counit", counit),
-            FrobeniusLaw("frobenius", all(np.array_equal(
-                f.reshape(d, d, d, d).transpose(0, 2, 1, 3), dm) for f in frob)),
+            FrobeniusLaw("frobenius", all(f.reshape(d, d, d, d).transpose(0, 2, 1, 3) == dm
+                                          for f in frob)),
             FrobeniusLaw("specialness", (mu @ de).is_identity()),
-            FrobeniusLaw("commutativity", np.array_equal(m, m.transpose(0, 2, 1))
-                         and np.array_equal(c, c.transpose(1, 0, 2))),
+            FrobeniusLaw("commutativity", m == m.transpose(0, 2, 1) and c == c.transpose(1, 0, 2)),
         ]
 
     @property
@@ -621,11 +612,10 @@ class FrobeniusObject:
         return all(l.holds for l in self.verify())
 
 
-def _monoid_laws(m: np.ndarray, dm: int, u: np.ndarray, du: int,
-                 p: Optional[int]) -> Tuple[bool, bool]:
+def _monoid_laws(m: Mat, u: Mat) -> Tuple[bool, bool]:
     """Associativity and two-sided unitality of the multiplication with index
-    tensor m[k, i, j] (the coefficient of e_k in e_i e_j, numerators over dm)
-    and unit column u (over du), as exact contractions:
+    tensor m[k, i, j] (the coefficient of e_k in e_i e_j) and unit column u,
+    as exact contractions:
 
         sum_a m[l, a, k] m[a, i, j] = sum_a m[l, i, a] m[a, j, k],
         sum_a m[k, a, j] u[a] = sum_a m[k, j, a] u[a] = [k = j].
@@ -634,13 +624,12 @@ def _monoid_laws(m: np.ndarray, dm: int, u: np.ndarray, du: int,
     """
     d = m.shape[0]
     _refuse_oversize(d ** 4, "associativity tensor")
-    left = _mm(m.transpose(0, 2, 1), m.reshape(d, d * d), p)  # [l, k, (i, j)]
-    right = _mm(m, m.reshape(d, d * d), p)                    # [l, i, (j, k)]
-    assoc = np.array_equal(left.reshape(d, d, d, d).transpose(0, 2, 3, 1),
-                           right.reshape(d, d, d, d))
-    one = np.eye(d, dtype=np.int64)[:, :, None]
-    unit = all(_frac_eq(_mm(t, u, p), dm * du, one, 1).all() for t in (m.transpose(0, 2, 1), m))
-    return assoc, bool(unit)
+    left = m.transpose(0, 2, 1) @ m.reshape(d, d * d)  # [l, k, (i, j)]
+    right = m @ m.reshape(d, d * d)                    # [l, i, (j, k)]
+    assoc = left.reshape(d, d, d, d).transpose(0, 2, 3, 1) == right.reshape(d, d, d, d)
+    one = Mat.identity(m.field, d)
+    unit = all((t @ u).reshape(d, d) == one for t in (m.transpose(0, 2, 1), m))
+    return assoc, unit
 
 
 def frobenius_object(G: FiniteGroup, H: Subgroup, field: Field) -> FrobeniusObject:
@@ -683,14 +672,9 @@ def hom_space(M: Module, N: Module) -> List[ModuleHom]:
         return [ModuleHom(M, N, Mat(f, (lab == m).reshape(M.dim, N.dim).T.astype(np.int64)),
                           check=False)
                 for m in np.unique(lab)]
-    n = M.dim * N.dim
-    blocks = []
-    for s in M.group.generators():
-        A, B = M.action(s), N.action(s)
-        lhs = Mat.identity(f, M.dim).kron(B)
-        rhs = A.T.kron(Mat.identity(f, N.dim))
-        blocks.append((len(blocks) * n, 0, lhs - rhs))
-    basis = Mat.from_blocks(f, len(blocks) * n, n, blocks).nullspace()
+    system = [Mat.identity(f, M.dim).kron(N.action(s)) - M.action(s).T.kron(Mat.identity(f, N.dim))
+              for s in M.group.generators()]
+    basis = Mat.concat(f, [Mat.zeros(f, 0, M.dim * N.dim)] + system).nullspace()
     if basis.ncols == 0:
         return []
     reduced, _ = basis.T.rref()
@@ -735,12 +719,12 @@ def module_isomorphism(M: Module, N: Module, seed: int = 0,
             if mat is not None and mat.is_invertible():
                 return ModuleHom(M, N, mat, check=False)
         return None
-    B = _hom_stack(basis)
+    B = Mat.stack(M.field, [h.mat for h in basis], (N.dim, M.dim))
     if p**e <= EXHAUSTIVE_END_CAP:
-        combinations = (p**e, _every_combination(B, p))
+        combinations = (p**e, _every_combination(B))
     else:
-        combinations = (tries, _sampled(B, p, seed))
-    hit = _first_passing([(e, lambda lo, hi: B[lo:hi]), combinations],
+        combinations = (tries, _sampled(B, seed))
+    hit = _first_passing([(e, lambda lo, hi: B.num[lo:hi]), combinations],
                          lambda z: _rank_mod_stack(z, p) == M.dim, M.dim * M.dim)
     if hit is None:
         return None
@@ -757,42 +741,36 @@ def _combine(basis: List[ModuleHom], coeffs) -> Optional[Mat]:
     return out
 
 
-def _hom_stack(basis: List[ModuleHom]) -> np.ndarray:
-    """The numerators of a list of homs as one stack [e, rows, cols]: the
-    homs themselves over F_p and for the orbital basis over Q.  Otherwise
-    each is its hom times its own denominator, a positive scalar, so the
-    stack spans the same space (all that Higman's criterion tests)."""
-    return _compact(np.stack([h.mat.num for h in basis]))
-
-
-def _combinations(B: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
-    """sum_i coeffs[k, i] B[i] mod p for every row k, as one contraction."""
+def _combinations(B: Mat, coeffs: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[k, i] B[i] for every row k of a stack B over F_p, as
+    one contraction: the stack of their residues."""
     e, r, c = B.shape
-    return (_imatmul(coeffs, B.reshape(e, r * c)) % p).astype(np.int64).reshape(-1, r, c)
+    return (Mat(B.field, coeffs) @ B.reshape(e, r * c)).num.reshape(-1, r, c)
 
 
-def _sampled(B: np.ndarray, p: int, seed: int):
+def _sampled(B: Mat, seed: int):
     """`make` for the seeded random combinations of B.  Each combination's
     coefficients come from one `rng.integers(0, p, size=e)` call, drawn
     only when a window asks for them; windows ask for consecutive rows, so
     the stream is the one that a one-by-one search draws."""
     rng = np.random.default_rng(seed)
-    e = len(B)
+    e, p = B.shape[0], B.field.p
 
     def make(lo: int, hi: int) -> np.ndarray:
-        return _combinations(B, np.array([rng.integers(0, p, size=e) for _ in range(lo, hi)]), p)
+        return _combinations(B, np.array([rng.integers(0, p, size=e) for _ in range(lo, hi)]))
     return make
 
 
-def _every_combination(B: np.ndarray, p: int):
+def _every_combination(B: Mat):
     """`make` for all p^e combinations of B in `itertools.product` order:
     the coefficients of combination k are the base-p digits of k, most
     significant first."""
-    place = p ** np.arange(len(B) - 1, -1, -1, dtype=np.int64)
+    p = B.field.p
+    place = p ** np.arange(B.shape[0] - 1, -1, -1, dtype=np.int64)
 
     def make(lo: int, hi: int) -> np.ndarray:
         k = np.arange(lo, hi, dtype=np.int64)[:, None]
-        return _combinations(B, k // place % p, p)
+        return _combinations(B, k // place % p)
     return make
 
 
@@ -852,9 +830,9 @@ def decompose(M: Module, seed: int = 0) -> DecompositionResult:
         raise ValueError(f"dimension {M.dim} exceeds the decomposition cap {MAX_DECOMPOSE_DIM}")
     if M.dim == 0:
         raise ValueError("cannot decompose the zero module")
-    certified, p = True, M.field.p
-    # P^-1 A(g) P mod p over the elements g that `elems` indexes, as one stack
-    conjugated = lambda X, P, elems: _mm(P.inv().num, _mm(X._stack()[0][elems], P.num, p), p)
+    certified = True
+    # P^-1 A(g) P over the elements g that `elems` indexes, as one stack
+    conjugated = lambda X, P, elems: P.inv() @ (X._stack()[elems] @ P)
 
     def split(X: Module, depth: int) -> Tuple[List[Module], Mat]:
         nonlocal certified
@@ -873,10 +851,10 @@ def decompose(M: Module, seed: int = 0) -> DecompositionResult:
             raise DecompositionError("Fitting splitting degenerated")
         a = ker.ncols
         C = conjugated(X, P, slice(None))
-        if C[:, :a, a:].any() or C[:, a:, :a].any():
+        if C.num[:, :a, a:].any() or C.num[:, a:, :a].any():
             raise DecompositionError("Fitting subspaces are not invariant")
-        X1 = Module._of(X.group, X.field, C[:, :a, :a].copy())
-        X2 = Module._of(X.group, X.field, C[:, a:, a:].copy())
+        X1 = Module._of(X.group, C[:, :a, :a])
+        X2 = Module._of(X.group, C[:, a:, a:])
         l1, Q1 = split(X1, depth + 1)
         l2, Q2 = split(X2, depth + 1)
         return l1 + l2, P @ Mat.block_diag(X.field, [Q1, Q2])
@@ -888,9 +866,9 @@ def decompose(M: Module, seed: int = 0) -> DecompositionResult:
     off = 0
     for leaf in leaves:
         nxt = off + leaf.dim
-        if not np.array_equal(C[:, off:nxt, off:nxt], leaf._stack()[0][gens]):
+        if C[:, off:nxt, off:nxt] != leaf._stack()[gens]:
             raise DecompositionError("certificate verification failed")
-        if C[:, off:nxt, nxt:].any() or C[:, nxt:, off:nxt].any():
+        if C.num[:, off:nxt, nxt:].any() or C.num[:, nxt:, off:nxt].any():
             raise DecompositionError("certificate has off-diagonal leakage")
         off = nxt
     iso_classes: List[Tuple[int, List[int]]] = []
@@ -925,19 +903,19 @@ def _find_splitter(X: Module, seed: int):
     if e == 1:
         return True
     p = X.field.p
-    B = _hom_stack(E)
+    B = Mat.stack(X.field, [h.mat for h in E], (d, d))
     q = min(e, 8)
 
     def products(lo, hi):
         k = np.arange(lo, hi)
-        return (_imatmul(B[k // q], B[k % q]) % p).astype(np.int64)
+        return (B[k // q] @ B[k % q]).num
 
-    sections = [(e, lambda lo, hi: B[lo:hi]),
+    sections = [(e, lambda lo, hi: B.num[lo:hi]),
                 (q * q, products),
-                (40 + 10 * e, _sampled(B, p, seed))]
+                (40 + 10 * e, _sampled(B, seed))]
     exhaustive = p**e <= EXHAUSTIVE_END_CAP
     if exhaustive:
-        sections.append((p**e, _every_combination(B, p)))
+        sections.append((p**e, _every_combination(B)))
 
     def splits(z):
         r = _rank_mod_stack(_pow_mod_stack(z, d, p), p)
@@ -996,10 +974,10 @@ def is_summand(M: Module, X: Module, seed: int = 0) -> Optional[SummandWitness]:
 # vertices and the Green correspondence
 
 
-def _relative_trace_stack(M: Module, S: Subgroup) -> np.ndarray:
-    """Tr^G_S(phi) = sum_t A(t) phi A(t)^-1 over the `_hom_stack` basis of
-    End_kS(Res M), a chunk of basis elements at a time, as one integer
-    stack [b, d, d]: over Q each trace times a positive scalar.
+def _relative_trace_stack(M: Module, S: Subgroup) -> Mat:
+    """Tr^G_S(phi) = sum_t A(t) phi A(t)^-1 over the basis of End_kS(Res M)
+    that `hom_space` returns, a chunk of basis elements at a time, as one
+    stack [b, d, d] (empty when End_kS(Res M) is zero).
 
     On a permutation module conjugating by A(t) moves entry (i, j) to
     (t.i, t.j), so every term is a gather of the basis stack by
@@ -1007,30 +985,32 @@ def _relative_trace_stack(M: Module, S: Subgroup) -> np.ndarray:
     product, and their sum against the A(t^-1) stacked below each other
     is another.
     """
-    G, p, d = M.group, M.field.p, M.dim
+    G, f, d = M.group, M.field, M.dim
     resM = restrict_to(M, S)
-    B = _hom_stack(hom_space(resM, resM))
+    B = Mat.stack(f, [h.mat for h in hom_space(resM, resM)], (d, d))
     reps = np.asarray(G.left_transversal(S)[0])
-    nt = len(reps)
+    nt, b = len(reps), B.shape[0]
     if M.is_permutation:
         I = M.gset.action[G.inverse[reps]]
         rows, cols = I[:, :, None], I[:, None, :]
-        traces = lambda b: b[:, rows, cols].sum(axis=1)
+        traces = lambda x: Mat(f, x.num[:, rows, cols].sum(axis=1), x.den)
     else:
         left, right = M._A[reps], M._A[G.inverse[reps]].reshape(nt * d, d)
-        traces = lambda b: _mm(_mm(left, b[:, None], p).transpose(0, 2, 1, 3)
-                               .reshape(len(b), d, nt * d), right, p)
-    step = max(1, SEARCH_WINDOW_ENTRIES // (nt * d * d))
-    return np.concatenate([traces(B[k:k + step]) for k in range(0, len(B), step)])
+        traces = lambda x: ((left @ x[:, None]).transpose(0, 2, 1, 3)
+                            .reshape(x.shape[0], d, nt * d) @ right)
+    step = max(1, SEARCH_WINDOW_ENTRIES // max(1, nt * d * d))
+    # an empty basis still makes one (empty) chunk, so the stack has its shape
+    return Mat.concat(f, [traces(B[k:k + step]) for k in range(0, max(b, 1), step)])
 
 
 def relatively_projective(M: Module, S: Subgroup) -> bool:
     """Higman's criterion: M is relatively S-projective iff the identity lies
     in the image of the relative trace from End_kS(Res_S M).  Column k of
-    the system is vec(Tr(phi_k)), read off the trace stack."""
-    T = _relative_trace_stack(M, S)
-    stacked = Mat(M.field, T.transpose(0, 2, 1).reshape(len(T), -1).T)
-    return stacked.solve(Mat.identity(M.field, M.dim).vec()) is not None
+    the system is vec(Tr(phi_k)), read off the trace stack; the zero module
+    is projective relative to every subgroup."""
+    T, d = _relative_trace_stack(M, S), M.dim
+    stacked = T.transpose(0, 2, 1).reshape(T.shape[0], d * d).T
+    return stacked.solve(Mat.identity(M.field, d).vec()) is not None
 
 
 @dataclass
@@ -1163,15 +1143,17 @@ def block_of(M: Module, blocks: Sequence) -> int:
     vectors with the action stack.  Exactly one must act as the identity
     and all others as zero; anything else is a hard error.
     """
-    A, den = M._stack()
-    V = _compact(np.array([b.idempotent_elements for b in blocks], dtype=object))
-    E = _mm(V, A.reshape(M.group.order, -1), M.field.p).reshape(-1, M.dim, M.dim)
+    f, n, d = M.field, M.group.order, M.dim
+    V = Mat.stack(f, [Mat(f, np.asarray(b.idempotent_elements)[None], b.idempotent_den)
+                      for b in blocks], (1, n))
+    E = (V @ M._stack().reshape(n, d * d)).reshape(len(blocks), d, d)
+    ones = E.eq(Mat.identity(f, d)).all(axis=(1, 2))
+    zeros = (E.num == 0).all(axis=(1, 2))
     hit = []
-    for bi, (b, e) in enumerate(zip(blocks, E)):
-        acc = Mat(M.field, e, den * b.idempotent_den)
-        if acc.is_identity():
+    for bi, (one, zero) in enumerate(zip(ones, zeros)):
+        if one:
             hit.append(bi)
-        elif not acc.is_zero():
+        elif not zero:
             raise ArithmeticError(f"block idempotent {bi} acts neither as 0 nor as 1")
     if len(hit) != 1:
         raise ArithmeticError(f"module does not lie in a single block: hits {hit}")

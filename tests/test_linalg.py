@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mackeykit.linalg import (GF, QQ, Field, Mat, _frac_eq, _imatmul, _isum_segments,
+from mackeykit.linalg import (GF, QQ, Field, Mat, _imatmul, _isum_segments,
                               _pow_mod_stack, _rank_mod_stack, perm_to_mat, rref_mod)
 
 
@@ -100,6 +100,50 @@ def test_nullspace_and_solve(field):
     b = a @ x
     sol = a.solve(b)
     assert sol is not None and a @ sol == b
+
+
+def _loop_nullspace(a):
+    """The per-column loop that Mat.nullspace replaced, as the reference."""
+    R, piv = a.rref()
+    free = [c for c in range(a.ncols) if c not in piv]
+    if a.field.p is not None:
+        out = np.zeros((a.ncols, len(free)), dtype=np.int64)
+        for k, f in enumerate(free):
+            out[f, k] = 1
+            for i, c in enumerate(piv):
+                out[c, k] = (-int(R.num[i, f])) % a.field.p
+        return Mat(a.field, out)
+    out = np.zeros((a.ncols, len(free)), dtype=object)
+    for k, f in enumerate(free):
+        out[f, k] = R.den
+        for i, c in enumerate(piv):
+            out[c, k] = -int(R.num[i, f])
+    if not free:
+        out = out.astype(np.int64)
+    return Mat(a.field, out, R.den)
+
+
+def _nullspace_cases():
+    rng = np.random.default_rng(29)
+    wide = rng.integers(0, 7, size=(5, 40))
+    wide[4] = (wide[0] + 2 * wide[1]) % 7           # rank 4: 36 free columns
+    q = rng.integers(-6, 7, size=(4, 7))
+    q[3] = q[0] - q[2]
+    return [
+        ("wide-fp", Mat(GF(7), wide)),
+        ("q-den-6", Mat(QQ, q, den=6)),
+        ("q-object", Mat(QQ, np.array([[2**70, 1, 3], [0, 5, 2**66]], dtype=object), den=9)),
+        ("full-rank", Mat(QQ, np.eye(3, dtype=np.int64), den=4)),
+        ("no-rows", Mat(GF(3), np.zeros((0, 4), dtype=np.int64))),
+    ]
+
+
+@pytest.mark.parametrize("name,a", _nullspace_cases())
+def test_nullspace_equals_the_per_column_loop(name, a):
+    got, want = a.nullspace(), _loop_nullspace(a)
+    assert got.num.dtype == want.num.dtype and got.den == want.den, name
+    assert np.array_equal(got.num, want.num), name
+    assert (a @ got).is_zero() and a.rank() + got.ncols == a.ncols
 
 
 def test_solve_rejects_inconsistent_system():
@@ -247,9 +291,86 @@ def test_segment_sums_widen_before_int64_overflows():
 
 
 def test_fraction_equality_cross_multiplies_denominators():
-    a = np.array([1, 2, 3])
-    assert _frac_eq(a, 2, np.array([3, 6, 10]), 6).tolist() == [True, True, False]
-    assert _frac_eq(a.astype(object) * 2**70, 2**70, a, 1).all()
+    a = np.array([[1, 2, 3]])
+    assert Mat(QQ, a, 2).eq(Mat(QQ, np.array([[3, 6, 10]]), 6)).tolist() == [[True, True, False]]
+    assert Mat(QQ, a.astype(object) * 2**70, 2**70).eq(Mat(QQ, a)).all()
+    # the same inputs left unnormalised, as gathers of a stack keep them
+    assert Mat._of(QQ, a, 2).eq(Mat._of(QQ, np.array([[3, 6, 10]]), 6)).tolist() \
+        == [[True, True, False]]
+    assert Mat._of(QQ, a.astype(object) * 2**70, 2**70).eq(Mat._of(QQ, a)).all()
+
+
+def _values(field, ints, den=1):
+    """Per-entry reference: Fractions over Q, residues over F_p."""
+    if field.p is None:
+        f = lambda x: Fraction(int(x), den)
+    else:
+        f = lambda x: int(x) * pow(den, -1, field.p) % field.p
+    return np.vectorize(f, otypes=[object])(np.asarray(ints, dtype=object))
+
+
+def _reduce(field, a):
+    return a if field.p is None else np.vectorize(lambda x: x % field.p, otypes=[object])(a)
+
+
+def _same(m, ref):
+    """A Mat equals a reference array of values, slice by slice."""
+    assert m.shape == ref.shape
+    return all(Mat.from_rows(m.field, ref[k].tolist()) == m[k] for k in np.ndindex(ref.shape[:-2]))
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ])
+def test_stacks_match_a_per_slice_fraction_reference(field):
+    rng = np.random.default_rng(41)
+    ints = rng.integers(-9, 10, size=(5, 3, 4)).astype(object)
+    ints[4, 1, 2] = 2**70
+    dens = [1, 2, 3, 6, 5]
+    mats = [Mat(field, a, d) for a, d in zip(ints, dens)]
+    S = Mat.stack(field, mats, (3, 4))
+    ref = np.stack([_values(field, a, d) for a, d in zip(ints, dens)])
+    assert _same(S, ref)
+    # a 2**70 entry makes the stack object over Q; without it the entries fit again
+    assert S.num.dtype == (object if field.p is None else np.int64)
+    assert Mat.stack(field, mats[:4], (3, 4)).num.dtype == np.int64
+    assert Mat.concat(field, [S[:2], S[2:4]]).num.dtype == np.int64
+    # gathers keep the denominator and read the same slices
+    for key in ([4, 0, 4], (slice(None), slice(1, None)), (np.array([[1], [3]]), 0)):
+        got = S[key]
+        assert got.den == S.den and _same(got, ref[key])
+    # broadcast products: every matrix of the stack times one matrix, and
+    # every pair of a stack of 5 and a stack of 2
+    B = [Mat(field, rng.integers(-4, 5, size=(4, 2)), d) for d in (3, 4)]
+    Bs, Bref = Mat.stack(field, B, (4, 2)), np.stack([_values(field, b.num, b.den) for b in B])
+    assert _same(S @ B[0], _reduce(field, ref @ Bref[0]))
+    assert _same(S[:, None] @ Bs[None], _reduce(field, ref[:, None] @ Bref[None]))
+    # sums and entrywise equality across denominators
+    T = Mat.stack(field, [m.scale(Fraction(1, 7 if field.p is None else 3)) for m in mats],
+                  (3, 4))
+    Tref = np.stack([_values(field, m.num, m.den * (7 if field.p is None else 3)) for m in mats])
+    assert _same(S + T, _reduce(field, ref + Tref))
+    assert _same(S - T, _reduce(field, ref - Tref))
+    assert S.eq(T).tolist() == (ref == Tref).tolist()
+    same = Mat._of(field, S.num * 3, S.den * 3) if field.p is None else S
+    assert S.eq(same).all() and S == same
+    assert (S + (-S)).num.dtype == np.int64 and (S + (-S)).is_zero()
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ])
+def test_stacks_with_empty_leading_axes(field):
+    E = Mat.stack(field, [], (3, 4))
+    assert E.shape == (0, 3, 4) and E.den == 1
+    B = Mat(field, np.ones((4, 2), dtype=np.int64), 5)
+    assert (E @ B).shape == (0, 3, 2)
+    assert (E + E).shape == (0, 3, 4) and E.eq(E).shape == (0, 3, 4)
+    assert E[[]].shape == (0, 3, 4) and E[:, None].shape == (0, 1, 3, 4)
+    assert (E[:, None] @ Mat.stack(field, [B, B], (4, 2))[None]).shape == (0, 2, 3, 2)
+    assert E == Mat.stack(field, [], (3, 4)) and E != Mat.stack(field, [], (4, 3))
+    one = Mat.stack(field, [Mat.zeros(field, 3, 4)], (3, 4))
+    assert Mat.concat(field, [E, one, E]).shape == (1, 3, 4)
+    with pytest.raises(ValueError):
+        one[0, 0]                 # a gather must leave a matrix
+    with pytest.raises(ValueError):
+        Mat.stack(field, [B], (3, 4))
 
 
 def test_perm_to_mat_acts_on_basis():
