@@ -68,20 +68,20 @@ _marks_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 def table_of_marks(G: FiniteGroup) -> np.ndarray:
     """m[i, j] = #fixed points of H_j on G/H_i, over the conjugacy classes of
-    subgroups in canonical order.  Lower triangular with positive diagonal."""
+    subgroups in canonical order; lower triangular with positive diagonal,
+    and read-only, as it is cached.  gH_i is fixed by H_j exactly when
+    H_j <= gH_ig^-1, so the mark is #{g : H_j <= gH_ig^-1} / |H_i|, one
+    gather of the lattice's `contain` at the conjugates conj[g, i]."""
     cached = _marks_cache.get(G)
     if cached is not None:
         return cached
-    subs = G.subgroups_up_to_conjugacy()
-    r = len(subs)
-    m = np.zeros((r, r), dtype=np.int64)
-    for i, Hi in enumerate(subs):
-        X = gset_from_subgroup(G, Hi)
-        for j, Hj in enumerate(subs):
-            m[i, j] = X.fixed_points(Hj)
-    for i in range(r):
-        if m[i, i] <= 0 or np.any(m[i, i + 1 :] != 0):
-            raise ArithmeticError("table of marks is not lower triangular")
+    lat = G.subgroup_lattice()
+    ids = np.array([lat.position[S] for S in lat.classes], dtype=np.int64)
+    orders = np.array([S.order for S in lat.classes], dtype=np.int64)
+    m = lat.contain[ids][:, lat.conj[:, ids]].sum(axis=1).T // orders[:, None]
+    if np.triu(m, 1).any() or not (np.diag(m) > 0).all():
+        raise ArithmeticError("table of marks is not lower triangular")
+    m.setflags(write=False)
     _marks_cache[G] = m
     return m
 
@@ -103,7 +103,7 @@ _burnside_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def _burnside_structure(G: FiniteGroup) -> np.ndarray:
     """B[i, j, k], the multiplicity of [G/H_k] in [G/H_i][G/H_j], counted
     from the lattice's double-coset records and cross-checked through the
-    mark homomorphism (which is injective)."""
+    mark homomorphism (which is injective); read-only, as it is cached."""
     cached = _burnside_cache.get(G)
     if cached is not None:
         return cached
@@ -117,6 +117,7 @@ def _burnside_structure(G: FiniteGroup) -> np.ndarray:
     marks = table_of_marks(G)
     if not np.array_equal(B @ marks, marks[:, None, :] * marks[None, :, :]):
         raise ArithmeticError("double-coset product disagrees with marks")
+    B.setflags(write=False)
     _burnside_cache[G] = B
     return B
 
@@ -711,21 +712,19 @@ class CrossedBurnsideAlgebra:
 
     def rho_coh_matrix(self) -> np.ndarray:
         """Integer matrix of (H, a) |-> sum_{xH in G/H} x a x^-1 expressed in
-        class sums: rows = basis pairs, columns = conjugacy classes."""
+        class sums: rows = basis pairs, columns = conjugacy classes.  One
+        bincount of the x a x^-1 over every pair's transversal gives the
+        images, compared once with their values at the class representatives."""
         G = self.group
-        classes = G.conjugacy_classes()
-        out = np.zeros((self.rank, len(classes)), dtype=np.int64)
+        points = []
         for bi, pc in enumerate(self.basis):
-            H = G.subgroup(pc.subgroup)
-            reps, _ = G.left_transversal(H)
-            w = np.zeros(G.order, dtype=np.int64)
-            for t in reps:
-                w[G.conj(t, pc.element)] += 1
-            for ci, C in enumerate(classes):
-                vals = {int(w[g]) for g in C}
-                if len(vals) > 1:
-                    raise ArithmeticError("image is not a class-sum combination")
-                out[bi, ci] = vals.pop()
+            t = np.asarray(G.left_transversal(G.subgroup(pc.subgroup))[0])
+            points.append(bi * G.order + G.table[t, G.table[pc.element, G.inverse[t]]])
+        w = np.bincount(np.concatenate(points), minlength=self.rank * G.order)
+        w = w.reshape(self.rank, G.order)
+        out = w[:, [C[0] for C in G.conjugacy_classes()]]
+        if not np.array_equal(w, out[:, G._class_of]):
+            raise ArithmeticError("image is not a class-sum combination")
         return out
 
     def verify_rho_coh(self, field: Field) -> Dict[str, bool]:

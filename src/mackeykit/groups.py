@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,8 +115,6 @@ class FiniteGroup:
         self._element_orders: Optional[np.ndarray] = None
         self._conj_classes: Optional[List[Tuple[int, ...]]] = None
         self._class_of: Optional[np.ndarray] = None
-        self._all_subgroups: Optional[List[frozenset]] = None
-        self._subgroup_orbits: List[Tuple[List[int], np.ndarray, np.ndarray]] = []
         self._interned: Dict[int, "Subgroup"] = {}
         self._lattice: Optional["SubgroupLattice"] = None
 
@@ -168,7 +167,7 @@ class FiniteGroup:
 
     def element_orders(self) -> np.ndarray:
         """out[a] is the order of a, from repeated gathers x -> x*a over the
-        elements whose order is still unknown."""
+        elements whose order is still unknown; read-only, as it is cached."""
         if self._element_orders is None:
             out = np.empty(self.order, dtype=np.int32)
             todo = np.arange(self.order)
@@ -179,6 +178,7 @@ class FiniteGroup:
                 todo, x = todo[~done], x[~done]
                 x = self.table[x, todo]
                 k += 1
+            out.setflags(write=False)
             self._element_orders = out
         return self._element_orders
 
@@ -291,72 +291,9 @@ class FiniteGroup:
         return self.subgroup(range(self.order))
 
     def all_subgroups(self) -> List[frozenset]:
-        """Every subgroup, as frozensets of element indices, sorted by
-        (order, element tuple).
-
-        Cyclic extension over conjugacy classes of subgroups (Pfeiffer):
-        every subgroup is a chain of joins with cyclic subgroups of
-        prime-power order, starting from the trivial one, and for n in N(S)
-        <S, nZn^-1> = n<S, Z>n^-1.  So each class representative S is joined
-        with one prime-power cyclic subgroup Z per N(S)-orbit, each join is
-        closed as a bitmask, and a join not seen before brings in its whole
-        class at once and is the only one of the class extended further.
-        The class orbits are kept in `_subgroup_orbits` for the lattice.
-        """
-        if self._all_subgroups is None:
-            n, e = self.order, self.identity
-            everything = np.arange(n)
-            orders = self.element_orders()
-            # cyc_of[a]: the number of <a> among the cyclic subgroups of
-            # prime-power order, listed by their least generators cyc_gen (the
-            # generators of a cyclic p-group are its elements of largest order)
-            cyc_of = np.full(n, -1, dtype=np.int64)
-            cyc_gen: List[int] = []
-            for a in range(n):
-                if cyc_of[a] < 0 and _is_prime_power(int(orders[a])):
-                    _, powers = self._closure([a])
-                    powers = np.asarray(powers)
-                    cyc_of[powers[orders[powers] == orders[a]]] = len(cyc_gen)
-                    cyc_gen.append(a)
-            seen = set()
-            orbits: List[Tuple[List[int], np.ndarray, np.ndarray]] = []
-            found: List[Tuple[int, ...]] = []
-
-            def add_class(elements: List[int]) -> np.ndarray:
-                """Record the class of a new subgroup J; return N(J).  g J g^-1
-                is member local[g], the one of g's left coset of N(J)."""
-                conjugated = self._conjugated(everything, np.asarray(elements))
-                mask = np.zeros(n, dtype=bool)
-                mask[elements] = True
-                normalizer = np.flatnonzero(mask[conjugated].all(axis=1))
-                hs, local = np.unique(self.table[:, normalizer].min(axis=1), return_inverse=True)
-                members = conjugated[hs]
-                masks = np.zeros((len(hs), n), dtype=bool)
-                masks[np.arange(len(hs))[:, None], members] = True
-                keys = [int.from_bytes(row.tobytes(), "little")
-                        for row in np.packbits(masks, axis=1, bitorder="little")]
-                seen.update(keys)
-                orbits.append((keys, local, hs))
-                found.extend(tuple(row) for row in np.sort(members, axis=1).tolist())
-                return normalizer
-
-            queue = [([], 1 << e, add_class([e]))]
-            while queue:
-                gens, key, normalizer = queue.pop()
-                # one prime-power cyclic subgroup per N(S)-orbit, outside S
-                conjugates = self._conjugated(normalizer, np.asarray(cyc_gen, dtype=np.int64))
-                orbit_least = cyc_of[conjugates].min(axis=0)
-                for c in np.flatnonzero(orbit_least == np.arange(len(cyc_gen))).tolist():
-                    if (key >> cyc_gen[c]) & 1:
-                        continue
-                    join_gens = gens + [cyc_gen[c]]
-                    join_key, elements = self._closure(join_gens)
-                    if join_key not in seen:
-                        queue.append((join_gens, join_key, add_class(elements)))
-            found.sort(key=lambda s: (len(s), s))
-            self._subgroup_orbits = orbits
-            self._all_subgroups = [frozenset(s) for s in found]
-        return self._all_subgroups
+        """Every subgroup, as frozensets of element indices, in the
+        lattice's order: by (order, element tuple)."""
+        return [frozenset(S.elements) for S in self.subgroup_lattice().subgroups]
 
     def subgroup_lattice(self) -> "SubgroupLattice":
         """The integer tables over every subgroup, built on first use."""
@@ -518,42 +455,106 @@ class Subgroup:
 
 class SubgroupLattice:
     """Every subgroup of a group as an integer id, with the conjugation
-    action as tables (Pfeiffer's table-of-marks bookkeeping).
+    action and containment as tables (Pfeiffer's table-of-marks
+    bookkeeping).
 
     `subgroups` lists the interned subgroups sorted by (order, element
     tuple) and `position[S]` is the id of S.  `conj[g, i]` is the id of
     g S_i g^-1.  `classes` holds one representative per conjugacy class (the
     least id, hence the lexicographically least tuple, in each orbit, in
     increasing id order) and `class_of[i]` the class of S_i in that list.
-    The tables are read off the class orbits that `all_subgroups` found, one
-    gather per class; each subgroup is validated once, when it is interned.
-    Double cosets are recorded per pair of ids on first query.
+    `contain[k, h]` is whether S_k <= S_h, built on first use.  Double
+    cosets are recorded per pair of ids on first query.  Every table handed
+    out is read-only.
+
+    The subgroups are found by cyclic extension over conjugacy classes of
+    subgroups (Pfeiffer): every subgroup is a chain of joins with cyclic
+    subgroups of prime-power order, starting from the trivial one, and for
+    n in N(S) <S, nZn^-1> = n<S, Z>n^-1.  So each class representative S is
+    joined with one prime-power cyclic subgroup Z per N(S)-orbit, each join
+    is closed as a bitmask, and a join not seen before brings in its whole
+    class at once, in one gather, and is the only one of the class extended
+    further.  Each member is interned (and so validated once) from its mask,
+    and the class's columns of `conj` are read off the same gather.
     """
 
     def __init__(self, G: FiniteGroup):
-        self.subgroups = [G.subgroup(s) for s in G.all_subgroups()]
+        n = G.order
+        everything = np.arange(n)
+        orders = G.element_orders()
+        # cyc_of[a]: the number of <a> among the cyclic subgroups of
+        # prime-power order, listed by their least generators cyc_gen (the
+        # generators of a cyclic p-group are its elements of largest order)
+        cyc_of = np.full(n, -1, dtype=np.int64)
+        cyc_gen: List[int] = []
+        for a in range(n):
+            if cyc_of[a] < 0 and _is_prime_power(int(orders[a])):
+                _, powers = G._closure([a])
+                powers = np.asarray(powers)
+                cyc_of[powers[orders[powers] == orders[a]]] = len(cyc_gen)
+                cyc_gen.append(a)
+        seen = set()
+        orbits: List[Tuple[List[Subgroup], np.ndarray, np.ndarray]] = []
+
+        def add_class(elements: List[int]) -> np.ndarray:
+            """Intern the class of a new subgroup J; return N(J).  g J g^-1
+            is member local[g], the one of g's left coset of N(J)."""
+            conjugated = G._conjugated(everything, np.asarray(elements))
+            mask = np.zeros(n, dtype=bool)
+            mask[elements] = True
+            normalizer = np.flatnonzero(mask[conjugated].all(axis=1))
+            hs, local = np.unique(G.table[:, normalizer].min(axis=1), return_inverse=True)
+            # x is in h J h^-1 iff h^-1 x h is in J, for every h and x at once
+            masks = mask[G.table[G.table[G.inverse[hs]], hs[:, None]]]
+            members = [G._intern(m) for m in masks]
+            seen.update(S.key for S in members)
+            orbits.append((members, local, hs))
+            return normalizer
+
+        queue = [([], 1 << G.identity, add_class([G.identity]))]
+        while queue:
+            gens, key, normalizer = queue.pop()
+            # one prime-power cyclic subgroup per N(S)-orbit, outside S
+            conjugates = G._conjugated(normalizer, np.asarray(cyc_gen, dtype=np.int64))
+            orbit_least = cyc_of[conjugates].min(axis=0)
+            for c in np.flatnonzero(orbit_least == np.arange(len(cyc_gen))).tolist():
+                if (key >> cyc_gen[c]) & 1:
+                    continue
+                join_gens = gens + [cyc_gen[c]]
+                join_key, elements = G._closure(join_gens)
+                if join_key not in seen:
+                    queue.append((join_gens, join_key, add_class(elements)))
+
+        self.subgroups = sorted((S for members, _, _ in orbits for S in members),
+                                key=lambda S: (S.order, S.elements))
         self.position = {S: i for i, S in enumerate(self.subgroups)}
-        id_of = {S.key: i for i, S in enumerate(self.subgroups)}
         self._double_cosets: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-        self.conj = np.empty((G.order, len(self.subgroups)), dtype=np.int64)
-        self.class_of = np.empty(len(self.subgroups), dtype=np.int64)
+        self.conj = np.empty((n, len(self.subgroups)), dtype=np.int64)
         # member k of a class is h J h^-1 for h = hs[k], and g h J (g h)^-1
         # is member local[g h]
-        orbits = []
-        for keys, local, hs in G._subgroup_orbits:
-            ids = np.array([id_of[k] for k in keys], dtype=np.int64)
+        for members, local, hs in orbits:
+            ids = np.array([self.position[S] for S in members], dtype=np.int64)
             self.conj[:, ids] = ids[local[G.table[:, hs]]]
-            orbits.append(ids)
-        orbits.sort(key=lambda ids: ids.min())
-        for c, ids in enumerate(orbits):
-            self.class_of[ids] = c
-        self.classes = [self.subgroups[ids.min()] for ids in orbits]
+        least, self.class_of = np.unique(self.conj.min(axis=0), return_inverse=True)
+        self.classes = [self.subgroups[i] for i in least]
+        self.conj.setflags(write=False)
+        self.class_of.setflags(write=False)
+
+    @cached_property
+    def contain(self) -> np.ndarray:
+        """contain[k, h] is whether S_k <= S_h, from the masks in one
+        product; its nonzero entries in row-major order are the
+        containments in (K, H) order."""
+        masks = np.array([S.mask for S in self.subgroups], dtype=np.float64)
+        out = masks @ (1.0 - masks).T == 0
+        out.setflags(write=False)
+        return out
 
     def classes_in(self, H: Subgroup) -> Tuple[np.ndarray, np.ndarray]:
         """H-conjugacy classes of the subgroups of H: the least id of each
         class in increasing order, and per id its class index (-1 for the
         subgroups not inside H)."""
-        inside = np.array([S <= H for S in self.subgroups])
+        inside = self.contain[:, self.position[H]]
         least = self.conj[np.asarray(H.elements)][:, inside].min(axis=0)
         reps, cls = np.unique(least, return_inverse=True)
         class_of = np.full(len(self.subgroups), -1, dtype=np.int64)
@@ -575,6 +576,8 @@ class SubgroupLattice:
             record = self._double_cosets[(k, h)] = (
                 np.asarray(dc.representatives, dtype=np.int64),
                 np.array([self.position[A] for A in dc.intersections], dtype=np.int64))
+            for a in record:
+                a.setflags(write=False)
         return record
 
 
@@ -630,6 +633,7 @@ class InjectiveHom:
         Returns (reps, coset, source): reps are the minimal-element left coset
         representatives of the image in the target G, and for every g in G
         and coset index c, g * reps[c] = reps[coset[g, c]] * self(source[g, c]).
+        The arrays are read-only.
         """
         if not hasattr(self, "_induction_table"):
             G = self.target
@@ -640,6 +644,8 @@ class InjectiveHom:
             moved = G.table[:, r]  # moved[g, c] = g * reps[c]
             coset = coset_of[moved]
             source = back[G.table[G.inverse[r[coset]], moved]]
+            coset.setflags(write=False)
+            source.setflags(write=False)
             object.__setattr__(self, "_induction_table", (reps, coset, source))
         return self._induction_table  # type: ignore[attr-defined]
 

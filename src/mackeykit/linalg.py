@@ -76,15 +76,16 @@ def _imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product a @ b of two integer matrices, or of two stacks of them
     broadcast over their leading axes as np.matmul does: float64 while the
     inner dimension times the largest entries stays below 2^53, int64 below
-    2^62, Python integers (object dtype) beyond."""
+    2^62, Python integers (object dtype) beyond.  On the float64 path every
+    partial sum is an integer of magnitude below 2^53, which float64 holds
+    exactly, so the result casts to int64 with no rounding."""
     if a.size == 0 or b.size == 0:
         lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         return np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=np.int64)
     if a.dtype != object and b.dtype != object:
         bound = a.shape[-1] * _absmax(a) * _absmax(b)
         if bound < _F53:
-            c = a.astype(np.float64) @ b.astype(np.float64)
-            return np.rint(c).astype(np.int64)
+            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         if bound < _I62:
             return a.astype(np.int64) @ b.astype(np.int64)
     return a.astype(object) @ b.astype(object)

@@ -70,13 +70,6 @@ def all_subgroups_sorted(G: FiniteGroup) -> List[Subgroup]:
     return list(G.subgroup_lattice().subgroups)
 
 
-def _containment_table(subs: Sequence[Subgroup]) -> np.ndarray:
-    """contain[k, h] is whether subs[k] <= subs[h]; its nonzero entries in
-    row-major order are the containments in (K, H) order."""
-    masks = np.array([S.mask for S in subs], dtype=np.float64)
-    return masks @ (1.0 - masks).T == 0
-
-
 # ---------------------------------------------------------------------------
 # exact stacked arithmetic
 
@@ -146,7 +139,7 @@ class OrdinaryMackeyFunctor:
             raise ValueError("a functor needs one level at every subgroup")
         self.position, self._cj = lat.position, lat.conj
         self._dims = dims = np.array([levels[S].dim for S in subs], dtype=np.int64)
-        self._contain = _containment_table(subs)
+        self._contain = lat.contain
         self._pairs = np.nonzero(self._contain)
         self.containments = [(subs[k], subs[h]) for k, h in zip(*self._pairs)]
         rs, ts = [], []
@@ -447,7 +440,7 @@ def _hom_functor(X: Module, Y: Module) -> Tuple[OrdinaryMackeyFunctor, Dict[Subg
     res: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
     tr: Dict[Tuple[Subgroup, Subgroup], Mat] = {}
     transversals = {K: G.left_transversal(K)[0] for K in subs}
-    for k, h in zip(*np.nonzero(_containment_table(subs))):
+    for k, h in zip(*np.nonzero(lat.contain)):
         K, H = subs[k], subs[h]
         res[(K, H)] = _coords_in_basis(bases[K], bases[H])
         # the relative traces over the cosets tK inside H: the sum over t
@@ -620,7 +613,7 @@ def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
         return np.bincount(class_of[level][meets[subs[l].mask[hs]]], minlength=dims[level])
 
     res, tr = {}, {}
-    for k, h in zip(*np.nonzero(_containment_table(subs))):
+    for k, h in zip(*np.nonzero(lat.contain)):
         KH = (subs[k], subs[h])
         res[KH] = Mat(QQ, np.stack([count_intersections(k, s, h, k) for s in reps[h]], axis=1))
         tmat = np.zeros((dims[h], dims[k]), dtype=np.int64)

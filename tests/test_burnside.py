@@ -16,6 +16,8 @@ from mackeykit.burnside import (
     CrossedBurnsideAlgebra,
     GSet,
     NotSplitOverRationals,
+    PairClass,
+    _burnside_structure,
     _frobenius_fixed_space,
     block_decomposition,
     burnside_multiply,
@@ -27,7 +29,7 @@ from mackeykit.burnside import (
     table_of_marks,
 )
 from mackeykit.catalog import builtin_group
-from mackeykit.groups import FiniteGroup, group_from_generators
+from mackeykit.groups import FiniteGroup, group_from_generators, group_from_table
 from mackeykit.linalg import GF, QQ, Mat
 
 XBURN_GROUPS = ["c2", "c3", "v4", "s3", "d8", "q8"]
@@ -102,15 +104,37 @@ def test_marks_c2_s3_frozen():
     ]
 
 
+def relabelled(G: FiniteGroup, seed: int) -> FiniteGroup:
+    """G's table under a random bijection of its elements, as a table-form
+    group (so the identity is usually not element 0)."""
+    p = np.random.default_rng(seed).permutation(G.order)
+    t = np.empty_like(G.table)
+    t[np.ix_(p, p)] = p[G.table]
+    return group_from_table(t.tolist())
+
+
 def test_marks_against_direct_fixed_point_count():
-    for name in ["c4", "v4", "d8", "a4"]:
-        G = builtin_group(name)
+    groups = [builtin_group(name) for name in ["c4", "v4", "d8", "a4"]]
+    for G in groups + [relabelled(builtin_group("s4"), 1), relabelled(builtin_group("q8"), 2)]:
         subs = G.subgroups_up_to_conjugacy()
         marks = table_of_marks(G)
         for i, Si in enumerate(subs):
             X = gset_from_subgroup(G, Si)
             for j, Sj in enumerate(subs):
                 assert marks[i, j] == X.fixed_points(Sj)
+
+
+def test_cached_burnside_tables_are_read_only():
+    # writing into the cached marks once doubled them for every later caller
+    G = builtin_group("s3")
+    m = table_of_marks(G)
+    with pytest.raises(ValueError, match="read-only"):
+        m *= 2
+    B = _burnside_structure(G)
+    with pytest.raises(ValueError, match="read-only"):
+        B[0, 0, 0] = 5
+    assert table_of_marks(G).tolist() == [[6, 0, 0, 0], [3, 1, 0, 0], [2, 0, 2, 0], [1, 1, 1, 1]]
+    assert burnside_multiply(G, [0, 1, 0, 0], [0, 1, 0, 0]).tolist() == [1, 1, 0, 0]
 
 
 def test_marks_lower_triangular_positive_diagonal():
@@ -628,6 +652,33 @@ def test_rho_coh_matrix_formula_c2():
     R = xb.rho_coh_matrix()
     # rows follow xb.basis: (1,e) -> 2*e, (1,s) -> 2*s, (C2,e) -> e, (C2,s) -> s
     assert R.tolist() == [[2, 0], [0, 2], [1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("name", XBURN_GROUPS)
+def test_rho_coh_matrix_against_coset_sums(name):
+    # row (H, a): the sum of t a t^-1 over the least element t of each coset
+    # tH, read at each class
+    G = builtin_group(name)
+    xb = CrossedBurnsideAlgebra(G)
+    R = xb.rho_coh_matrix()
+    for bi, pc in enumerate(xb.basis):
+        reps = {min(G.mul(g, h) for h in pc.subgroup) for g in range(G.order)}
+        image = [G.conj(t, pc.element) for t in reps]
+        for ci, C in enumerate(G.conjugacy_classes()):
+            assert all(image.count(x) == R[bi, ci] for x in C)
+
+
+def test_rho_coh_matrix_rejects_an_image_off_the_class_sums():
+    # (H, a) for H of order 2 and a a 3-cycle is no basis pair: its sum over
+    # the three cosets of H in S3 hits the two 3-cycles unequally
+    G = group_from_generators(3, [[1, 0, 2], [1, 2, 0]])
+    xb = CrossedBurnsideAlgebra(G)
+    H = next(S for S in G.subgroup_lattice().subgroups if S.order == 2)
+    a = next(x for x in range(G.order) if G.element_orders()[x] == 3)
+    xb.basis = xb.basis + [PairClass(H.elements, a)]
+    xb.rank += 1
+    with pytest.raises(ArithmeticError, match="class-sum combination"):
+        xb.rho_coh_matrix()
 
 
 def xburn_structure_oracle(G, basis) -> np.ndarray:

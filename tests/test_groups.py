@@ -390,6 +390,46 @@ def test_lattice_tables_against_brute_force(name):
         assert set(G.normalizer(lat.subgroups[i]).elements) == stabiliser
 
 
+@pytest.mark.parametrize("name,seed", [*((n, None) for n in BUILTIN_NAMES),
+                                       ("s4", 5), ("q8", 6)])
+def test_containment_table_against_sets(name, seed):
+    G = builtin_group(name) if seed is None else relabelled(builtin_group(name), seed)
+    lat = G.subgroup_lattice()
+    sets = [set(S.elements) for S in lat.subgroups]
+    assert lat.contain.shape == (len(sets), len(sets))
+    for k, S in enumerate(lat.subgroups):
+        for h, T in enumerate(lat.subgroups):
+            assert lat.contain[k, h] == (S <= T) == (sets[k] <= sets[h])
+
+
+def test_all_subgroups_follows_the_lattice_and_is_a_fresh_list():
+    G = relabelled(builtin_group("d8"), 3)
+    subs = G.all_subgroups()
+    assert subs == [frozenset(S.elements) for S in G.subgroup_lattice().subgroups]
+    subs.pop()
+    subs[0] = frozenset([G.identity, 0])
+    assert G.all_subgroups() == [frozenset(S.elements) for S in G.subgroup_lattice().subgroups]
+
+
+def test_cached_tables_are_read_only():
+    # a caller that writes into a cached table gets an error, and the next
+    # caller the table as it was
+    G = builtin_group("s4")
+    lat = G.subgroup_lattice()
+    hom = lat.classes[3].inclusion_hom()
+    tables = [G.element_orders(), lat.conj, lat.class_of, lat.contain,
+              *lat.double_cosets(2, 5), *hom.induction_table()[1:]]
+    before = [t.copy() for t in tables]
+    for t in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            t[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            t *= 2
+    after = [G.element_orders(), lat.conj, lat.class_of, lat.contain,
+             *lat.double_cosets(2, 5), *hom.induction_table()[1:]]
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_subgroups_are_interned(name):
     G = builtin_group(name)

@@ -3,6 +3,7 @@ conventions, over prime fields and the rationals."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -279,6 +280,18 @@ def test_stacked_products_match_python_integers_on_every_path():
         assert got.shape == (3, 5, 2, 3)
         want = a.astype(object) @ b.astype(object)
         assert all(int(x) == int(y) for x, y in zip(got.ravel(), want.ravel()))
+    # mixed signs at the edge of the float64 path: the bound 4 top^2 sits
+    # just under 2^53, and the first row times the first column reaches it
+    top = math.isqrt(2**51 - 1)
+    assert 4 * top**2 < 2**53 < 4 * (top + 1) ** 2
+    a = np.array([[top, -top, top, -top], [-top, 3, 1 - top, 7]])
+    b = np.stack([np.array([[top, -top], [-top, top], [top, 5], [-top, -top]]),
+                  rng.integers(-top, top + 1, size=(4, 2))])
+    b[1, 0, 0] = -top
+    got = _imatmul(a, b)
+    assert got.dtype == np.int64 and int(got[0, 0, 0]) == 4 * top**2
+    want = a.astype(object) @ b.astype(object)
+    assert all(int(x) == int(y) for x, y in zip(got.ravel(), want.ravel()))
     assert _imatmul(np.zeros((2, 3, 0)), np.zeros((1, 0, 4))).shape == (2, 3, 4)
     assert _imatmul(np.zeros((0, 3, 2)), np.ones((2, 4), dtype=np.int64)).shape == (0, 3, 4)
 
