@@ -102,7 +102,7 @@ _burnside_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 def _burnside_structure(G: FiniteGroup) -> np.ndarray:
     """B[i, j, k], the multiplicity of [G/H_k] in [G/H_i][G/H_j], counted
-    from the lattice's double-coset records and cross-checked through the
+    from the lattice's double-coset table and cross-checked through the
     mark homomorphism (which is injective); read-only, as it is cached."""
     cached = _burnside_cache.get(G)
     if cached is not None:
@@ -112,8 +112,8 @@ def _burnside_structure(G: FiniteGroup) -> np.ndarray:
     r = len(ids)
     B = np.zeros((r, r, r), dtype=np.int64)
     for i, k in enumerate(ids):
-        for j, h in enumerate(ids):
-            B[i, j] = np.bincount(lat.class_of[lat.double_cosets(k, h)[1]], minlength=r)
+        j, _, meets = lat.double_cosets(k, ids)
+        B[i] = np.bincount(j * r + lat.class_of[meets], minlength=r * r).reshape(r, r)
     marks = table_of_marks(G)
     if not np.array_equal(B @ marks, marks[:, None, :] * marks[None, :, :]):
         raise ArithmeticError("double-coset product disagrees with marks")
@@ -656,8 +656,9 @@ class CrossedBurnsideAlgebra:
         counted = []
         for k, left in zip(ids, blocks):
             bs = elements[left]
-            for h, right in zip(ids, blocks):
-                xs, meets = lat.double_cosets(k, h)
+            j, x, a = lat.double_cosets(k, ids)
+            cuts = np.searchsorted(j, np.arange(1, len(ids)))
+            for right, xs, meets in zip(blocks, np.split(x, cuts), np.split(a, cuts)):
                 # products[b, a, x] = b * x a x^-1
                 products = G.table[bs[:, None, None], G._conjugated(xs, elements[right]).T]
                 out = pair_index[meets, products]

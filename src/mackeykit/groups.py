@@ -277,7 +277,7 @@ class FiniteGroup:
         key = _mask_key(mask)
         sub = self._interned.get(key)
         if sub is None:
-            sub = Subgroup(self, tuple(int(x) for x in np.flatnonzero(mask)))
+            sub = Subgroup(self, tuple(int(x) for x in np.flatnonzero(mask)), key)
             self._interned[key] = sub
         return sub
 
@@ -345,6 +345,15 @@ class FiniteGroup:
         reps, coset_of = np.unique(least, return_inverse=True)
         return [int(r) for r in reps], coset_of.astype(np.int64)
 
+    def _double_coset_least(self, left: np.ndarray, rights: np.ndarray,
+                            starts: Sequence[int]) -> np.ndarray:
+        """least[g, j], the least element of K g H_j for every g and j: the
+        least k x over k in `left` for every x, then its least at g h over
+        the h of H_j, whose elements are `rights[starts[j]:starts[j + 1]]`,
+        by one reduceat over those segments."""
+        least_left = self.table[left].min(axis=0)
+        return np.minimum.reduceat(least_left[self.table[:, rights]], starts, axis=1)
+
     def double_cosets(self, left: "Subgroup", right: "Subgroup") -> "DoubleCosetDecomposition":
         """Decomposition of G into double cosets K g H (K=left, H=right),
         with the interned K n xHx^-1 for each representative x.
@@ -354,10 +363,8 @@ class FiniteGroup:
         xHx^-1 for every x, ANDed with K's mask.  For K, H <= L, the double
         cosets inside L (K\\L/H) are those whose representative lies in L.
         """
-        ks = np.asarray(left.elements, dtype=np.int64)
         hs = np.asarray(right.elements, dtype=np.int64)
-        least_left = self.table[ks].min(axis=0)             # min_k k x, per x
-        least = least_left[self.table[:, hs]].min(axis=1)   # min_h of that at g h
+        least = self._double_coset_least(np.asarray(left.elements), hs, [0])[:, 0]
         reps, assignment = np.unique(least, return_inverse=True)
         conjugates = np.zeros((len(reps), self.order), dtype=bool)
         conjugates[np.arange(len(reps))[:, None], self._conjugated(reps, hs)] = True
@@ -372,14 +379,15 @@ class FiniteGroup:
 @dataclass(frozen=True, eq=False)
 class Subgroup:
     """A subgroup: the sorted tuple of its element indices, its membership
-    mask and that mask as an int bitmask (`key`).  Obtain subgroups from
+    mask and that mask as an int bitmask (`key`, handed over by the
+    interning group, which has packed it already).  Obtain subgroups from
     their group, which interns them: equality and hashing go by identity,
     and `<=` is containment."""
 
     parent: FiniteGroup
     elements: Tuple[int, ...]
+    key: int = field(repr=False)
     mask: np.ndarray = field(init=False, repr=False)
-    key: int = field(init=False, repr=False)
 
     def __post_init__(self):
         G = self.parent
@@ -393,7 +401,6 @@ class Subgroup:
         if not mask[G.table[np.ix_(el, el)]].all():
             raise ValueError("subgroup is not closed under multiplication")
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "key", _mask_key(mask))
 
     @property
     def order(self) -> int:
@@ -463,9 +470,8 @@ class SubgroupLattice:
     g S_i g^-1.  `classes` holds one representative per conjugacy class (the
     least id, hence the lexicographically least tuple, in each orbit, in
     increasing id order) and `class_of[i]` the class of S_i in that list.
-    `contain[k, h]` is whether S_k <= S_h, built on first use.  Double
-    cosets are recorded per pair of ids on first query.  Every table handed
-    out is read-only.
+    `contain[k, h]` is whether S_k <= S_h, built on first use.  Every table
+    it caches is read-only.
 
     The subgroups are found by cyclic extension over conjugacy classes of
     subgroups (Pfeiffer): every subgroup is a chain of joins with cyclic
@@ -528,7 +534,7 @@ class SubgroupLattice:
         self.subgroups = sorted((S for members, _, _ in orbits for S in members),
                                 key=lambda S: (S.order, S.elements))
         self.position = {S: i for i, S in enumerate(self.subgroups)}
-        self._double_cosets: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+        self.group = G
         self.conj = np.empty((n, len(self.subgroups)), dtype=np.int64)
         # member k of a class is h J h^-1 for h = hs[k], and g h J (g h)^-1
         # is member local[g h]
@@ -565,20 +571,24 @@ class SubgroupLattice:
         """Index of S's class in `classes` (and subgroups_up_to_conjugacy)."""
         return int(self.class_of[self.position[S]])
 
-    def double_cosets(self, k: int, h: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The id view of `FiniteGroup.double_cosets(S_k, S_h)`, cached per
-        pair of ids: the least elements x in increasing order, and per x the
-        id of S_k n x S_h x^-1."""
-        record = self._double_cosets.get((k, h))
-        if record is None:
-            K, H = self.subgroups[k], self.subgroups[h]
-            dc = K.parent.double_cosets(K, H)
-            record = self._double_cosets[(k, h)] = (
-                np.asarray(dc.representatives, dtype=np.int64),
-                np.array([self.position[A] for A in dc.intersections], dtype=np.int64))
-            for a in record:
-                a.setflags(write=False)
-        return record
+    def double_cosets(self, k: int, hs: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The double cosets S_k x S_h for every id h in `hs`, as three flat
+        arrays in (position in hs, x) order: j, the position in hs; x, the
+        least element of the double coset; a, the id of S_k n x S_h x^-1.
+
+        x is a least element exactly when least[x, j] == x.  The
+        intersection contains every common subgroup of S_k and x S_h x^-1,
+        and ids go by order, so its id is the largest among S_k's subgroups
+        that lie inside conj[x, h], read off `contain`."""
+        hs = np.asarray(hs, dtype=np.int64)
+        rights = [self.subgroups[h].elements for h in hs.tolist()]
+        starts = np.cumsum([0] + [len(e) for e in rights[:-1]])
+        least = self.group._double_coset_least(
+            np.asarray(self.subgroups[k].elements), np.concatenate(rights), starts)
+        j, x = np.nonzero(least.T == np.arange(self.group.order))
+        below = np.flatnonzero(self.contain[:, k])
+        inside = self.contain[below][:, self.conj[x, hs[j]]]
+        return j, x, (below[:, None] * inside).max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -614,18 +624,6 @@ class InjectiveHom:
             raise ValueError("homs are not composable")
         return InjectiveHom(inner.source, self.target,
                             tuple(int(self.map[x]) for x in inner.map))
-
-    @property
-    def is_isomorphism(self) -> bool:
-        return self.source.order == self.target.order
-
-    def inverse(self) -> "InjectiveHom":
-        if not self.is_isomorphism:
-            raise ValueError("only bijective homs can be inverted")
-        inv = [0] * self.source.order
-        for a, b in enumerate(self.map):
-            inv[b] = a
-        return InjectiveHom(self.target, self.source, tuple(inv))
 
     def induction_table(self) -> Tuple[List[int], np.ndarray, np.ndarray]:
         """Coset bookkeeping for inducing along this hom, computed once.

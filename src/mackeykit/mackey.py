@@ -58,16 +58,9 @@ __all__ = [
     "hom_decategorify",
     "green_from_monoid",
     "burnside_green_functor",
-    "all_subgroups_sorted",
 ]
 
 FAILURE_LIST_CAP = 12
-
-
-def all_subgroups_sorted(G: FiniteGroup) -> List[Subgroup]:
-    """Every subgroup of G (not just class representatives), sorted by
-    (order, element tuple)."""
-    return list(G.subgroup_lattice().subgroups)
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +318,12 @@ def verify_mackey_axioms(M: OrdinaryMackeyFunctor) -> MackeyAxiomReport:
         return text
 
     # the Mackey formula: per K, the terms tr c_x res of every double coset
-    # KxH, read off the lattice's records; then per L >= K the sums over
+    # KxH, read off the lattice's table; then per L >= K the sums over
     # K\L/H for every H <= L
     D, every = _dmax(dims), np.arange(n)
     mk_ok = np.ones((n, n, n), dtype=bool)   # [L, K, H]
     for k in range(n):
-        recs = [lat.double_cosets(k, h) for h in range(n)]
-        th = np.repeat(every, [len(xs) for xs, _ in recs])
-        tx = np.concatenate([xs for xs, _ in recs])
-        ta = np.concatenate([a for _, a in recs])             # K n xHx^-1
+        th, tx, ta = lat.double_cosets(k, every)              # ta: K n xHx^-1
         tb = cj[G.inverse[tx], ta]                            # x^-1Kx n H
         dk, da = dims[k], _dmax(dims[ta])
         terms = T.blocks(ta, k, dk, da) @ C.blocks(tx, tb, da, da) @ R.blocks(tb, th, da, D)
@@ -606,19 +596,28 @@ def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
     levels = {H: LevelData(H, d, tuple(subs[i].elements for i in r))
               for H, d, r in zip(subs, dims, reps)}
 
-    def count_intersections(k: int, s: int, l: int, level: int) -> np.ndarray:
-        """Over the double cosets KhS inside L: how many K n hSh^-1 fall
-        in each class of the level."""
-        hs, meets = lat.double_cosets(k, s)
-        return np.bincount(class_of[level][meets[subs[l].mask[hs]]], minlength=dims[level])
+    def count_intersections(i: np.ndarray, cls: np.ndarray, rows: int, d: int) -> np.ndarray:
+        """[row, class]: how many of the pairs (i, cls) fall on each entry."""
+        return np.bincount(i * d + cls, minlength=rows * d).reshape(rows, d)
 
+    n, every = len(subs), np.arange(len(subs))
     res, tr = {}, {}
-    for k, h in zip(*np.nonzero(lat.contain)):
-        KH = (subs[k], subs[h])
-        res[KH] = Mat(QQ, np.stack([count_intersections(k, s, h, k) for s in reps[h]], axis=1))
-        tmat = np.zeros((dims[h], dims[k]), dtype=np.int64)
-        tmat[class_of[h][reps[k]], np.arange(dims[k])] = 1
-        tr[KH] = Mat(QQ, tmat)
+    T = [np.zeros((d, d, d), dtype=np.int64) for d in dims]   # [s, t, class] per level
+    for k in range(n):
+        j, xs, meets = lat.double_cosets(k, every)           # every S_k x S at once
+        for h in np.flatnonzero(lat.contain[k]):
+            # over KxS inside H, S = S_reps[h][i]: each i and id of K n xSx^-1
+            row = np.full(n, -1)
+            row[reps[h]] = np.arange(dims[h])
+            keep = (row[j] >= 0) & subs[h].mask[xs]
+            i, a = row[j[keep]], meets[keep]
+            KH = (subs[k], subs[h])
+            res[KH] = Mat(QQ, count_intersections(i, class_of[k][a], dims[h], dims[k]).T)
+            tmat = np.zeros((dims[h], dims[k]), dtype=np.int64)
+            tmat[class_of[h][reps[k]], np.arange(dims[k])] = 1
+            tr[KH] = Mat(QQ, tmat)
+            if reps[h][class_of[h][k]] == k:                  # [H/K] . [H/T] over K\H/T
+                T[h][class_of[h][k]] = count_intersections(i, class_of[h][a], dims[h], dims[h])
     conj = {}
     for h, H in enumerate(subs):
         cmat = np.zeros((G.order, dims[h], dims[h]), dtype=np.int64)
@@ -627,11 +626,8 @@ def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
         conj.update(((g, H), Mat(QQ, c)) for g, c in enumerate(cmat))
     M = OrdinaryMackeyFunctor(G, QQ, levels, res, tr, conj)
 
-    products, units = {}, {}
-    for h, (H, r, d) in enumerate(zip(subs, reps, dims)):
-        T = np.array([[count_intersections(s, t, h, h) for t in r] for s in r], dtype=np.int64)
-        products[H] = [Mat(QQ, Ti.T) for Ti in T.reshape(d, d, d)]
-        units[H] = Mat(QQ, (r == h).astype(np.int64)[:, None])
+    products = {H: [Mat(QQ, Ti.T) for Ti in T[h]] for h, H in enumerate(subs)}
+    units = {H: Mat(QQ, (r == h).astype(np.int64)[:, None]) for h, (H, r) in enumerate(zip(subs, reps))}
     mrep = verify_mackey_axioms(M)
     if not mrep.ok:
         raise ArithmeticError("Burnside functor failed the Mackey axioms:\n" + mrep.summary())

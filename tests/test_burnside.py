@@ -29,7 +29,7 @@ from mackeykit.burnside import (
     table_of_marks,
 )
 from mackeykit.catalog import builtin_group
-from mackeykit.groups import FiniteGroup, group_from_generators, group_from_table
+from mackeykit.groups import FiniteGroup, SubgroupLattice, group_from_generators, group_from_table
 from mackeykit.linalg import GF, QQ, Mat
 
 XBURN_GROUPS = ["c2", "c3", "v4", "s3", "d8", "q8"]
@@ -779,23 +779,31 @@ def test_xburn_checks_refuse_inexact_arithmetic():
 def test_xburn_refuses_rank_above_cap_before_any_double_coset(monkeypatch):
     G = group_from_generators(6, [[1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]])  # C4 x C2
     calls = []
-    original = FiniteGroup.double_cosets
+    original = SubgroupLattice.double_cosets
 
-    def counted(self, left, right):
-        calls.append((left, right))
-        return original(self, left, right)
+    def counted(self, k, hs):
+        calls.append((k, hs))
+        return original(self, k, hs)
 
-    monkeypatch.setattr(FiniteGroup, "double_cosets", counted)
+    monkeypatch.setattr(SubgroupLattice, "double_cosets", counted)
     with pytest.raises(ValueError, match="^rank 64 exceeds the verification cap$"):
         CrossedBurnsideAlgebra(G)
     assert calls == []
 
 
-def test_marks_and_burnside_vectors_build_no_double_coset_record():
+def test_marks_and_burnside_vectors_read_no_double_coset(monkeypatch):
+    calls = []
+    original = SubgroupLattice.double_cosets
+
+    def counted(self, k, hs):
+        calls.append((k, hs))
+        return original(self, k, hs)
+
+    monkeypatch.setattr(SubgroupLattice, "double_cosets", counted)
     G = group_from_generators(*F20)
     table_of_marks(G)
     burnside_vector(gset_from_subgroup(G, G.subgroups_up_to_conjugacy()[1]))
-    assert G.subgroup_lattice()._double_cosets == {}
+    assert calls == []
 
 
 # -- gset induction/restriction consistency -----------------------------------

@@ -286,18 +286,25 @@ def double_coset_count_oracle(G: FiniteGroup, K, H) -> int:
     return total // (K.order * H.order)
 
 
-@pytest.mark.parametrize("name", ["s3", "d8", "q8", "a4"])
-def test_lattice_double_coset_records(name):
-    G = builtin_group(name)
+@pytest.mark.parametrize("make", [
+    *(lambda name=name: builtin_group(name) for name in BUILTIN_NAMES),
+    lambda: relabelled(builtin_group("s4"), 1),
+    lambda: relabelled(builtin_group("q8"), 2),
+    lambda: group_from_generators(5, [_cycle(5, (0, 1, 2, 3, 4)), _cycle(5, (0, 1, 2))]),
+], ids=[*BUILTIN_NAMES, "s4-relabelled", "q8-relabelled", "A5"])
+def test_lattice_double_coset_table(make):
+    G = make()
     lat = G.subgroup_lattice()
+    every = np.arange(len(lat.subgroups))
     for k, K in enumerate(lat.subgroups):
-        for h, H in enumerate(lat.subgroups):
-            reps, meets = lat.double_cosets(k, h)
-            assert reps.tolist() == G.double_cosets(K, H).representatives
-            for x, t in zip(reps.tolist(), meets.tolist()):
+        j, xs, meets = lat.double_cosets(k, every[::-1])
+        for i, H in enumerate(reversed(lat.subgroups)):
+            sel = j == i
+            assert xs[sel].tolist() == G.double_cosets(K, H).representatives
+            for x, t in zip(xs[sel].tolist(), meets[sel].tolist()):
                 assert (frozenset(lat.subgroups[t].elements)
                         == frozenset(K.elements) & G.conjugate_subgroup(x, H.elements))
-            assert lat.double_cosets(k, h) is lat.double_cosets(k, h)
+        assert np.all(np.diff(j) >= 0)
 
 
 @pytest.mark.parametrize("name", ["s3", "d8", "a4", "s4"])
@@ -418,7 +425,7 @@ def test_cached_tables_are_read_only():
     lat = G.subgroup_lattice()
     hom = lat.classes[3].inclusion_hom()
     tables = [G.element_orders(), lat.conj, lat.class_of, lat.contain,
-              *lat.double_cosets(2, 5), *hom.induction_table()[1:]]
+              *hom.induction_table()[1:]]
     before = [t.copy() for t in tables]
     for t in tables:
         with pytest.raises(ValueError, match="read-only"):
@@ -426,7 +433,7 @@ def test_cached_tables_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             t *= 2
     after = [G.element_orders(), lat.conj, lat.class_of, lat.contain,
-             *lat.double_cosets(2, 5), *hom.induction_table()[1:]]
+             *hom.induction_table()[1:]]
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
@@ -442,6 +449,23 @@ def test_subgroups_are_interned(name):
         assert G.normalizer(S) is G.normalizer(S.conjugate_by(0))
     X = gset_from_subgroup(G, G.trivial_subgroup())
     assert X.stabilizer(0) is G.trivial_subgroup()
+
+
+def test_lattice_build_packs_each_mask_once(monkeypatch):
+    from mackeykit import groups
+
+    calls = []
+    orig = groups._mask_key
+
+    def counted(mask):
+        calls.append(1)
+        return orig(mask)
+
+    G = group_from_generators(5, [_cycle(5, (0, 1, 2, 3, 4)), _cycle(5, (0, 1))])  # S5
+    monkeypatch.setattr(groups, "_mask_key", counted)
+    lat = G.subgroup_lattice()
+    assert len(calls) == len(lat.subgroups) == 156
+    assert all(S.key == orig(S.mask) for S in lat.subgroups)
 
 
 def test_conjugates_of_a_fresh_group_build_as_group_once():

@@ -50,7 +50,6 @@ def reference_clause(name, instances):
 def reference_mackey(M):
     """The suite as one `Mat` product per instance."""
     G, f, subs = M.group, M.field, M.subgroups
-    lat = G.subgroup_lattice()
     res, tr, conj = M.res, M.tr, M.conj
     cj = {(g, H): H.conjugate_by(g) for g in range(G.order) for H in subs}
 
@@ -99,10 +98,9 @@ def reference_mackey(M):
             for K in inner:
                 for H in inner:
                     rhs = Mat.zeros(f, M.levels[K].dim, M.levels[H].dim)
-                    xs, meets = lat.double_cosets(lat.position[K], lat.position[H])
-                    for x, a in zip(xs.tolist(), meets.tolist()):
+                    dc = G.double_cosets(K, H)
+                    for x, A in zip(dc.representatives, dc.intersections):
                         if x in L:
-                            A = lat.subgroups[a]
                             B = cj[(G.inv(x), A)]
                             rhs = rhs + tr[(A, K)] @ conj[(x, B)] @ res[(B, H)]
                     yield (f"mackey L={L.elements} K={K.elements} H={H.elements}",
