@@ -3,9 +3,14 @@ double cosets."""
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from mackeykit import groupoids
 from mackeykit.catalog import builtin_group
+from mackeykit.groups import FiniteGroup, group_from_generators
 from mackeykit.groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -209,3 +214,106 @@ def test_full_isocomma_sweep_small(name):
             rep = verify_isocomma_decomposition(G, K, H)
             assert rep.ok
             assert rep.counts_match
+
+
+def _isocomma_of(G, K, H):
+    C = groupoid_from_group(G)
+    return isocomma(functor_from_hom(H.inclusion_hom(), target_gpd=C),
+                    functor_from_hom(K.inclusion_hom(), target_gpd=C))
+
+
+def test_cocycle_check_rejects_a_broken_pi_on_s4_isocomma():
+    # p(γ at x) = (p(x), π(γ)) with π(h, k) = h.  π changed at one element
+    # that is neither the identity nor a generator, alike at every object,
+    # keeps that form but is no longer a hom: it agrees with π on the
+    # generators, which determine a hom
+    G = builtin_group("s4")
+    ic = _isocomma_of(G, G.full_subgroup(), G.full_subgroup())
+    S, T = ic.groupoid, ic.p.target_gpd
+    pi = ic.p.mor_map[:S.order] % T.order
+    gens = set(S._generators().tolist())
+    bad = next(g for g in range(S.order) if g != S.identity and g not in gens)
+    pi[bad] = (pi[bad] + 1) % T.order
+    mor_map = ic.p.obj_map[S.mor_source] * T.order + np.tile(pi, S.n_objects)
+    assert (mor_map.reshape(-1, S.order) % T.order == pi).all()
+    with pytest.raises(ValueError, match="composition"):
+        GroupoidFunctor(S, T, ic.p.obj_map, mor_map)
+
+
+def test_natural_iso_rejects_a_moved_component_on_a_multi_object_isocomma():
+    # S4 with K = H of order 6: the component at g moved to kg, another
+    # element of its double coset and another morphism 0 -> 0 of G
+    G = builtin_group("s4")
+    K = next(S for S in G.subgroups_up_to_conjugacy() if S.order == 6)
+    ic = _isocomma_of(G, K, K)
+    gpd, F, Gf = ic.groupoid, ic.gamma.F, ic.gamma.G
+    assert gpd.n_objects == G.order
+    c = ic.gamma.components.copy()
+    o = 5
+    c[o] = G.mul(next(k for k in K.elements if k != G.identity), c[o])
+    assert c[o] != ic.gamma.components[o]
+    T = F.target_gpd
+    assert T.source(c[o]) == T.source(ic.gamma.components[o])
+    assert T.target(c[o]) == T.target(ic.gamma.components[o])
+    # brute force: some square fails, and only at morphisms into or out of o
+    fails = [f for f in range(gpd.n_morphisms)
+             if T.compose(c[gpd.target(f)], F.mor(f)) != T.compose(Gf.mor(f), c[gpd.source(f)])]
+    assert fails and all(o in (gpd.source(f), gpd.target(f)) for f in fails)
+    with pytest.raises(ValueError, match="naturality"):
+        NaturalIso(F, Gf, c)
+
+
+def test_vertex_group_must_map_onto_the_recorded_intersection(monkeypatch):
+    # K = H of order 2 in S4: the double coset of the identity has
+    # intersection K.  A record naming a conjugate of K instead is isomorphic
+    # to the vertex group, but q does not map onto it
+    G = builtin_group("s4")
+    K = next(S for S in G.subgroups_up_to_conjugacy() if S.order == 2)
+    assert verify_isocomma_decomposition(G, K, K).ok
+    real = FiniteGroup.double_cosets
+    dc = real(G, K, K)
+    assert dc.representatives[0] == G.identity
+    assert dc.intersections[0].elements == K.elements
+    wrong = next(K.conjugate_by(g) for g in range(G.order)
+                 if K.conjugate_by(g).elements != K.elements)
+    vertex = skeletonize(_isocomma_of(G, K, K).groupoid).components[0].vertex_group
+    assert find_isomorphism(vertex, wrong.as_group()[0]) is not None
+
+    def patched(self, left, right):
+        rec = real(self, left, right)
+        return dataclasses.replace(rec, intersections=[wrong] + rec.intersections[1:])
+
+    monkeypatch.setattr(FiniteGroup, "double_cosets", patched)
+    rep = verify_isocomma_decomposition(G, K, K)
+    assert rep.counts_match and not rep.ok
+    assert [c.isomorphic for c in rep.checks] == [False] + [True] * (len(rep.checks) - 1)
+    assert rep.checks[0].expected_group_order == rep.checks[0].vertex_group_order == 2
+
+
+A5 = (5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])
+
+
+def test_a5_isocomma_sweep_matches_the_lattice_double_cosets():
+    G = group_from_generators(*A5)
+    lat = G.subgroup_lattice()
+    assert len(lat.subgroups) == 59 and len(lat.classes) == 9
+    subs = G.subgroups_up_to_conjugacy()
+    for K in subs:
+        for H in subs:
+            rep = verify_isocomma_decomposition(G, K, H)
+            assert rep.ok
+            _, x, a = lat.double_cosets(lat.position[K], [lat.position[H]])
+            orders = [lat.subgroups[s].order for s in a.tolist()]
+            assert [c.coset_representative for c in rep.checks] == x.tolist()
+            assert [c.vertex_group_order for c in rep.checks] == orders
+            assert [c.expected_group_order for c in rep.checks] == orders
+            assert [c.coset_size for c in rep.checks] == [K.order * H.order // n for n in orders]
+
+
+def test_isocomma_verification_makes_no_isomorphism_search(monkeypatch):
+    calls = []
+    monkeypatch.setattr(groupoids, "find_isomorphism", lambda *a: calls.append(a))
+    G = builtin_group("s4")
+    subs = G.subgroups_up_to_conjugacy()
+    assert all(verify_isocomma_decomposition(G, K, H).ok for K in subs for H in subs)
+    assert calls == []
