@@ -2,8 +2,8 @@
 
 A group spec is a JSON object with either permutation generators
 ({"degree": n, "generators": [[...], ...]}) or a raw multiplication table
-({"table": [[...], ...]}); an optional "name" and "names" (element labels,
-table form only) are allowed.
+({"table": [[...], ...]}) of JSON integers (no floats, bools or strings),
+and an optional "name" and "names" (one label per element, table form only).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ BUILTIN_NAMES = ["c2", "c3", "c4", "v4", "s3", "d8", "q8", "a4", "s4"]
 
 def group_from_spec(spec: Dict) -> FiniteGroup:
     if "generators" in spec:
-        return group_from_generators(int(spec["degree"]), spec["generators"])
+        return group_from_generators(spec["degree"], spec["generators"])
     if "table" in spec:
         return group_from_table(spec["table"], names=spec.get("names"))
     raise ValueError("group spec needs either 'generators' or 'table'")

@@ -72,8 +72,7 @@ def _parse_field(prime: Optional[int]) -> Field:
 
 
 def _parse_subgroup(G: FiniteGroup, spec: str) -> Subgroup:
-    """A subgroup selector is a comma-separated list of generating element
-    indices ('0' or '' selects the trivial subgroup)."""
+    """A comma-separated list of generating element ids; '' selects the trivial subgroup."""
     spec = spec.strip()
     if spec == "":
         return G.trivial_subgroup()
@@ -456,8 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isocomma", help="verify the isocomma skeleton against "
                        "double cosets for one subgroup pair")
     common(p)
-    p.add_argument("--left", required=True, help="generators of K (comma-separated)")
-    p.add_argument("--right", required=True, help="generators of H")
+    p.add_argument("--left", required=True, help="generators of K (comma-separated "
+                   "element ids; '' for the trivial subgroup)")
+    p.add_argument("--right", required=True, help="generators of H ('' for the trivial subgroup)")
     common(sub.add_parser("tom", help="table of marks"))
     common(sub.add_parser("xburn", help="crossed Burnside ring: basis, "
                           "structure constants, verification"))
@@ -518,7 +518,7 @@ def run(argv: Optional[List[str]] = None) -> int:
                       payload=None, reason=f"cannot load group: {exc}")
         _emit(report, args)
         return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         report.update(status="error", group={"ref": args.group, "order": None},
                       payload=None, reason=f"malformed group spec: {exc}")
         _emit(report, args)

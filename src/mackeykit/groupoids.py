@@ -14,12 +14,12 @@ subgroup inclusions H, K <= G its connected components (the orbits)
 biject with the double cosets K\\G/H, and the vertex group (the
 stabiliser) at the component of g is isomorphic to K n gHg^-1.
 
-Every structural check is exact and made at the generators s of Γ, which
-reach every composite.  The action law and a general functor are checked
-at every (object, element, s); a functor F(γ at x) = (F(x), π(γ)) as
-π(sγ) = π(s)π(γ) once; naturality at the generating morphisms (x, s), as
-squares paste.  The unit, inverse and associativity laws need no check:
-they hold in Γ, whose factor tables are checked groups.
+A functor is its object map and cocycle, F(γ at x) = (F(x), π(x, γ)).
+Every check is exact and made at the generators s of Γ, which reach every
+composite: the action law at every (object, element, s), a functor's
+endpoints at every (object, s) and its cocycle law on every row of π (one
+when π is the same at every object), naturality at each (x, s), as squares
+paste.  Unit, inverse and associativity hold in Γ's checked factor tables.
 """
 
 from __future__ import annotations
@@ -74,9 +74,13 @@ class FiniteGroupoid:
             raise ValueError("action table must be objects x |Γ|")
         self.n_objects = self.action.shape[0]
         self.n_morphisms = self.action.size
-        self.mor_source = np.repeat(np.arange(self.n_objects), self.order)
         self.mor_target = self.action.reshape(-1)
-        self.identity = int(self._join([G.identity for G in self.factors]))
+        ident = [G.identity for G in self.factors]
+        self.identity = int(self._join(ident))
+        # Γ's generators: each factor's, with the identity in the other factors
+        self.generators = np.array([self._join(ident[:i] + [s] + ident[i + 1:])
+                                    for i, G in enumerate(self.factors)
+                                    for s in G.generators()], dtype=np.int64)
 
     # ---- the group Γ, elementwise over arrays of element ids -------------
 
@@ -100,23 +104,17 @@ class FiniteGroupoid:
     def _inv(self, a) -> np.ndarray:
         return self._join([G.inverse[x] for G, x in zip(self.factors, self._digits(a))])
 
-    def _generators(self) -> np.ndarray:
-        """Each factor's generators, with the identity in the other factors."""
-        ident = [G.identity for G in self.factors]
-        return np.array([self._join(ident[:i] + [s] + ident[i + 1:]) for i, G
-                         in enumerate(self.factors) for s in G.generators()], dtype=np.int64)
-
     # ---- morphisms ---------------------------------------------------------
 
     def source(self, f: int) -> int:
-        return int(self.mor_source[f])
+        return int(f) // self.order
 
     def target(self, f: int) -> int:
         return int(self.mor_target[f])
 
     def compose(self, f, g):
         f, g = np.asarray(f), np.asarray(g)
-        if np.any(self.mor_source[f] != self.mor_target[g]):
+        if np.any(f // self.order != self.mor_target[g]):
             raise ValueError("morphisms are not composable")
         n = self.order
         return _scalar_or_array(g // n * n + self._mul(f % n, g % n))
@@ -142,91 +140,82 @@ class FiniteGroupoid:
         if not np.array_equal(A[:, self.identity], np.arange(self.n_objects)):
             raise ValueError("the identity must act trivially")
         everything = np.arange(self.order)
-        for s in self._generators():
+        for s in self.generators:
             if not np.array_equal(A[A, s], A[:, self._mul(s, everything)]):
                 raise ValueError(f"generator {s} does not act compatibly")
 
 
 class GroupoidFunctor:
-    """A functor between finite groupoids, validated on construction.
-
-    `_checked=True` skips validation; it is used internally only for
-    composites of two already-validated functors (closed under composition,
-    so nothing is lost).
-    """
+    """A functor F(γ at x) = (F(x), π(x, γ)) between action groupoids,
+    validated on construction.  `pi` holds elements of the target's Γ: one
+    row, the same at every object, or one row per object."""
 
     def __init__(self, source: FiniteGroupoid, target: FiniteGroupoid,
-                 obj_map: Sequence[int], mor_map: Sequence[int],
-                 _checked: bool = False):
-        self.source_gpd = source
-        self.target_gpd = target
+                 obj_map: Sequence[int], pi: Sequence[int]):
+        self.source_gpd, self.target_gpd = source, target
         self.obj_map = np.asarray(obj_map, dtype=np.int64)
-        self.mor_map = np.asarray(mor_map, dtype=np.int64)
-        if not _checked:
-            self._validate()
+        self.pi = np.atleast_2d(np.asarray(pi, dtype=np.int64))
+        self._validate()
 
     def obj(self, x: int) -> int:
         return int(self.obj_map[x])
 
-    def mor(self, f: int) -> int:
-        return int(self.mor_map[f])
+    def cocycle(self, x, g):
+        """π(x, γ), elementwise over arrays of objects and elements."""
+        return self.pi[x % len(self.pi), g]
+
+    def mor(self, f):
+        x, g = np.divmod(f, self.source_gpd.order)
+        return _scalar_or_array(self.obj_map[x] * self.target_gpd.order + self.cocycle(x, g))
 
     def _validate(self) -> None:
-        """Exact: endpoints and identities at every object and morphism, and
-        F(sγ at x) = F(s at γx) o F(γ at x) for every generator s and every
-        (x, γ).  With the identities, induction on the word length of δ then
-        gives F(δ at γx) o F(γ at x) = F(δγ at x) for every composable pair.
-        For a cocycle F(γ at x) = (F(x), π(γ)) that law is π(sγ) = π(s)π(γ),
-        checked once instead of at every object."""
+        """Exact, at the generators s of Γ: π(x, e) = e; F(s·x) = π(x, s)·F(x)
+        at every object; π(x, sγ) = π(γx, s)·π(x, γ) on every row of π.
+        Induction on the word length of γ then gives F(γ·x) = π(x, γ)·F(x),
+        so every image has the right endpoints, and on that of δ gives
+        π(x, δγ) = π(γx, δ)·π(x, γ), so F respects every composite."""
         S, T = self.source_gpd, self.target_gpd
-        Fo, Fm = self.obj_map, self.mor_map
-        if Fo.shape != (S.n_objects,) or Fm.shape != (S.n_morphisms,):
-            raise ValueError("functor maps have wrong lengths")
-        if not (_in_range(Fo, T.n_objects) and _in_range(Fm, T.n_morphisms)):
+        Fo, pi, rows, gens = self.obj_map, self.pi, len(self.pi), S.generators
+        if Fo.shape != (S.n_objects,) or pi.shape[1:] != (S.order,) or rows not in (1, S.n_objects):
+            raise ValueError("functor maps have wrong shapes")
+        if not (_in_range(Fo, T.n_objects) and _in_range(pi, T.order)):
             raise ValueError("functor maps out of range")
-        bad = np.flatnonzero((T.mor_source[Fm] != Fo[S.mor_source])
-                             | (T.mor_target[Fm] != Fo[S.mor_target]))
+        if np.any(pi[:, S.identity] != T.identity):
+            raise ValueError("functor breaks the identity")
+        x = np.arange(S.n_objects)[:, None]
+        bad = np.flatnonzero((T.action[Fo[x], self.cocycle(x, gens)]
+                              != Fo[S.action[:, gens]]).any(axis=1))
         if bad.size:
-            raise ValueError(f"functor breaks endpoints at morphism {bad[0]}")
-        bad = np.flatnonzero(Fm[S.identity_mor(np.arange(S.n_objects))] != T.identity_mor(Fo))
-        if bad.size:
-            raise ValueError(f"functor breaks the identity at object {bad[0]}")
-        n, gens = S.order, S._generators()
-        pi = Fm[:n] % T.order
-        if S.n_objects and (Fm.reshape(-1, n) % T.order == pi).all():
-            if not np.array_equal(pi[S._mul(gens[:, None], np.arange(n))],
-                                  T._mul(pi[gens][:, None], pi)):
-                raise ValueError("functor breaks composition")
-            return
-        x, g = np.divmod(np.arange(S.n_morphisms), n)
-        for s in gens:
-            if not np.array_equal(Fm[x * n + S._mul(s, g)],
-                                  T.compose(Fm[S.mor_target * n + s], Fm)):
-                raise ValueError("functor breaks composition")
+            raise ValueError(f"functor breaks endpoints at object {bad[0]}")
+        nxt = S.action[:rows] % rows  # the row of γ·x: itself, or the one row
+        if not np.array_equal(pi[:, S._mul(gens[:, None], np.arange(S.order))],
+                              T._mul(pi[nxt[:, None, :], gens[:, None]], pi[:, None, :])):
+            raise ValueError("functor breaks composition")
 
 
 class NaturalIso:
-    """An invertible natural transformation between parallel functors,
-    checked at every object and at each (x, s), s a generator of Γ: squares
-    paste, and every morphism is an identity or a composite of those."""
+    """An invertible natural transformation c: F => G between parallel
+    functors, its components morphism ids of the target.  Squares paste and
+    every morphism is a composite of generating ones (x, s), so naturality
+    is c(s·x)·π_F(x, s) = π_G(x, s)·c(x) in the target's Γ at each (x, s)."""
 
     def __init__(self, F: GroupoidFunctor, G: GroupoidFunctor, components: Sequence[int]):
         if F.source_gpd is not G.source_gpd or F.target_gpd is not G.target_gpd:
             raise ValueError("functors are not parallel")
-        self.F = F
-        self.G = G
+        self.F, self.G = F, G
         self.components = np.asarray(components, dtype=np.int64)
         S, T, c = F.source_gpd, F.target_gpd, self.components
         if c.shape != (S.n_objects,) or not _in_range(c, T.n_morphisms):
             raise ValueError("components must name one morphism per object")
-        bad = np.flatnonzero((T.mor_source[c] != F.obj_map) | (T.mor_target[c] != G.obj_map))
+        bad = np.flatnonzero((c // T.order != F.obj_map) | (T.mor_target[c] != G.obj_map))
         if bad.size:
             raise ValueError(f"component at object {bad[0]} has wrong endpoints")
-        f = (np.arange(S.n_objects)[:, None] * S.order + S._generators()).reshape(-1)
-        bad = np.flatnonzero(T.compose(c[S.mor_target[f]], F.mor_map[f])
-                             != T.compose(G.mor_map[f], c[S.mor_source[f]]))
+        x, gens, el = np.arange(S.n_objects)[:, None], S.generators, c % T.order
+        bad = np.flatnonzero(T._mul(el[S.action[:, gens]], F.cocycle(x, gens))
+                             != T._mul(G.cocycle(x, gens), el[:, None]))
         if bad.size:
-            raise ValueError(f"naturality square fails at morphism {f[bad[0]]}")
+            f = (x * S.order + gens).reshape(-1)[bad[0]]
+            raise ValueError(f"naturality square fails at morphism {f}")
 
     def component(self, x: int) -> int:
         return int(self.components[x])
@@ -277,8 +266,8 @@ def isocomma(i: GroupoidFunctor, j: GroupoidFunctor) -> IsocommaResult:
     ga, gb = np.arange(A.order), np.arange(B.order)
     # i(γ at x) = (i(x), phi) and j(δ at y) = (j(y), psi) in C, so the image
     # of c = (i(x), c_el) starts at i(γx) and has the element psi c_el phi^-1
-    phi = i.mor_map[ox[:, None] * A.order + ga] % C.order
-    psi = j.mor_map[oy[:, None] * B.order + gb] % C.order
+    phi = i.cocycle(ox[:, None], ga)
+    psi = j.cocycle(oy[:, None], gb)
     c_el = C._mul(psi[:, None, :], C._mul(oc[:, None, None] % C.order, C._inv(phi)[:, :, None]))
     xs, ys = A.action[ox][:, :, None], B.action[oy][:, None, :]
     # c starts at i(x), so its element keys it; a key naming no object looks
@@ -288,26 +277,26 @@ def isocomma(i: GroupoidFunctor, j: GroupoidFunctor) -> IsocommaResult:
     action = index[(xs * B.n_objects + ys) * C.order + c_el].reshape(len(objects), -1)
     gpd = FiniteGroupoid(A.factors + B.factors, action)
     gpd.verify()
-    shape = (len(objects), A.order, B.order)
-    p = GroupoidFunctor(gpd, A, ox, np.broadcast_to(
-        (ox[:, None] * A.order + ga)[:, :, None], shape).reshape(-1))
-    q = GroupoidFunctor(gpd, B, oy, np.broadcast_to(
-        (oy[:, None] * B.order + gb)[:, None, :], shape).reshape(-1))
+    # (γ, δ) has the id γ·|Γ_B| + δ: p's cocycle is its γ digit, q's its δ digit
+    p = GroupoidFunctor(gpd, A, ox, np.arange(gpd.order) // B.order)
+    q = GroupoidFunctor(gpd, B, oy, np.arange(gpd.order) % B.order)
     gamma = NaturalIso(_compose_functors(i, p), _compose_functors(j, q), oc)
     return IsocommaResult(gpd, p, q, gamma, objects)
 
 
 def _compose_functors(outer: GroupoidFunctor, inner: GroupoidFunctor) -> GroupoidFunctor:
-    return GroupoidFunctor(inner.source_gpd, outer.target_gpd, outer.obj_map[inner.obj_map],
-                           outer.mor_map[inner.mor_map], _checked=True)
+    """π(x, γ) = π_outer(inner(x), π_inner(x, γ)), one row when both are."""
+    S = inner.source_gpd
+    x = np.arange(len(inner.pi) if len(outer.pi) == 1 else S.n_objects)[:, None]
+    return GroupoidFunctor(S, outer.target_gpd, outer.obj_map[inner.obj_map],
+                           outer.cocycle(inner.obj_map[x], inner.cocycle(x, np.arange(S.order))))
 
 
 @dataclass
 class SkeletonComponent:
     objects: List[int]
     representative: int
-    vertex_group: FiniteGroup
-    aut_morphisms: List[int]          # hom(rep, rep), identity first
+    aut_morphisms: List[int]          # the vertex group hom(rep, rep), identity first
     to_representative: Dict[int, int]  # object -> a morphism object -> rep
 
 
@@ -319,8 +308,8 @@ class SkeletonDecomposition:
 
 def skeletonize(gpd: FiniteGroupoid) -> SkeletonDecomposition:
     """One representative object per connected component (the orbit of its
-    least object id), its vertex group (the stabiliser) as a standalone
-    FiniteGroup, and a connecting morphism from every object of the
+    least object id), its vertex group (the stabiliser) as the morphisms
+    rep -> rep, and a connecting morphism from every object of the
     component to the representative."""
     n = gpd.order
     seen = np.zeros(gpd.n_objects, dtype=bool)
@@ -334,10 +323,7 @@ def skeletonize(gpd: FiniteGroupoid) -> SkeletonDecomposition:
         to_rep = dict(zip(objs.tolist(), (objs * n + gpd._inv(first)).tolist()))
         stab = np.flatnonzero(gpd.action[rep] == rep)
         auts = np.concatenate(([gpd.identity], stab[stab != gpd.identity]))
-        pos = np.empty(n, dtype=np.int64)
-        pos[auts] = np.arange(auts.size)
-        grp = FiniteGroup(pos[gpd._mul(auts[:, None], auts[None, :])], 0)
-        out.append(SkeletonComponent(objs.tolist(), rep, grp, (rep * n + auts).tolist(), to_rep))
+        out.append(SkeletonComponent(objs.tolist(), rep, (rep * n + auts).tolist(), to_rep))
     return SkeletonDecomposition(gpd, out)
 
 
@@ -437,14 +423,14 @@ def verify_isocomma_decomposition(G: FiniteGroup, K: Subgroup, H: Subgroup) -> I
     """Match the isocomma groupoid of the two inclusions against K\\G/H.
 
     Components must biject with double cosets KgH (same minimal
-    representatives), and at the component of g the hom j o q must map the
+    representatives), and at the component of g, j o q's cocycle must map the
     vertex group injectively onto K n gHg^-1: its images sort to its elements.
     """
     C = groupoid_from_group(G)
     i = functor_from_hom(H.inclusion_hom(), target_gpd=C)
     j = functor_from_hom(K.inclusion_hom(), target_gpd=C)
     ic = isocomma(i, j)
-    sk = skeletonize(ic.groupoid)
+    sk, jq = skeletonize(ic.groupoid), ic.gamma.G  # jq = j o q
     dc = G.double_cosets(K, H)
     sizes = dc.coset_sizes()
 
@@ -455,12 +441,12 @@ def verify_isocomma_decomposition(G: FiniteGroup, K: Subgroup, H: Subgroup) -> I
         cid = int(dc.assignment[g0])
         rep = dc.representatives[cid]
         counts_match = counts_match and (rep == g0) and (len(comp.objects) == sizes[cid])
-        image = np.sort(j.mor_map[ic.q.mor_map[comp.aut_morphisms]])
+        image = np.sort(jq.mor(comp.aut_morphisms))  # C has one object: ids are elements
         checks.append(IsocommaComponentCheck(
             coset_representative=rep,
             coset_size=sizes[cid],
             expected_group_order=dc.intersections[cid].order,
-            vertex_group_order=comp.vertex_group.order,
+            vertex_group_order=len(comp.aut_morphisms),
             isomorphic=np.array_equal(image, dc.intersections[cid].elements),
         ))
     return IsocommaReport(G.order, K.order, H.order, checks, counts_match)

@@ -18,6 +18,7 @@ questions about whole classes read the group's `SubgroupLattice` tables.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -98,8 +99,8 @@ class FiniteGroup:
     ):
         table = np.asarray(table, dtype=np.int32)
         n = table.shape[0]
-        if table.shape != (n, n):
-            raise ValueError("multiplication table must be square")
+        if table.shape != (n, n) or (names is not None and len(names) != n):
+            raise ValueError("multiplication table must be square, with one name per element")
         self.table = table
         self.order = n
         self.identity = int(identity)
@@ -773,6 +774,13 @@ def gset_induce(G: FiniteGroup, H: Subgroup, X: GSet) -> GSet:
     return X.induce(H.inclusion_hom())
 
 
+def _require_integers(rows, what: str) -> None:
+    """Refuse floats, bools and strings, which numpy would truncate or parse into ids."""
+    if not all(issubclass(k, (int, np.integer)) and k is not bool
+               for k in set(map(type, itertools.chain.from_iterable(rows)))):
+        raise ValueError(f"{what} entries must be integers")
+
+
 def group_from_generators(
     degree: int,
     generators: Sequence[Sequence[int]],
@@ -784,6 +792,9 @@ def group_from_generators(
     multiplication with the generators in their input order; the identity is
     element 0.  Raises if the closure exceeds MACKEYKIT_MAX_ORDER.
     """
+    _require_integers([[degree], *generators], "degree and generator")
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
     cap = max_order_cap()
     gens = [np.asarray(g, dtype=np.int64) for g in generators]
     for g in gens:
@@ -819,6 +830,7 @@ def group_from_generators(
 
 def group_from_table(table: Sequence[Sequence[int]], names: Optional[List[str]] = None) -> FiniteGroup:
     """Build a group from a raw multiplication table (identity located automatically)."""
+    _require_integers(table, "table")
     t = np.asarray(table, dtype=np.int32)
     n = t.shape[0]
     if n > max_order_cap():

@@ -237,6 +237,42 @@ def test_bad_subgroup_selector_exits_2(capsys):
     assert "outside group" in rep["reason"]
 
 
+@pytest.mark.parametrize("spec", [
+    {"table": [[0.5, 1], [1, 0]]},
+    {"table": [[True, False], [False, True]]},
+    {"table": [[0, True], [True, 0]]},
+    {"table": [["0", "1"], ["1", "0"]]},
+    {"degree": 3, "generators": [[1.9, 2, 0]]},
+    {"degree": 3, "generators": [["1", "2", "0"]]},
+    {"degree": 3, "generators": [[True, 2, 0]]},
+    {"degree": 2.5, "generators": [[1, 0]]},
+    {"degree": "2", "generators": [[1, 0]]},
+    {"degree": True, "generators": [[0]]},
+    {"degree": -1, "generators": []},
+    {"degree": 3, "generators": [1, 2, 0]},
+    {"table": [[0, 1], [1, 2 ** 32]]},
+    {"degree": 3, "generators": [[1, 2, 10 ** 30]]},
+    {"table": [[0, 1], [1, 0]], "names": ["a"]},
+    {"table": [[0, 1], [1, 0]], "names": 2},
+])
+def test_malformed_group_spec_exits_2(capsys, tmp_path, spec):
+    # each of these was read as a group (truncated, parsed or with too few
+    # names) and reported pass, or crashed while loading or later
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["group"], ["tom"], ["isocomma", "--left", "1", "--right", "1"]):
+        code, rep = run_json(capsys, argv + ["--group", str(path)])
+        assert code == 2 and rep["status"] == "error"
+        assert rep["reason"].startswith("malformed group spec")
+
+
+def test_group_spec_with_names_and_integer_entries_loads(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"table": [[0, 1], [1, 0]], "names": ["e", "a"]}))
+    code, rep = run_json(capsys, ["isocomma", "--group", str(path), "--left", "1", "--right", "1"])
+    assert code == 0 and rep["group"]["order"] == 2
+
+
 def test_bad_module_selector_exits_2(capsys):
     code, rep = run_json(capsys, ["vertex", "--group", "s3", "--prime", "2",
                                   "--module", "nonsense"])

@@ -10,7 +10,7 @@ import pytest
 
 from mackeykit import groupoids
 from mackeykit.catalog import builtin_group
-from mackeykit.groups import FiniteGroup, group_from_generators
+from mackeykit.groups import FiniteGroup, group_from_generators, group_from_table
 from mackeykit.groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -42,6 +42,11 @@ def test_functor_validation_rejects_broken_map():
     with pytest.raises(ValueError):
         # swaps identity and the order-2 element: not a homomorphism
         GroupoidFunctor(gpd, gpd, [0], [2, 1, 0, 3])
+    # the trivial group has no generator, so only π(e) = e sees this one
+    one = groupoid_from_group(group_from_table([[0]]))
+    assert one.generators.size == 0
+    with pytest.raises(ValueError, match="identity"):
+        GroupoidFunctor(one, gpd, [0], [1])
 
 
 def test_natural_iso_rejects_non_natural_components():
@@ -118,6 +123,16 @@ def test_skeleton_edge_cases():
     assert rep.ok and len(rep.checks) == 1
 
 
+def _vertex_group(gpd, comp):
+    """The automorphisms of the representative as a table-checked group, in
+    `aut_morphisms` order; an element outside them looks up -1, which the
+    table check rejects."""
+    auts = np.asarray(comp.aut_morphisms) % gpd.order
+    pos = np.full(gpd.order, -1)
+    pos[auts] = np.arange(auts.size)
+    return FiniteGroup(pos[gpd._mul(auts[:, None], auts)], 0)
+
+
 def _class_pairs(*names):
     return [(name, a, b) for name in names
             for a in range(len(builtin_group(name).subgroups_up_to_conjugacy()))
@@ -159,27 +174,28 @@ def test_skeleton_connecting_morphisms(name, left, right):
         for o in comp.objects:
             m = comp.to_representative[o]
             assert gpd.source(m) == o and gpd.target(m) == comp.representative
-        # vertex group multiplication agrees with morphism composition
-        vg = comp.vertex_group
+        # the vertex group is closed under composition and is a group
         auts = comp.aut_morphisms
         assert auts[0] == gpd.identity_mor(comp.representative)
-        for a in range(vg.order):
-            for b in range(vg.order):
-                assert gpd.compose(auts[a], auts[b]) == auts[vg.mul(a, b)]
+        assert sorted(gpd.compose(a, b) for a in auts for b in auts) == sorted(auts * len(auts))
+        assert _vertex_group(gpd, comp).order == len(auts)
 
 
 def test_functor_check_is_exact_on_s4_isocomma():
     # one wrong image among the 13,824 morphisms of the S4 x S4 isocomma:
-    # morphism 1 is (h, k) = (e, k) at object 0, which p sends to e
+    # morphism 1 is (h, k) = (e, k) at object 0, which p sends to e; p's
+    # cocycle written out as one row per object, with that one entry changed
     G = builtin_group("s4")
     C = groupoid_from_group(G)
     i = functor_from_hom(G.full_subgroup().inclusion_hom(), target_gpd=C)
     ic = isocomma(i, i)
-    mor_map = list(ic.p.mor_map)
-    assert mor_map[1] == ic.p.target_gpd.identity_mor(0)
-    mor_map[1] = 1
+    S = ic.groupoid
+    pi = np.repeat(ic.p.pi, S.n_objects, axis=0)
+    GroupoidFunctor(S, ic.p.target_gpd, ic.p.obj_map, pi)
+    assert ic.p.mor(1) == ic.p.target_gpd.identity_mor(0) and pi[0, 1] == G.identity
+    pi[0, 1] = 1
     with pytest.raises(ValueError):
-        GroupoidFunctor(ic.groupoid, ic.p.target_gpd, ic.p.obj_map, mor_map)
+        GroupoidFunctor(S, ic.p.target_gpd, ic.p.obj_map, pi)
 
 
 def test_find_isomorphism_positive_and_negative():
@@ -225,19 +241,17 @@ def _isocomma_of(G, K, H):
 def test_cocycle_check_rejects_a_broken_pi_on_s4_isocomma():
     # p(γ at x) = (p(x), π(γ)) with π(h, k) = h.  π changed at one element
     # that is neither the identity nor a generator, alike at every object,
-    # keeps that form but is no longer a hom: it agrees with π on the
+    # keeps every endpoint but is no longer a hom: it agrees with π on the
     # generators, which determine a hom
     G = builtin_group("s4")
     ic = _isocomma_of(G, G.full_subgroup(), G.full_subgroup())
     S, T = ic.groupoid, ic.p.target_gpd
-    pi = ic.p.mor_map[:S.order] % T.order
-    gens = set(S._generators().tolist())
+    pi = ic.p.pi[0].copy()
+    gens = set(S.generators.tolist())
     bad = next(g for g in range(S.order) if g != S.identity and g not in gens)
     pi[bad] = (pi[bad] + 1) % T.order
-    mor_map = ic.p.obj_map[S.mor_source] * T.order + np.tile(pi, S.n_objects)
-    assert (mor_map.reshape(-1, S.order) % T.order == pi).all()
     with pytest.raises(ValueError, match="composition"):
-        GroupoidFunctor(S, T, ic.p.obj_map, mor_map)
+        GroupoidFunctor(S, T, ic.p.obj_map, pi)
 
 
 def test_natural_iso_rejects_a_moved_component_on_a_multi_object_isocomma():
@@ -276,7 +290,8 @@ def test_vertex_group_must_map_onto_the_recorded_intersection(monkeypatch):
     assert dc.intersections[0].elements == K.elements
     wrong = next(K.conjugate_by(g) for g in range(G.order)
                  if K.conjugate_by(g).elements != K.elements)
-    vertex = skeletonize(_isocomma_of(G, K, K).groupoid).components[0].vertex_group
+    gpd = _isocomma_of(G, K, K).groupoid
+    vertex = _vertex_group(gpd, skeletonize(gpd).components[0])
     assert find_isomorphism(vertex, wrong.as_group()[0]) is not None
 
     def patched(self, left, right):
@@ -317,3 +332,51 @@ def test_isocomma_verification_makes_no_isomorphism_search(monkeypatch):
     subs = G.subgroups_up_to_conjugacy()
     assert all(verify_isocomma_decomposition(G, K, H).ok for K in subs for H in subs)
     assert calls == []
+
+
+def _coset_equivalence(G, H):
+    """E: G⋉G/H -> H with π(x, g) = t_{g·x}⁻¹ g t_x, t_x the least element
+    of the coset x, and the maps it needs: the groupoid, H's element list,
+    the t_x and the full table π in G's element ids."""
+    cosets = sorted({min(G.mul(g, h) for h in H.elements) for g in range(G.order)})
+    coset_of = {G.mul(t, h): x for x, t in enumerate(cosets) for h in H.elements}
+    t = np.array(cosets)
+    action = np.array([[coset_of[G.mul(g, int(tx))] for g in range(G.order)] for tx in t])
+    gpd = FiniteGroupoid([G], action)
+    gpd.verify()
+    pi_G = G.table[G.inverse[t[action]], G.table[np.arange(G.order), t[:, None]]]
+    Hg, Hel = H.as_group()
+    pos = np.full(G.order, -1)
+    pos[list(Hel)] = np.arange(len(Hel))
+    return gpd, Hg, t, pi_G, pos[pi_G]
+
+
+def test_a_functor_whose_cocycle_varies_by_object():
+    # S4 ⋉ S4/H for H of order 3 is equivalent to H: E sends every coset to
+    # the one object, its cocycle differs from object to object
+    G = builtin_group("s4")
+    H = next(S for S in G.subgroups_up_to_conjugacy() if S.order == 3)
+    gpd, Hg, t, pi_G, pi_H = _coset_equivalence(G, H)
+    assert gpd.n_objects == 8 and (pi_H >= 0).all()
+    assert len({row.tobytes() for row in pi_H}) > 1
+    one = groupoid_from_group(Hg)
+    E = GroupoidFunctor(gpd, one, np.zeros(8, dtype=np.int64), pi_H)
+    assert E.mor(3 * G.order + 5) == pi_H[3, 5]
+    broken = pi_H.copy()
+    broken[2, 7] = Hg.mul(int(broken[2, 7]), 1)
+    with pytest.raises(ValueError):
+        GroupoidFunctor(gpd, one, np.zeros(8, dtype=np.int64), broken)
+    # incl ∘ E ≅ the projection G⋉G/H -> G, with component t_x at x
+    C = groupoid_from_group(G)
+    incl_E = groupoids._compose_functors(functor_from_hom(H.inclusion_hom(), C, one), E)
+    assert np.array_equal(incl_E.pi, pi_G)
+    projection = GroupoidFunctor(gpd, C, np.zeros(8, dtype=np.int64), np.arange(G.order))
+    # the identity of G⋉G/H has a one-row cocycle; E after it is E again
+    ident = GroupoidFunctor(gpd, gpd, np.arange(8), np.arange(G.order))
+    assert np.array_equal(groupoids._compose_functors(E, ident).pi, pi_H)
+    # the same cocycle over two swapped objects breaks endpoints only
+    with pytest.raises(ValueError, match="endpoints"):
+        GroupoidFunctor(gpd, gpd, [1, 0, 2, 3, 4, 5, 6, 7], np.arange(G.order))
+    NaturalIso(incl_E, projection, t)
+    with pytest.raises(ValueError, match="naturality"):
+        NaturalIso(incl_E, projection, np.roll(t, 1))
