@@ -568,7 +568,31 @@ def _emit(report: Dict, args) -> None:
     if getattr(args, "format", "json") == "text":
         sys.stdout.write(_render_text(report))
     else:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_dumps(report) + "\n")
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii  # json.dumps of a str
+_SCALAR = {str: _ESCAPE, int: int.__repr__, bool: lambda b: "true" if b else "false",
+           type(None): lambda _: "null"}
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, whose `indent` means
+    CPython's pure-Python encoder: containers are laid out by joins here,
+    and scalars written as json writes them."""
+    write = _SCALAR.get(type(obj))
+    if write is not None:
+        return write(obj)
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return json.dumps(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = (_ESCAPE(k if isinstance(k, str) else json.dumps(k)) + ": " + _dumps(obj[k], inner)
+                 for k in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if all(type(x) is int for x in obj):
+        return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]"
+    return "[" + inner + ("," + inner).join(_dumps(x, inner) for x in obj) + indent + "]"
 
 
 def main() -> None:

@@ -790,12 +790,17 @@ def group_from_generators(
 
     Elements are ordered BFS from the identity, expanding by right
     multiplication with the generators in their input order; the identity is
-    element 0.  Raises if the closure exceeds MACKEYKIT_MAX_ORDER.
+    element 0.  Raises if the closure, or the degree, exceeds
+    MACKEYKIT_MAX_ORDER; a group of order n acts faithfully on n points, so
+    the degree bound loses no group that the order cap admits.
     """
     _require_integers([[degree], *generators], "degree and generator")
     if degree < 0:
         raise ValueError(f"degree {degree} is negative")
     cap = max_order_cap()
+    if degree > cap:
+        raise ValueError(f"degree {degree} exceeds the order cap {cap} "
+                         "(set MACKEYKIT_MAX_ORDER to raise it)")
     gens = [np.asarray(g, dtype=np.int64) for g in generators]
     for g in gens:
         if sorted(g.tolist()) != list(range(degree)):

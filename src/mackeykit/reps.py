@@ -26,9 +26,8 @@ builds every one; a dense module's action is one stack `Mat` A[g], so its
 restriction, induction, tensor products, direct sums, Fitting splits,
 relative traces and block membership are gathers and stacked products.
 The Frobenius laws are equalities of index tensors, checked by exact
-contractions.  Maps
-and law tensors above MAX_DENSE_ENTRIES entries are refused (ValueError)
-before they are allocated.
+contractions.  Maps and law tensors above MAX_DENSE_ENTRIES entries are
+refused (ValueError) before they are allocated.
 """
 
 from __future__ import annotations
@@ -225,9 +224,6 @@ class ModuleHom:
 
     def is_isomorphism(self) -> bool:
         return self.mat.is_invertible()
-
-    def inverse(self) -> "ModuleHom":
-        return ModuleHom(self.target, self.source, self.mat.inv(), check=False)
 
     def __repr__(self) -> str:
         return f"ModuleHom({self.source.dim} -> {self.target.dim} over {self.mat.field!r})"
@@ -677,16 +673,15 @@ def hom_space(M: Module, N: Module) -> List[ModuleHom]:
     basis = Mat.concat(f, [Mat.zeros(f, 0, M.dim * N.dim)] + system).nullspace()
     if basis.ncols == 0:
         return []
-    reduced, _ = basis.T.rref()
-    out = []
-    for r in range(reduced.nrows):
-        v = Mat(f, reduced.num[r : r + 1, :].T.copy(), reduced.den)
-        out.append(ModuleHom(M, N, Mat.unvec(f, v, N.dim, M.dim)))
-    return out
+    E = _echelon_basis(basis.T.reshape(basis.ncols, M.dim, N.dim).transpose(0, 2, 1))
+    return [ModuleHom(M, N, E[k].copy()) for k in range(E.shape[0])]
 
 
-def _class_traces(M: Module) -> List:
-    return [M.action(c[0]).trace() for c in M.group.conjugacy_classes()]
+def _may_be_isomorphic(M: Module, N: Module) -> bool:
+    """The early exits of `module_isomorphism`: same group, field and
+    dimension, and the same trace on every conjugacy class."""
+    return (M.dim == N.dim and M.field == N.field and M.group is N.group and all(
+        M.action(c[0]).trace() == N.action(c[0]).trace() for c in M.group.conjugacy_classes()))
 
 
 def module_isomorphism(M: Module, N: Module, seed: int = 0,
@@ -701,44 +696,37 @@ def module_isomorphism(M: Module, N: Module, seed: int = 0,
     one is returned, so the result is the one that testing them one by one
     would give.
     """
-    if M.dim != N.dim or M.field != N.field or M.group is not N.group:
-        return None
-    if _class_traces(M) != _class_traces(N):
+    if not _may_be_isomorphic(M, N):
         return None
     basis = hom_space(M, N)
     if not basis:
         return None
-    p, e = M.field.p, len(basis)
-    if p is None:
-        for h in basis:
-            if h.mat.is_invertible():
-                return h
-        rng = np.random.default_rng(seed)
-        for _ in range(tries):
-            mat = _combine(basis, [int(c) for c in rng.integers(-5, 6, size=e)])
-            if mat is not None and mat.is_invertible():
-                return ModuleHom(M, N, mat, check=False)
+    e, B = len(basis), Mat.stack(M.field, [h.mat for h in basis], (N.dim, M.dim))
+    if M.field.p is not None:
+        return _isomorphism_in(M, N, B, seed, tries)
+    for h in basis:
+        if h.mat.is_invertible():
+            return h
+    rng = np.random.default_rng(seed)
+    for _ in range(tries):
+        mat = (Mat(M.field, rng.integers(-5, 6, size=(1, e))) @ B.reshape(e, -1)).reshape(N.dim, M.dim)
+        if mat.is_invertible():
+            return ModuleHom(M, N, mat, check=False)
+    return None
+
+
+def _isomorphism_in(M: Module, N: Module, B: Mat, seed: int,
+                    tries: int = 60) -> Optional[ModuleHom]:
+    """`module_isomorphism`'s F_p search in the span of the stack B, the
+    basis of Hom_kG(M, N) that `hom_space` returns."""
+    p, e = M.field.p, B.shape[0]
+    if e == 0:
         return None
-    B = Mat.stack(M.field, [h.mat for h in basis], (N.dim, M.dim))
-    if p**e <= EXHAUSTIVE_END_CAP:
-        combinations = (p**e, _every_combination(B))
-    else:
-        combinations = (tries, _sampled(B, seed))
+    combinations = ((p**e, _every_combination(B)) if p**e <= EXHAUSTIVE_END_CAP
+                    else (tries, _sampled(B, seed)))
     hit = _first_passing([(e, lambda lo, hi: B.num[lo:hi]), combinations],
                          lambda z: _rank_mod_stack(z, p) == M.dim, M.dim * M.dim)
-    if hit is None:
-        return None
-    section, k, mat = hit
-    return basis[k] if section == 0 else ModuleHom(M, N, Mat(M.field, mat), check=False)
-
-
-def _combine(basis: List[ModuleHom], coeffs) -> Optional[Mat]:
-    out = None
-    for c, h in zip(coeffs, basis):
-        if c:
-            term = h.mat.scale(int(c))
-            out = term if out is None else out + term
-    return out
+    return None if hit is None else ModuleHom(M, N, Mat(M.field, hit[2]), check=False)
 
 
 def _combinations(B: Mat, coeffs: np.ndarray) -> np.ndarray:
@@ -823,6 +811,11 @@ def decompose(M: Module, seed: int = 0) -> DecompositionResult:
     exhaustive search finds no splitting element (a complete locality
     test); otherwise every sampled candidate was nilpotent or invertible
     and the leaf is marked uncertified.
+
+    End(M) is one `hom_space` call.  After X = X1 + X2 is split by P, End(Xi)
+    is spanned by the blocks (P^-1 f P)_ii over End(X), and Hom(Xi, Xj) by
+    the (j, i) blocks of P^-1 End(M) P; reduced (`_echelon_basis`), they are
+    `hom_space`'s bases of the summands, with no linear system solved.
     """
     if M.field.p is None:
         raise ValueError("decompose requires a prime field")
@@ -831,14 +824,13 @@ def decompose(M: Module, seed: int = 0) -> DecompositionResult:
     if M.dim == 0:
         raise ValueError("cannot decompose the zero module")
     certified = True
-    # P^-1 A(g) P over the elements g that `elems` indexes, as one stack
-    conjugated = lambda X, P, elems: P.inv() @ (X._stack()[elems] @ P)
 
-    def split(X: Module, depth: int) -> Tuple[List[Module], Mat]:
+    def split(X: Module, B: Optional[Mat], depth: int) -> Tuple[List[Module], Mat]:
+        # B: the basis stack of End(X), None when X is one-dimensional
         nonlocal certified
         if depth > M.dim:
             raise DecompositionError("decomposition failed: recursion budget exceeded")
-        z = _find_splitter(X, seed)
+        z = B is None or _find_splitter(X, B, seed)
         if isinstance(z, bool):  # leaf; value = certified exhaustively?
             certified = certified and z
             return [X], Mat.identity(X.field, X.dim)
@@ -849,20 +841,26 @@ def decompose(M: Module, seed: int = 0) -> DecompositionResult:
         P = ker.hstack(img)
         if ker.ncols == 0 or img.ncols == 0 or not P.is_invertible():
             raise DecompositionError("Fitting splitting degenerated")
+        Pinv = P.inv()
+        C = Pinv @ (X._stack() @ P)
         a = ker.ncols
-        C = conjugated(X, P, slice(None))
         if C.num[:, :a, a:].any() or C.num[:, a:, :a].any():
             raise DecompositionError("Fitting subspaces are not invariant")
-        X1 = Module._of(X.group, C[:, :a, :a])
-        X2 = Module._of(X.group, C[:, a:, a:])
-        l1, Q1 = split(X1, depth + 1)
-        l2, Q2 = split(X2, depth + 1)
-        return l1 + l2, P @ Mat.block_diag(X.field, [Q1, Q2])
+        leaves, Qs = [], []
+        for part in (slice(None, a), slice(a, None)):
+            Xi = Module._of(X.group, C[:, part, part])
+            Bi = _echelon_basis(Pinv[part] @ (B @ P[:, part])) if Xi.dim > 1 else None
+            li, Qi = split(Xi, Bi, depth + 1)
+            leaves += li
+            Qs.append(Qi)
+        return leaves, P @ Mat.block_diag(X.field, Qs)
 
-    leaves, P = split(M, 0)
+    B = _end_basis(M) if M.dim > 1 else None
+    leaves, P = split(M, B, 0)
     # certificate: P^-1 A(s) P is block diagonal with the leaf actions
     gens = list(M.group.generators()) + [M.group.identity]
-    C = conjugated(M, P, gens)
+    Pinv = P.inv()
+    C = Pinv @ (M._stack()[gens] @ P)
     off = 0
     for leaf in leaves:
         nxt = off + leaf.dim
@@ -872,18 +870,40 @@ def decompose(M: Module, seed: int = 0) -> DecompositionResult:
             raise DecompositionError("certificate has off-diagonal leakage")
         off = nxt
     iso_classes: List[Tuple[int, List[int]]] = []
+    E = None  # P^-1 End(M) P, formed when two leaves are first compared
     for idx, leaf in enumerate(leaves):
         for rep, members in iso_classes:
-            if leaf.dim == leaves[rep].dim and module_isomorphism(leaves[rep], leaf, seed=seed):
+            if not _may_be_isomorphic(leaves[rep], leaf):
+                continue
+            if E is None:
+                E, cut = Pinv @ (B @ P), np.cumsum([0] + [x.dim for x in leaves])
+            H = _echelon_basis(E[:, cut[idx]:cut[idx + 1], cut[rep]:cut[rep + 1]])
+            if _isomorphism_in(leaves[rep], leaf, H, seed) is not None:
                 members.append(idx)
                 break
         else:
             iso_classes.append((idx, [idx]))
-    return DecompositionResult(M, leaves, P, [(r, m) for r, m in iso_classes], certified)
+    return DecompositionResult(M, leaves, P, iso_classes, certified)
 
 
-def _find_splitter(X: Module, seed: int):
-    """A splitting endomorphism of X, or True/False for a leaf.
+def _end_basis(X: Module) -> Mat:
+    """`hom_space(X, X)` as one stack [e, d, d]."""
+    return Mat.stack(X.field, [h.mat for h in hom_space(X, X)], (X.dim, X.dim))
+
+
+def _echelon_basis(S: Mat) -> Mat:
+    """The reduced echelon basis of the span of the stack S [b, r, c] in
+    `hom_space`'s form: the RREF of the column-major flattenings.  A space
+    has one such basis, so on a spanning set of Hom(M, N) it is, bit for
+    bit, the basis that `hom_space(M, N)` returns."""
+    b, r, c = S.shape
+    R, piv = S.transpose(0, 2, 1).reshape(b, r * c).rref()
+    return R[:len(piv)].reshape(len(piv), c, r).transpose(0, 2, 1)
+
+
+def _find_splitter(X: Module, B: Mat, seed: int):
+    """A splitting endomorphism of X, or True/False for a leaf, searched in
+    the span of B, the basis stack of End(X) that `hom_space` returns.
 
     True means the leaf is certified indecomposable: End(X) is one-
     dimensional, or all of its p^e elements were searched.  False means
@@ -895,15 +915,10 @@ def _find_splitter(X: Module, seed: int):
     0 < rank(z^dim) < dim is returned, the one that testing them one by
     one would find; a scalar z has rank(z^dim) 0 or dim, so it never passes.
     """
-    d = X.dim
-    if d == 1:
-        return True
-    E = hom_space(X, X)
-    e = len(E)
+    d, e = X.dim, B.shape[0]
     if e == 1:
         return True
     p = X.field.p
-    B = Mat.stack(X.field, [h.mat for h in E], (d, d))
     q = min(e, 8)
 
     def products(lo, hi):
@@ -977,38 +992,46 @@ def is_summand(M: Module, X: Module, seed: int = 0) -> Optional[SummandWitness]:
 def _relative_trace_stack(M: Module, S: Subgroup) -> Mat:
     """Tr^G_S(phi) = sum_t A(t) phi A(t)^-1 over the basis of End_kS(Res M)
     that `hom_space` returns, a chunk of basis elements at a time, as one
-    stack [b, d, d] (empty when End_kS(Res M) is zero).
-
-    On a permutation module conjugating by A(t) moves entry (i, j) to
-    (t.i, t.j), so every term is a gather of the basis stack by
-    action[t^-1].  On a dense one the terms A(t) phi are one stacked
-    product, and their sum against the A(t^-1) stacked below each other
-    is another.
+    stack [b, d, d] (empty when End_kS(Res M) is zero).  The terms A(t) phi
+    are one stacked product, and their sum against the A(t^-1) stacked
+    below each other is another.
     """
     G, f, d = M.group, M.field, M.dim
     resM = restrict_to(M, S)
     B = Mat.stack(f, [h.mat for h in hom_space(resM, resM)], (d, d))
     reps = np.asarray(G.left_transversal(S)[0])
-    nt, b = len(reps), B.shape[0]
-    if M.is_permutation:
-        I = M.gset.action[G.inverse[reps]]
-        rows, cols = I[:, :, None], I[:, None, :]
-        traces = lambda x: Mat(f, x.num[:, rows, cols].sum(axis=1), x.den)
-    else:
-        left, right = M._A[reps], M._A[G.inverse[reps]].reshape(nt * d, d)
-        traces = lambda x: ((left @ x[:, None]).transpose(0, 2, 1, 3)
-                            .reshape(x.shape[0], d, nt * d) @ right)
+    nt, b, A = len(reps), B.shape[0], M._stack()
+    left, right = A[reps], A[G.inverse[reps]].reshape(nt * d, d)
     step = max(1, SEARCH_WINDOW_ENTRIES // max(1, nt * d * d))
     # an empty basis still makes one (empty) chunk, so the stack has its shape
-    return Mat.concat(f, [traces(B[k:k + step]) for k in range(0, max(b, 1), step)])
+    return Mat.concat(f, [(left @ x[:, None]).transpose(0, 2, 1, 3).reshape(x.shape[0], d, nt * d)
+                          @ right for x in (B[k:k + step] for k in range(0, max(b, 1), step))])
 
 
 def relatively_projective(M: Module, S: Subgroup) -> bool:
     """Higman's criterion: M is relatively S-projective iff the identity lies
-    in the image of the relative trace from End_kS(Res_S M).  Column k of
-    the system is vec(Tr(phi_k)), read off the trace stack; the zero module
-    is projective relative to every subgroup."""
-    T, d = _relative_trace_stack(M, S), M.dim
+    in the image of the relative trace from End_kS(Res_S M).
+
+    On k[X] the S-orbit indicators 1_O on X x X span End_kS, and
+    Tr^G_S(1_O) = (|G| |O|) / (|S| |W|) 1_W for O inside the G-orbit W, so
+    k[X] passes exactly when every G-orbit of X has a point x with p not
+    dividing |G_x : S n G_x| (over Q always).  Otherwise column k of the
+    system is vec(Tr(phi_k)), read off the trace stack; the zero module is
+    projective relative to every subgroup.
+    """
+    p, d = M.field.p, M.dim
+    if S.parent is not M.group:
+        raise ValueError("S is not a subgroup of the module's group")
+    if M.is_permutation:
+        if p is None:
+            return True
+        act, G = M.gset.action, M.group
+        g_lab, s_lab = act.min(axis=0), act[S.mask].min(axis=0)  # orbit minima
+        # |G_x : S n G_x| = (|G| / |Gx|) / (|S| / |Sx|)
+        index = G.order * np.bincount(s_lab, minlength=d)[s_lab] // (
+            S.order * np.bincount(g_lab, minlength=d)[g_lab])
+        return bool(np.isin(g_lab, g_lab[index % p != 0]).all())  # a point per G-orbit
+    T = _relative_trace_stack(M, S)
     stacked = T.transpose(0, 2, 1).reshape(T.shape[0], d * d).T
     return stacked.solve(Mat.identity(M.field, d).vec()) is not None
 
@@ -1024,19 +1047,20 @@ def vertex(M: Module, require_indecomposable: bool = True) -> VertexResult:
     """The vertex of an indecomposable module over F_p.
 
     Scans all conjugacy classes of p-subgroups for relative projectivity
-    (Higman's criterion) and returns the unique minimal class; a hard error
-    is raised if the minimal relatively projective classes are not a single
-    conjugacy class.  With `require_indecomposable`, M must first be
-    certified indecomposable by `_find_splitter` (End(M) one-dimensional or
-    searched exhaustively): a ValueError is raised if a splitting element
-    is found, and also if End(M) is too large to search, since a sampled
-    search proves nothing.
+    (stabiliser indices on a permutation module, Higman's criterion
+    otherwise) and returns the unique minimal class; a hard error is raised
+    if the minimal relatively projective classes are not a single conjugacy
+    class.  With `require_indecomposable`, M must first be certified
+    indecomposable by `_find_splitter` (End(M) one-dimensional or searched
+    exhaustively): a ValueError is raised if a splitting element is found,
+    and also if End(M) is too large to search, since a sampled search
+    proves nothing.
     """
     p = M.field.p
     if p is None:
         raise ValueError("vertices are defined over prime fields here")
     if require_indecomposable:
-        s = _find_splitter(M, seed=0)
+        s = M.dim == 1 or _find_splitter(M, _end_basis(M), seed=0)
         if s is False:
             raise ValueError(
                 "indecomposability could not be certified: End(M) has more than "
@@ -1044,8 +1068,8 @@ def vertex(M: Module, require_indecomposable: bool = True) -> VertexResult:
         if s is not True:
             raise ValueError("vertex requires an indecomposable module")
     G = M.group
-    pclasses = [S for S in G.subgroups_up_to_conjugacy()
-                if S.order == 1 or _is_prime_power(S.order, p)]
+    # n is a power of p exactly when n divides p^n
+    pclasses = [S for S in G.subgroups_up_to_conjugacy() if pow(p, S.order, S.order) == 0]
     proj = [S for S in pclasses if relatively_projective(M, S)]
     if not proj:
         raise ArithmeticError("no relatively projective p-class found (broken invariant)")
@@ -1055,12 +1079,6 @@ def vertex(M: Module, require_indecomposable: bool = True) -> VertexResult:
         raise ArithmeticError(
             f"vertex is not unique up to conjugacy: {len(minimal)} minimal classes")
     return VertexResult(minimal[0], proj, pclasses)
-
-
-def _is_prime_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _vertex_family(G: FiniteGroup, H: Subgroup, D: Subgroup) -> List[Subgroup]:

@@ -7,11 +7,14 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from mackeykit import cli
+from mackeykit.catalog import BUILTIN_NAMES
 from mackeykit.cli import SCHEMA_VERSION, run
+from mackeykit.groups import max_order_cap
 
 
 def run_json(capsys, argv):
@@ -146,6 +149,37 @@ def test_json_output_is_sorted(capsys):
     assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_report_writer_gives_the_bytes_of_json_dumps(capsys, monkeypatch, name):
+    """Every subcommand's report on a built-in group, timing floats included,
+    and the refusals, written as json.dumps(sort_keys=True, indent=2) would."""
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, args: (reports.append(report),
+                                                            emit(report, args)))
+    p = next(q for q in (2, 3) if cli.load_group(name).order % q == 0)
+    for argv in (["group"], ["tom"], ["xburn"], ["blocks", "--prime", str(p)],
+                 ["vertex", "--prime", str(p), "--module", "trivial"],
+                 ["vertex", "--prime", str(p), "--module", "regular"],
+                 ["isocomma", "--left", "", "--right", "1"],
+                 ["mackey-check"], ["mackey-check", "--functor", "constant"],
+                 ["verify", "--prime", str(p)], ["tom", "--prime", "1"]):
+        run(argv + ["--group", name, "--timing"])
+        out = capsys.readouterr().out
+        assert out == json.dumps(reports[-1], sort_keys=True, indent=2) + "\n", argv
+    assert len(reports) == 11
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], {"a": [], "b": {}, "c": [[]]}, [True, False, None, 0, -1, 2 ** 70],
+    ["", "quote \" backslash \\ newline \n tab \t", "\u00e9\u2603\U0001f600", "\x00\x1f"],
+    {"\u00e9": 1.5, "z": -0.0, "a": [1e300, float("inf"), float("nan")]},
+    {2: "int keys sort as ints", 10: None}, [(1, 2), [3, [4, {"k": [5]}]]],
+])
+def test_report_writer_edge_cases(obj):
+    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
 # -- subcommand behavior ---------------------------------------------------------
 
 
@@ -271,6 +305,32 @@ def test_group_spec_with_names_and_integer_entries_loads(capsys, tmp_path):
     path.write_text(json.dumps({"table": [[0, 1], [1, 0]], "names": ["e", "a"]}))
     code, rep = run_json(capsys, ["isocomma", "--group", str(path), "--left", "1", "--right", "1"])
     assert code == 0 and rep["group"]["order"] == 2
+
+
+def _spec_report(capsys, tmp_path, spec):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    return run_json(capsys, ["group", "--group", str(path)])
+
+
+def test_a_huge_degree_is_refused_before_any_allocation(capsys, tmp_path):
+    t0 = time.perf_counter()
+    code, rep = _spec_report(capsys, tmp_path, {"degree": 10 ** 12, "generators": []})
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and rep["status"] == "error"
+    assert rep["reason"].startswith("malformed group spec: degree 1000000000000 exceeds")
+
+
+def test_the_degree_is_bounded_by_the_order_cap(capsys, tmp_path, monkeypatch):
+    code, rep = _spec_report(capsys, tmp_path, {"degree": max_order_cap() + 1, "generators": []})
+    assert code == 2 and rep["reason"].startswith("malformed group spec: degree")
+    monkeypatch.setenv("MACKEYKIT_MAX_ORDER", "6")
+    code, rep = _spec_report(capsys, tmp_path, {"degree": 6, "generators": [[1, 2, 3, 4, 5, 0]]})
+    assert code == 0 and rep["group"]["order"] == 6
+    code, rep = _spec_report(capsys, tmp_path,
+                             {"degree": 7, "generators": [[1, 0, 2, 3, 4, 5, 6]]})
+    assert code == 2 and rep["reason"] == ("malformed group spec: degree 7 exceeds the order "
+                                           "cap 6 (set MACKEYKIT_MAX_ORDER to raise it)")
 
 
 def test_bad_module_selector_exits_2(capsys):

@@ -239,14 +239,7 @@ def test_orbital_hom_basis_equals_kronecker_basis(name, field):
 
 
 def test_orbital_hom_basis_runs_no_elimination(monkeypatch):
-    calls = {"rref": 0, "nullspace": 0}
-    for meth in calls:
-        orig = getattr(Mat, meth)
-
-        def counted(self, *a, _orig=orig, _name=meth, **k):
-            calls[_name] += 1
-            return _orig(self, *a, **k)
-        monkeypatch.setattr(Mat, meth, counted)
+    calls = _count_calls(monkeypatch, [(Mat, "rref"), (Mat, "nullspace")])
     G = builtin_group("s4")
     M = regular_module(G, QQ)
     assert len(hom_space(M, M)) == 24
@@ -867,21 +860,36 @@ REFERENCE_CASES = [(name, p) for name in ["c2", "c3", "c4", "v4", "s3", "q8", "d
                    for p in (2, 3) if builtin_group(name).order % p == 0] + [("s4", 5)]
 
 
+def _hom_stack(M, N):
+    """hom_space(M, N) as one stack [e, dim N, dim M]."""
+    return Mat.stack(M.field, [h.mat for h in hom_space(M, N)], (N.dim, M.dim))
+
+
 @pytest.mark.parametrize("name,p", REFERENCE_CASES)
 def test_batched_searches_pick_the_candidates_of_the_one_by_one_loops(name, p, monkeypatch):
     """Every k[G/H], and every dense module decompose splits off on the way:
     the batched splitter and isomorphism searches return the matrix (or the
     verdict) of the one-by-one loops, and decompose run on the loops gives
-    the same transform, summands, isomorphism classes and certification."""
+    the same transform, summands, isomorphism classes and certification.
+    decompose hands each search a basis read off the blocks of
+    P^-1 End(M) P; the wrappers check it against hom_space of the summands."""
     from mackeykit import reps
     G = builtin_group(name)
     batched_split, batched_iso = reps._find_splitter, reps.module_isomorphism
+    batched_search = reps._isomorphism_in
     calls = {"split": 0, "iso": 0}
 
-    def split(X, seed):
+    def split(X, B, seed):
+        assert B == _hom_stack(X, X), (name, p, X)
         want = _reference_find_splitter(X, seed)
-        assert _same_search_result(batched_split(X, seed), want), (name, p, X)
+        assert _same_search_result(batched_split(X, B, seed), want), (name, p, X)
         calls["split"] += 1
+        return want
+
+    def search(M, N, B, seed, tries=60):
+        assert B == _hom_stack(M, N), (name, p, M, N)
+        want = _reference_module_isomorphism(M, N, seed, tries)
+        assert _same_search_result(batched_search(M, N, B, seed, tries), want), (name, p, M)
         return want
 
     def iso(M, N, seed=0):
@@ -895,7 +903,7 @@ def test_batched_searches_pick_the_candidates_of_the_one_by_one_loops(name, p, m
         got = decompose(M)
         with monkeypatch.context() as mp:
             mp.setattr(reps, "_find_splitter", split)
-            mp.setattr(reps, "module_isomorphism", iso)
+            mp.setattr(reps, "_isomorphism_in", search)
             want = decompose(M)
         assert [S.dim for S in got.summands] == [S.dim for S in want.summands]
         assert got.transform == want.transform
@@ -905,7 +913,7 @@ def test_batched_searches_pick_the_candidates_of_the_one_by_one_loops(name, p, m
         for N in modules:
             if M.dim == N.dim:
                 iso(M, N)
-    assert calls["split"] >= len(modules)
+    assert calls["split"] >= len([M for M in modules if M.dim > 1])
 
 
 # -- isomorphism testing -------------------------------------------------------------
@@ -989,6 +997,65 @@ def test_relative_projectivity_direct():
     triv = trivial_module(G, GF(2))
     assert relatively_projective(triv, sylow2)
     assert not relatively_projective(triv, G.trivial_subgroup())
+
+
+def _count_calls(monkeypatch, targets):
+    """Wrap each (owner, name) so that its calls are counted in the returned dict."""
+    calls = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        orig = getattr(owner, name)
+
+        def counted(*a, _orig=orig, _name=name, **k):
+            calls[_name] += 1
+            return _orig(*a, **k)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_permutation_verdicts_run_no_elimination(monkeypatch):
+    calls = _count_calls(monkeypatch, [(Mat, "rref"), (Mat, "solve"),
+                                       (reps, "_relative_trace_stack")])
+    checked = 0
+    for name in ("s4", "d8", "a4"):
+        G = builtin_group(name)
+        for field in (GF(2), GF(3), QQ):
+            for M in [trivial_module(G, field)] + coset_modules(G, field):
+                for S in G.subgroups_up_to_conjugacy():
+                    relatively_projective(M, S)
+                    checked += 1
+    assert checked > 300
+    assert calls == {"rref": 0, "solve": 0, "_relative_trace_stack": 0}
+
+
+@pytest.mark.parametrize("name", ["s3", "d8", "a4", "s4"])
+def test_decompose_of_a_coset_module_solves_no_system(name, monkeypatch):
+    """End(k[G/H]) is the orbital basis, and every summand's End and Hom is
+    read off its blocks: one hom_space call and no Kronecker system."""
+    calls = _count_calls(monkeypatch, [(reps, "hom_space"), (Mat, "kron")])
+    G = builtin_group(name)
+    for p in (2, 3):
+        for M in coset_modules(G, GF(p)):
+            calls.update(hom_space=0, kron=0)
+            decompose(M)
+            assert calls == {"hom_space": int(M.dim > 1), "kron": 0}, (p, M.dim)
+
+
+def test_permutation_verdict_reads_every_point_of_an_orbit():
+    """S3 on the three cosets of a C2 at p = 2, relative to a C2 that moves
+    the least coset: its stabiliser index there is 2, but the module is
+    relatively S-projective through the point that S fixes."""
+    G = builtin_group("s3")
+    H = next(S for S in G.subgroups_up_to_conjugacy() if S.order == 2)
+    M = permutation_module(G, H, GF(2))
+    act = M.gset.action
+    moving = {H.conjugate_by(a) for a in range(G.order)}
+    moving = [S for S in moving if (act[S.mask, 0] != 0).any()]
+    assert len(moving) == 2
+    for S in moving:
+        stab0 = act[:, 0] == 0
+        assert (stab0.sum() // (stab0 & S.mask).sum()) % 2 == 0  # the least point says no
+        assert relatively_projective(M, S)
+        assert relatively_projective(dense_copy(M), S)  # Higman's trace agrees
 
 
 @pytest.mark.parametrize("field", [GF(2), QQ])
@@ -1152,7 +1219,7 @@ def test_verify_action_rejects_a_corrupted_stack_at_the_double_loops_pair(name):
 
 def _ref_split(X, seed=0):
     """decompose's recursion with its per-element split Pinv @ A(g) @ P."""
-    z = reps._find_splitter(X, seed)
+    z = X.dim == 1 or reps._find_splitter(X, _hom_stack(X, X), seed)
     if isinstance(z, bool):
         return [X], Mat.identity(X.field, X.dim)
     zn = z.pow(X.dim)
