@@ -1,6 +1,10 @@
 """Burnside rings, crossed Burnside rings, and block decompositions.
 
-Everything here is exact.  Idempotent computations over F_p use the
+Everything here is exact.  A finite algebra is kept as its
+left-multiplication stack L[i, k, j] (the coefficient of e_k in e_i e_j)
+and a unit column, and `linalg._algebra_laws` checks its laws; Z(kG) and
+the crossed Burnside ring are `CommutativeAlgebra`s on such a stack.
+Idempotent computations over F_p use the
 Frobenius map x -> x^p, which is F_p-linear on a commutative algebra: its
 fixed space ker(F - 1) is the span of the primitive idempotents, so its
 dimension counts them and certifies the split without any enumeration
@@ -21,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, GSet, gset_from_subgroup, gset_induce, gset_restrict
-from .linalg import Field, Mat, QQ
+from .linalg import _BATCH_ENTRIES, Field, Mat, QQ, _algebra_laws
 
 __all__ = [
     "GSet",
@@ -46,17 +50,6 @@ ASSOCIATIVITY_DIM_CAP = 60
 class NotSplitOverRationals(ArithmeticError):
     """The idempotent search over Q hit a piece it cannot certify or split
     with rational-root methods alone."""
-
-
-def _abs_max(a: np.ndarray) -> int:
-    return int(np.abs(a).max()) if a.size else 0
-
-
-def _require_exact(bound: int, bits: int, what: str) -> None:
-    """Refuse an integer computation whose values may reach 2^bits (int64
-    overflow at 63, inexact float64 at 53), given a bound on them."""
-    if bound >= 2 ** bits:
-        raise ValueError(f"{what} may exceed 2^{bits} (bound {bound})")
 
 
 # ---------------------------------------------------------------------------
@@ -136,90 +129,65 @@ def burnside_multiply(G: FiniteGroup, a: Sequence[int], b: Sequence[int]) -> np.
 # commutative algebras and primitive idempotents
 
 
-_BATCH_ENTRIES = 1 << 18  # entries of the multiplication matrices made at once
-
-
 class CommutativeAlgebra:
     """A commutative associative unital algebra on a basis e_0, ..., e_{r-1},
-    kept as one exact structure tensor, the stack `Mat` T[i, k, j] of the
-    coefficients of e_k in e_i e_j.  It is built from the left-multiplication
-    matrices of the basis, L_i[k, j] = T[i, k, j], which `left_mult` reads
-    back as copies, and the unit column.  The unit law, commutativity and
-    associativity are verified at construction for dimensions up to
-    ASSOCIATIVITY_DIM_CAP; every product is a contraction with T."""
+    kept as one exact structure tensor, the stack `Mat` L[i, k, j] of the
+    coefficients of e_k in e_i e_j (L[i] is the left multiplication by e_i),
+    which `left_mult` reads back as a copy, and the unit column.  The unit
+    law, commutativity and associativity are verified at construction by
+    `linalg._algebra_laws`, for dimensions up to ASSOCIATIVITY_DIM_CAP, and
+    a failure is named by its first basis pair (i, j) in row-major order;
+    every product is a contraction with L."""
 
-    def __init__(self, field: Field, left_mult: List[Mat], unit: Mat):
-        r = len(left_mult)
+    def __init__(self, field: Field, left_mult: Mat, unit: Mat):
+        r = left_mult.shape[0]
+        if left_mult.shape != (r, r, r) or left_mult.field != field:
+            raise ValueError(f"left multiplication must be an r x r x r stack over {field!r}")
         if unit.shape != (r, 1):
             raise ValueError("unit must be a column vector")
-        self.field, self.dim, self.unit = field, r, unit
-        self._T = Mat.stack(field, left_mult, (r, r))  # refuses another shape or field
-        self._flat = self._T.reshape(r, r * r)          # row i: the entries of L_i
-        self._verify()
-
-    @property
-    def left_mult(self) -> List[Mat]:
-        return [self._T[i].copy() for i in range(self.dim)]
-
-    def _verify(self) -> None:
-        """The unit law, then commutativity (e_i e_j against e_j e_i for
-        j < i), then associativity ((e_i e_j) e_k against e_i (e_j e_k) for
-        every k), each failure named by its first basis pair (i, j) in
-        row-major order.  Associativity is one contraction per batch of
-        rows i, of at most _BATCH_ENTRIES entries (or one row), so memory
-        stays O(r^3)."""
-        T, flat, r = self._T, self._flat, self.dim
         if r > ASSOCIATIVITY_DIM_CAP:
             raise ValueError(f"dimension {r} exceeds the verification cap")
-        if (self.unit.T @ flat).reshape(r, r) != Mat.identity(self.field, r):  # sum of u_i L_i
+        self.field, self.dim, self.unit = field, r, unit
+        self._L = left_mult.copy()
+        self._flat = self._L.reshape(r, r * r)  # row i: the entries of L[i]
+        left_unit, _, comm, assoc = _algebra_laws(self._L, unit)
+        if not left_unit.all():
             raise ArithmeticError("unit law fails")
-        bad = np.tril(~T.eq(T.transpose(2, 1, 0)).all(axis=1), -1)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ArithmeticError(f"not commutative at basis pair {(int(i), int(j))}")
-        step = max(1, _BATCH_ENTRIES // max(1, r ** 3))
-        for i0 in range(0, r, step):
-            Ti = T[i0 : i0 + step]
-            # [i, j]: multiplication by e_i e_j, against L_i L_j
-            lhs = (Ti.transpose(0, 2, 1) @ flat).reshape(-1, r, r, r)
-            rhs = Ti[:, None] @ T
-            bad = ~lhs.eq(rhs).reshape(-1, r, r * r).all(axis=2)
+        for law, bad in (("commutative", np.tril(~comm, -1)), ("associative", ~assoc.all(axis=2))):
             if bad.any():
                 i, j = np.argwhere(bad)[0]
-                raise ArithmeticError(f"not associative at basis pair {(i0 + int(i), int(j))}")
+                raise ArithmeticError(f"not {law} at basis pair {(int(i), int(j))}")
 
-    def _mul_cols(self, X: Mat, Y: Mat) -> Mat:
+    @property
+    def left_mult(self) -> Mat:
+        return self._L.copy()
+
+    def mult_matrix(self, x: Mat) -> Mat:
+        r = self.dim
+        return (x.T @ self._flat).reshape(r, r)
+
+    def multiply(self, X: Mat, Y: Mat) -> Mat:
         """The products X[:, c] Y[:, c] of the columns of two matrices: the
         multiplication matrices of the X columns, then one stacked product
         with the Y columns, in batches of _BATCH_ENTRIES entries."""
         r, m = X.shape
         step = max(1, _BATCH_ENTRIES // max(1, r * r))
         if m > step:
-            return Mat.concat(self.field, [self._mul_cols(X[:, a : a + step], Y[:, a : a + step])
+            return Mat.concat(self.field, [self.multiply(X[:, a : a + step], Y[:, a : a + step])
                                            for a in range(0, m, step)], axis=1)
         L = (X.transpose() @ self._flat).reshape(m, r, r)
         return (L @ Y.transpose().reshape(m, r, 1)).reshape(m, r).transpose()
 
-    def _powers(self, X: Mat, k: int) -> Mat:
+    def power(self, X: Mat, k: int) -> Mat:
         """The k-th powers of the columns of X, by square and multiply."""
         out = self.unit[:, [0] * X.ncols]
         while k:
             if k & 1:
-                out = self._mul_cols(out, X)
+                out = self.multiply(out, X)
             k >>= 1
             if k:
-                X = self._mul_cols(X, X)
+                X = self.multiply(X, X)
         return out
-
-    def mult_matrix(self, x: Mat) -> Mat:
-        r = self.dim
-        return (x.T @ self._flat).reshape(r, r)
-
-    def multiply(self, x: Mat, y: Mat) -> Mat:
-        return self._mul_cols(x, y)
-
-    def power(self, x: Mat, k: int) -> Mat:
-        return self._powers(x, k)
 
     def is_idempotent(self, x: Mat) -> bool:
         return self.multiply(x, x) == x
@@ -354,7 +322,7 @@ def primitive_idempotents(alg: CommutativeAlgebra) -> List[Mat]:
         raise ArithmeticError("idempotents do not sum to the unit")
     # e_i e_j for j <= i in one batch: e_i on the diagonal, 0 off it
     rows, cols = np.tril_indices(len(leaves))
-    prod = alg._mul_cols(E[:, rows], E[:, cols])
+    prod = alg.multiply(E[:, rows], E[:, cols])
     ok = np.where(rows == cols, prod.eq(E[:, rows]).all(axis=0), (prod.num == 0).all(axis=0))
     for i, j, good in zip(rows, cols, ok):
         if not good:
@@ -368,7 +336,7 @@ def _frobenius_fixed_space(alg: CommutativeAlgebra) -> Mat:
     over F_p: the columns e_i^p of F come from one square and multiply over
     all basis vectors at once, and one nullspace gives the kernel."""
     eye = Mat.identity(alg.field, alg.dim)
-    return (alg._powers(eye, alg.field.p) - eye).nullspace()
+    return (alg.power(eye, alg.field.p) - eye).nullspace()
 
 
 def _split_frobenius(alg: CommutativeAlgebra) -> List[Mat]:
@@ -391,7 +359,7 @@ def _split_frobenius(alg: CommutativeAlgebra) -> List[Mat]:
         if pieces.ncols == s:
             break
         n = pieces.ncols
-        ze = alg._mul_cols(fixed[:, [t] * n], pieces)
+        ze = alg.multiply(fixed[:, [t] * n], pieces)
         step = max(1, _BATCH_ENTRIES // (n * alg.dim + 1))
         found = []
         for c0 in range(0, p, step):
@@ -399,7 +367,7 @@ def _split_frobenius(alg: CommutativeAlgebra) -> List[Mat]:
             at = np.repeat(np.arange(n), len(cs))  # piece-major, c fastest
             e = pieces[:, at]
             shifted = Mat(f, ze.num[:, at] - e.num * np.tile(cs, n))
-            E = e - alg._powers(shifted, p - 1)
+            E = e - alg.power(shifted, p - 1)
             found.append(E[:, E.num.any(axis=0)])
         pieces = Mat.concat(f, found, axis=1)
     if pieces.ncols != s:
@@ -420,8 +388,8 @@ def _span_basis(vectors: Mat) -> Mat:
 def _trace_form_radical(alg: CommutativeAlgebra) -> Mat:
     """The radical of the trace form (x, y) -> tr(L_x L_y) over Q; the Gram
     matrix tr(L_i L_j) is one contraction of the tensor."""
-    T, r = alg._T, alg.dim
-    gram = alg._flat @ T.transpose(0, 2, 1).reshape(r, r * r).T
+    L, r = alg._L, alg.dim
+    gram = alg._flat @ L.transpose(0, 2, 1).reshape(r, r * r).T
     return _span_basis(gram.nullspace())
 
 
@@ -510,19 +478,16 @@ class CenterOfGroupAlgebra:
         if self.classes[0] != (G.identity,):
             raise ArithmeticError("identity class must come first")
         r = len(self.classes)
-        self._class_of = np.empty(G.order, dtype=np.int64)
-        for i, C in enumerate(self.classes):
-            self._class_of[list(C)] = i
-        # T[i, k, j] = #{(a, b) in C_i x C_j : ab is the representative of C_k},
+        # L[i, k, j] = #{(a, b) in C_i x C_j : ab is the representative of C_k},
         # one bincount over the pairs whose product is a representative
         reps = np.array([C[0] for C in self.classes], dtype=np.int64)
-        cls, table = self._class_of, G.table
+        cls, table = G._class_of, G.table
         a, b = np.nonzero(table == reps[cls[table]])
-        T = np.bincount((cls[a] * r + cls[table[a, b]]) * r + cls[b],
+        L = np.bincount((cls[a] * r + cls[table[a, b]]) * r + cls[b],
                         minlength=r ** 3).reshape(r, r, r)
         unit = np.zeros((r, 1), dtype=np.int64)
         unit[0, 0] = 1
-        self.algebra = CommutativeAlgebra(field, [Mat(field, Ti) for Ti in T], Mat(field, unit))
+        self.algebra = CommutativeAlgebra(field, Mat(field, L), Mat(field, unit))
 
     @property
     def dim(self) -> int:
@@ -531,7 +496,7 @@ class CenterOfGroupAlgebra:
     def class_vector_to_elements(self, v: Mat) -> np.ndarray:
         """Expand class-sum coordinates to a coefficient per group element
         (integers; interpret mod p or over den as appropriate)."""
-        return np.array([int(x) for x in v.num[:, 0]], dtype=object)[self._class_of]
+        return np.array([int(x) for x in v.num[:, 0]], dtype=object)[self.group._class_of]
 
     def multiply(self, x: Mat, y: Mat) -> Mat:
         return self.algebra.multiply(x, y)
@@ -587,10 +552,10 @@ class CrossedBurnsideAlgebra:
     order, and the classes come in the lattice's class order.  The rank is
     refused above ASSOCIATIVITY_DIM_CAP before any product is made.  The
     structure constants are built once per pair of subgroup classes (the
-    double cosets depend only on K and H, not on a and b); associativity,
-    commutativity and the unit law are verified on them, and the span of
-    the pairs (H, 1) is checked to reproduce the Burnside ring's
-    double-coset products.
+    double cosets depend only on K and H, not on a and b) into the
+    `CommutativeAlgebra` `algebra` over Q, which verifies the unit law,
+    commutativity and associativity; the span of the pairs (H, 1) is
+    checked to reproduce the Burnside ring's double-coset products.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -613,9 +578,9 @@ class CrossedBurnsideAlgebra:
             raise ValueError(f"rank {self.rank} exceeds the verification cap")
         self._index: Dict[PairClass, int] = {pc: i for i, pc in enumerate(self.basis)}
         self.unit_index = int(self._pair_index[-1][G.identity])
-        # L[i, k, j] = coeff of e_k in e_i e_j
-        self._left = self._structure_tensor()
-        self._verify()
+        unit = np.zeros((self.rank, 1), dtype=np.int64)
+        unit[self.unit_index] = 1
+        self.algebra = CommutativeAlgebra(QQ, Mat(QQ, self._structure_tensor()), Mat(QQ, unit))
 
     def canonical_pair(self, subgroup_elements: Sequence[int], a: int) -> PairClass:
         """Minimum of (sorted subgroup tuple, element) over simultaneous
@@ -668,28 +633,10 @@ class CrossedBurnsideAlgebra:
                                 + right[None, :, None]).ravel())
         return np.bincount(np.concatenate(counted), minlength=r ** 3).reshape(r, r, r)
 
-    def _verify(self) -> None:
-        """Unit law, commutativity and associativity of `_left`, each as a
-        whole-array comparison.  Associativity compares, for every i, the
-        multiplication by e_i e_j with e_i (e_j .) for all j in two matrix
-        products; they run in float64, which is exact because no partial
-        sum exceeds r max|L|^2 < 2^53."""
-        L, r = self._left, self.rank
-        if not np.array_equal(L[self.unit_index], np.eye(r, dtype=np.int64)):
-            raise ArithmeticError("unit law fails in the crossed Burnside ring")
-        if not np.array_equal(L, L.transpose(2, 1, 0)):
-            raise ArithmeticError("crossed Burnside ring is not commutative")
-        _require_exact(r * _abs_max(L) ** 2, 53, "the associativity check")
-        F = L.astype(np.float64)
-        flat = F.reshape(r, r * r)
-        for i in range(r):
-            if not np.array_equal((F[i].T @ flat).reshape(r, r, r), F[i] @ F):
-                raise ArithmeticError("crossed Burnside ring is not associative")
-
     def multiply(self, x: Sequence[int], y: Sequence[int]) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
-        return np.einsum("i,ikj,j->k", x, self._left, y)
+        return np.einsum("i,ikj,j->k", x, self.algebra._L.num, y)
 
     def basis_index(self, subgroup_elements: Sequence[int], a: int) -> int:
         return self._index[self.canonical_pair(subgroup_elements, a)]
@@ -702,12 +649,14 @@ class CrossedBurnsideAlgebra:
 
     def verify_burnside_subring(self) -> bool:
         """The span of the pairs (H, 1) multiplies exactly like the Burnside
-        ring on the matching basis: the slice of `_left` on those pairs is
-        zero off them and the Burnside structure constants on them."""
+        ring on the matching basis: the slice of the structure tensor on
+        those pairs is zero off them and the Burnside structure constants on
+        them."""
         u = np.array([bi for _, bi in self.untwisted_indices()], dtype=np.int64)
         expected = np.zeros((len(u), self.rank, len(u)), dtype=np.int64)
         expected[:, u, :] = _burnside_structure(self.group).transpose(0, 2, 1)
-        return bool(np.array_equal(self._left[np.ix_(u, np.arange(self.rank), u)], expected))
+        return bool(np.array_equal(self.algebra._L.num[np.ix_(u, np.arange(self.rank), u)],
+                                   expected))
 
     # -- the coholological map to the center -------------------------------
 
@@ -734,12 +683,12 @@ class CrossedBurnsideAlgebra:
         R = self.rho_coh_matrix()
         Z = CenterOfGroupAlgebra(G, QQ)
         unit_ok = bool(R[self.unit_index, 0] == 1 and not np.any(R[self.unit_index, 1:]))
-        # rho(e_i e_j) against rho(e_i) rho(e_j) in Z(kG), for every i, j
-        T = Z.algebra._T.num
-        _require_exact(self.rank * _abs_max(self._left) * _abs_max(R), 63, "the rho_coh check")
-        _require_exact(T.shape[0] ** 2 * _abs_max(T) * _abs_max(R) ** 2, 63, "the rho_coh check")
-        hom_ok = bool(np.array_equal(np.einsum("ikj,kc->ijc", self._left, R),
-                                     np.einsum("ia,akb,jb->ijk", R, T, R)))
+        # rho(e_i e_j) against rho(e_i) rho(e_j) in Z(QG), column i r + j for
+        # every i, j, as exact Mat products
+        r, images = self.rank, Mat(QQ, R.T.copy())  # column i: rho(e_i)
+        i, j = np.divmod(np.arange(r * r), r)
+        hom_ok = (images @ self.algebra._L.transpose(1, 0, 2).reshape(r, r * r)
+                  == Z.algebra.multiply(images[:, i], images[:, j]))
         surj_ok = Mat(field, R.T.copy()).rank() == len(Z.classes)
         if not (unit_ok and hom_ok):
             raise ArithmeticError("rho_coh is not a unital ring homomorphism")

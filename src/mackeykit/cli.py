@@ -182,7 +182,7 @@ def _cmd_xburn(G: FiniteGroup, args) -> Tuple[Dict, List[str]]:
             for pc in xb.basis
         ],
         # structure_constants[i][j]: e_i e_j on the basis
-        "structure_constants": xb._left.transpose(0, 2, 1).tolist(),
+        "structure_constants": xb.algebra.left_mult.num.transpose(0, 2, 1).tolist(),
         "burnside_subring_embeds": xb.verify_burnside_subring(),
     }
     failures = []

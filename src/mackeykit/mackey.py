@@ -5,8 +5,10 @@ subgroups, not just class representatives, so conjugation maps are total),
 a restriction and a transfer matrix per containment K <= H, and a
 conjugation matrix per pair (g, H).  Each kind of map is kept as one stack:
 the entries of all its matrices in one exact flat `Mat`, read back by
-gathers.  A Green functor adds one structure tensor per level, the stack
-`Mat` T_H[i, j, k] = the coefficient of e_k in e_i e_j, and a unit column.
+gathers.  A Green functor adds one structure tensor per level, the
+left-multiplication stack `Mat` L_H[i, k, j] = the coefficient of e_k in
+e_i e_j, and a unit column; `linalg._algebra_laws` checks each level's ring
+laws.
 
 `verify_mackey_axioms` checks, over every chain and every triple, the four
 axioms: functoriality of restriction and transfer, functoriality of
@@ -44,8 +46,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, Subgroup
-from .linalg import Field, Mat, QQ, _isum_segments
-from .reps import Module, ModuleHom, _monoid_laws, hom_space, restrict_to
+from .linalg import _BATCH_ENTRIES, Field, Mat, QQ, _algebra_laws, _isum_segments
+from .reps import Module, ModuleHom, _refuse_oversize, hom_space, restrict_to
 
 __all__ = [
     "OrdinaryMackeyFunctor",
@@ -234,9 +236,6 @@ class MackeyAxiomReport:
 
 def _dmax(dims: np.ndarray) -> int:
     return int(dims.max(initial=0))
-
-
-_BATCH_ENTRIES = 1 << 18
 
 
 def _parts(count: int, entries: int) -> List[np.ndarray]:
@@ -454,78 +453,74 @@ def _hom_functor(X: Module, Y: Module) -> Tuple[OrdinaryMackeyFunctor, Dict[Subg
 class GreenFunctorData:
     """A Mackey functor with a unital ring at every level.
 
-    It is built from `products[H]`, the matrices of left multiplication by
-    each basis element of level H, and `units[H]`, the unit columns.  Level
-    H keeps its structure tensor T_H[i, j, k] (the coefficient of e_k in
-    e_i e_j) as one stack `Mat` and its unit as a column; `products` and
-    `units` read them back as read-only snapshots of `Mat`s.
+    It is built from `products[H]`, the left-multiplication stack L_H of
+    level H (L_H[i, k, j] is the coefficient of e_k in e_i e_j), and
+    `units[H]`, the unit columns; a level of dimension d needs a d x d x d
+    stack and a d x 1 unit over the functor's field.  Both are kept as
+    snapshots, which `products` and `units` read back as read-only mappings
+    of `Mat` copies.
     """
 
-    def __init__(self, underlying: OrdinaryMackeyFunctor, products: Dict[Subgroup, List[Mat]],
+    def __init__(self, underlying: OrdinaryMackeyFunctor, products: Dict[Subgroup, Mat],
                  units: Dict[Subgroup, Mat], mackey_report: Optional["MackeyAxiomReport"] = None,
                  green_report: Optional["MackeyAxiomReport"] = None):
-        f, subs = underlying.field, underlying.subgroups
+        f = underlying.field
         self.underlying = underlying
-        self._T = [Mat.stack(f, [L.T for L in products[S]], (d, d))
-                   for S, d in zip(subs, underlying._dims)]
-        self._u = [units[S] for S in subs]
+        self._L, self._u = [], []
+        for S, d in zip(underlying.subgroups, underlying._dims):
+            L, u = products[S], units[S]
+            if L.shape != (d, d, d) or u.shape != (d, 1) or L.field != f or u.field != f:
+                raise ValueError(f"level {S.elements} of dimension {d} needs a {d}x{d}x{d} product "
+                                 f"stack and a {d}x1 unit over {f!r}")
+            self._L.append(L.copy())
+            self._u.append(u.copy())
         self.mackey_report = mackey_report
         self.green_report = green_report
 
     @cached_property
-    def products(self) -> Mapping[Subgroup, Tuple[Mat, ...]]:
-        return MappingProxyType({S: tuple(T[i].T.copy() for i in range(T.shape[0]))
-                                 for S, T in zip(self.underlying.subgroups, self._T)})
+    def products(self) -> Mapping[Subgroup, Mat]:
+        return MappingProxyType({S: L.copy() for S, L in zip(self.underlying.subgroups, self._L)})
 
     @cached_property
     def units(self) -> Mapping[Subgroup, Mat]:
         return MappingProxyType({S: u.copy() for S, u in zip(self.underlying.subgroups, self._u)})
 
     def product(self, H: Subgroup, u: Mat, v: Mat) -> Mat:
-        """u v at level H: the sum over i, j of u_i v_j T_H[i, j, :]."""
-        T = self._T[self.underlying.position[H]]
-        d = T.shape[0]
-        return (v.T @ (u.T @ T.reshape(d, d * d)).reshape(d, d)).T
+        """u v at level H: the left multiplication sum_i u_i L_H[i], applied to v."""
+        L = self._L[self.underlying.position[H]]
+        d = L.shape[0]
+        return (u.T @ L.reshape(d, d * d)).reshape(d, d) @ v
 
 
 def verify_green_axioms(Gf: GreenFunctorData) -> MackeyAxiomReport:
     """Per-level ring laws, restrictions as unital ring maps, and both
     Frobenius (projection) formulas on all containments and basis pairs."""
     M = Gf.underlying
-    dims, R, Tr, Ts, us = M._dims, M._res, M._tr, Gf._T, Gf._u
+    dims, R, Tr, Ls, us = M._dims, M._res, M._tr, Gf._L, Gf._u
 
     def level_rings():
-        for H, T, u, d in zip(M.subgroups, Ts, us, dims):
-            flat = T.reshape(d, d * d)
-            one = Mat.identity(M.field, d)
-            left = (u.T @ flat).reshape(d, d)                                # u e_j
-            right = (u.T @ T.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d)  # e_j u
-            yield ((left.eq(one) & right.eq(one)).all(axis=1),
-                   lambda j, H=H: f"unit at {H.elements} col {j}")
-            lhs = T.reshape(d * d, d) @ flat                                 # (e_i e_j) e_k
-            rhs = T.reshape(d * d, d)[None] @ T                              # e_i (e_j e_k)
-            yield (lhs.reshape(d, d, d, d).eq(rhs.reshape(d, d, d, d)).all(axis=3),
-                   lambda i, H=H, d=d: "assoc at {} ({},{},{})".format(
-                       H.elements, i // (d * d), i // d % d, i % d))
+        for H, L, u, d in zip(M.subgroups, Ls, us, dims):
+            left, right, _, assoc = _algebra_laws(L, u)
+            yield left & right, lambda j, H=H: f"unit at {H.elements} col {j}"
+            yield assoc, lambda i, H=H, d=d: "assoc at {} ({},{},{})".format(
+                H.elements, i // (d * d), i // d % d, i % d)
 
     res_segments, frobenius_segments = [], []
     for (K, H), k, h in zip(M.containments, *M._pairs):
         dk, dh = dims[k], dims[h]
         r, t = R.block(k, h), Tr.block(k, h)
-        TK, TH = Ts[k], Ts[h]
+        LK, LH = Ls[k], Ls[h]
         unit = r @ us[h] == us[k]
-        lhs = (TH.reshape(dh * dh, dh) @ r.T).reshape(dh, dh, dk)   # r(e_i e_j)
-        rx = (r.T @ TK.reshape(dk, dk * dk)).reshape(dh, dk, dk)   # r(e_i) e_j
-        hom = lhs.eq(r.T[None] @ rx).all(axis=2)                    # against r(e_i) r(e_j)
+        rx = (r.T @ LK.reshape(dk, dk * dk)).reshape(dh, dk, dk)  # [i, :, j]: r(e_i) e_j
+        hom = (r @ LH).eq(rx @ r).all(axis=1)             # r(e_i e_j) against r(e_i) r(e_j)
         res_segments.append((np.concatenate([[unit], hom.ravel()]),
                              lambda i, K=K, H=H, dh=dh: f"res unit {K.elements}<={H.elements}"
                              if i == 0 else "res hom {}<={} ({},{})".format(
                                  K.elements, H.elements, *divmod(i - 1, dh))))
-        xr = (r.T @ TK.transpose(1, 0, 2).reshape(dk, dk * dk)).reshape(dh, dk, dk)
-        # t(r(x) y) = x t(y) and t(y r(x)) = t(y) x, with xr[i, j] = e_j r(e_i)
-        left = (rx @ t.T).eq(t.T[None] @ TH)
-        right = (xr @ t.T).eq(t.T[None] @ TH.transpose(1, 0, 2))
-        frobenius_segments.append((np.stack([left.all(axis=2), right.all(axis=2)], axis=2),
+        # t(r(x) y) = x t(y) and t(y r(x)) = t(y) x, at [i, :, j] and [j, :, i]
+        left = (t @ rx).eq(LH @ t)
+        right = (t @ (LK @ r)).eq((t.T @ LH.reshape(dh, dh * dh)).reshape(dk, dh, dh))
+        frobenius_segments.append((np.stack([left.all(axis=1), right.all(axis=1).T], axis=2),
                                    lambda i, K=K, H=H, dk=dk: "frobenius-{} {}<={} ({},{})".format(
                                        ("left", "right")[i % 2], K.elements, H.elements,
                                        *divmod(i // 2, dk))))
@@ -552,19 +547,21 @@ def green_from_monoid(X: Module, Y: Module, mul: ModuleHom, unit: ModuleHom) -> 
     d = Y.dim
     if mul.mat.shape != (d, d * d) or unit.mat.shape != (d, 1):
         raise ValueError("multiplication/unit have wrong shapes")
-    assoc, unital = _monoid_laws(mul.mat.reshape(d, d, d), unit.mat)
-    if not assoc:
+    _refuse_oversize(d ** 4, "associativity tensor")
+    left, right, _, assoc = _algebra_laws(mul.mat.reshape(d, d, d).transpose(1, 0, 2), unit.mat)
+    if not assoc.all():
         raise ValueError("input multiplication is not associative")
-    if not unital:
+    if not (left.all() and right.all()):
         raise ValueError("input multiplication is not unital")
     M, bases = _hom_functor(X, Y)
-    products: Dict[Subgroup, List[Mat]] = {}
+    products: Dict[Subgroup, Mat] = {}
     units: Dict[Subgroup, Mat] = {}
     for S, B in bases.items():
-        # k = k(x)k -> Y(x)Y -> Y, for every pair (a, b) of basis maps at once
+        # k = k(x)k -> Y(x)Y -> Y, for every pair of basis maps at once:
+        # column i b + j holds the coordinates of the product of maps i and j
         b = B.shape[0]
         ab = _coords_in_basis(B, (mul.mat @ B[:, None].kron(B[None])).reshape(b * b, d, 1))
-        products[S] = [ab[:, i * b:(i + 1) * b] for i in range(b)]
+        products[S] = ab.reshape(b, b, b).transpose(1, 0, 2)
         units[S] = _coords_in_basis(B, unit.mat[None])
     return GreenFunctorData(M, products, units)
 
@@ -602,7 +599,7 @@ def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
 
     n, every = len(subs), np.arange(len(subs))
     res, tr = {}, {}
-    T = [np.zeros((d, d, d), dtype=np.int64) for d in dims]   # [s, t, class] per level
+    L = [np.zeros((d, d, d), dtype=np.int64) for d in dims]   # [s, class, t] per level
     for k in range(n):
         j, xs, meets = lat.double_cosets(k, every)           # every S_k x S at once
         for h in np.flatnonzero(lat.contain[k]):
@@ -617,7 +614,7 @@ def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
             tmat[class_of[h][reps[k]], np.arange(dims[k])] = 1
             tr[KH] = Mat(QQ, tmat)
             if reps[h][class_of[h][k]] == k:                  # [H/K] . [H/T] over K\H/T
-                T[h][class_of[h][k]] = count_intersections(i, class_of[h][a], dims[h], dims[h])
+                L[h][class_of[h][k]] = count_intersections(i, class_of[h][a], dims[h], dims[h]).T
     conj = {}
     for h, H in enumerate(subs):
         cmat = np.zeros((G.order, dims[h], dims[h]), dtype=np.int64)
@@ -626,7 +623,7 @@ def burnside_green_functor(G: FiniteGroup) -> GreenFunctorData:
         conj.update(((g, H), Mat(QQ, c)) for g, c in enumerate(cmat))
     M = OrdinaryMackeyFunctor(G, QQ, levels, res, tr, conj)
 
-    products = {H: [Mat(QQ, Ti.T) for Ti in T[h]] for h, H in enumerate(subs)}
+    products = {H: Mat(QQ, L[h]) for h, H in enumerate(subs)}
     units = {H: Mat(QQ, (r == h).astype(np.int64)[:, None]) for h, (H, r) in enumerate(zip(subs, reps))}
     mrep = verify_mackey_axioms(M)
     if not mrep.ok:

@@ -26,8 +26,11 @@ builds every one; a dense module's action is one stack `Mat` A[g], so its
 restriction, induction, tensor products, direct sums, Fitting splits,
 relative traces and block membership are gathers and stacked products.
 The Frobenius laws are equalities of index tensors, checked by exact
-contractions.  Maps and law tensors above MAX_DENSE_ENTRIES entries are
-refused (ValueError) before they are allocated.
+contractions; the monoid and comonoid laws are `linalg._algebra_laws` on
+the left-multiplication stacks L[i, k, j] (the coefficient of e_k in
+e_i e_j) of the multiplication and of the dual of the comultiplication.
+Maps and law tensors above MAX_DENSE_ENTRIES entries are refused
+(ValueError) before they are allocated.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, GSet, InjectiveHom, Subgroup, gset_from_subgroup
-from .linalg import Field, Mat, _pow_mod_stack, _rank_mod_stack, perm_to_mat
+from .linalg import Field, Mat, _algebra_laws, _pow_mod_stack, _rank_mod_stack, perm_to_mat
 
 __all__ = [
     "Module",
@@ -580,14 +583,22 @@ class FrobeniusObject:
     def verify(self) -> List[FrobeniusLaw]:
         """The seven laws as equalities of the index tensors m[k, i, j] (the
         coefficient of e_k in mu(e_i (x) e_j)) and c[i, j, k] (that of
-        e_i (x) e_j in delta(e_k)), by exact contractions."""
+        e_i (x) e_j in delta(e_k)), by exact contractions.  The monoid laws
+        are `linalg._algebra_laws` on the left-multiplication stack
+        L[i, k, j] = m[k, i, j], and the comonoid laws on that of the dual,
+        L[i, k, j] = c[i, j, k].  A d^4 law tensor is refused ("associativity
+        tensor", ValueError) above MAX_DENSE_ENTRIES entries."""
         d = self.module.dim
+        _refuse_oversize(d ** 4, "associativity tensor")
         mu, de, io, ep = self.mul.mat, self.comul.mat, self.unit.mat, self.counit.mat
         m, c = mu.reshape(d, d, d), de.reshape(d, d, d)
-        assoc, unit = _monoid_laws(m, io)
-        # delta is coassociative and counital exactly when c[i, j, k], read as
-        # the product of e_j and e_k in e_i, is associative and unital
-        coassoc, counit = _monoid_laws(c.transpose(2, 0, 1), ep.T)
+        # delta is coassociative and counital exactly when the dual algebra,
+        # e^i e^j = sum_k c[i, j, k] e^k with the counit as its unit, is
+        # associative and unital
+        (assoc, unit), (coassoc, counit) = (
+            (bool(a.all()), bool(left.all() and right.all()))
+            for left, right, _, a in (_algebra_laws(m.transpose(1, 0, 2), io),
+                                      _algebra_laws(c.transpose(0, 2, 1), ep.T)))
         # sum_a c[k,l,a] m[a,i,j] = sum_a m[k,i,a] c[a,l,j] = sum_a c[k,a,i] m[l,a,j]
         dm = (c @ m.reshape(d, d * d)).reshape(d, d, d, d)                      # [k, l, i, j]
         frob = [m @ c.reshape(d, d * d),                                        # [k, i, (l, j)]
@@ -606,26 +617,6 @@ class FrobeniusObject:
     @property
     def ok(self) -> bool:
         return all(l.holds for l in self.verify())
-
-
-def _monoid_laws(m: Mat, u: Mat) -> Tuple[bool, bool]:
-    """Associativity and two-sided unitality of the multiplication with index
-    tensor m[k, i, j] (the coefficient of e_k in e_i e_j) and unit column u,
-    as exact contractions:
-
-        sum_a m[l, a, k] m[a, i, j] = sum_a m[l, i, a] m[a, j, k],
-        sum_a m[k, a, j] u[a] = sum_a m[k, j, a] u[a] = [k = j].
-
-    The d^4 tensors are refused (ValueError) above MAX_DENSE_ENTRIES entries.
-    """
-    d = m.shape[0]
-    _refuse_oversize(d ** 4, "associativity tensor")
-    left = m.transpose(0, 2, 1) @ m.reshape(d, d * d)  # [l, k, (i, j)]
-    right = m @ m.reshape(d, d * d)                    # [l, i, (j, k)]
-    assoc = left.reshape(d, d, d, d).transpose(0, 2, 3, 1) == right.reshape(d, d, d, d)
-    one = Mat.identity(m.field, d)
-    unit = all((t @ u).reshape(d, d) == one for t in (m.transpose(0, 2, 1), m))
-    return assoc, unit
 
 
 def frobenius_object(G: FiniteGroup, H: Subgroup, field: Field) -> FrobeniusObject:

@@ -223,7 +223,7 @@ def test_c06_crossed_burnside_ring():
         assert unit.subgroup == tuple(range(G.order))
         assert unit.element == G.identity
         # exhaustive associativity on the structure constants
-        L = xb._left
+        L = xb.algebra.left_mult.num
         for i in range(xb.rank):
             for j in range(xb.rank):
                 lhs = np.tensordot(L[i, :, j], L, axes=(0, 0))

@@ -193,7 +193,7 @@ def _poly_algebra(field, coeffs):
     for i, c in enumerate(coeffs):
         C[i, n - 1] = -c
     Cm = Mat(field, C)
-    left = [Cm.pow(k) for k in range(n)]
+    left = Mat.stack(field, [Cm.pow(k) for k in range(n)], (n, n))
     unit = Mat.identity(field, n).col(0)
     return CommutativeAlgebra(field, left, unit)
 
@@ -202,7 +202,7 @@ def test_commutative_algebra_rejects_broken_unit():
     swap = Mat(QQ, np.array([[0, 1], [1, 0]]))
     unit = Mat(QQ, np.array([[1], [0]]))
     with pytest.raises(ArithmeticError):
-        CommutativeAlgebra(QQ, [swap, Mat.identity(QQ, 2)], unit)
+        CommutativeAlgebra(QQ, Mat.stack(QQ, [swap, Mat.identity(QQ, 2)], (2, 2)), unit)
 
 
 def test_commutative_algebra_rejects_non_associative():
@@ -213,7 +213,7 @@ def test_commutative_algebra_rejects_non_associative():
     L2 = Mat(QQ, np.array([[0, 1, 0], [0, 0, 0], [1, 0, 0]]))
     unit = Mat(QQ, np.array([[1], [0], [0]]))
     with pytest.raises(ArithmeticError):
-        CommutativeAlgebra(QQ, [L0, L1, L2], unit)
+        CommutativeAlgebra(QQ, Mat.stack(QQ, [L0, L1, L2], (3, 3)), unit)
 
 
 def test_primitive_idempotents_split_product_ring():
@@ -305,7 +305,7 @@ def _per_pair_verdict(field, left, unit):
 
 def _tensor_verdict(field, left, unit):
     try:
-        CommutativeAlgebra(field, left, unit)
+        CommutativeAlgebra(field, Mat.stack(field, left, (len(left),) * 2), unit)
     except ArithmeticError as exc:
         return str(exc)
     return None
@@ -327,7 +327,7 @@ def _rebased(field, left, unit, P):
 
 def _center_data(name, field, P=None):
     alg = CenterOfGroupAlgebra(builtin_group(name), field).algebra
-    left, unit = alg.left_mult, alg.unit
+    left, unit = [alg.left_mult[i] for i in range(alg.dim)], alg.unit
     return (left, unit) if P is None else _rebased(field, left, unit, P)
 
 
@@ -395,8 +395,8 @@ def test_tensor_products_exact_past_int64_for_a_large_prime():
     r = len(left)
     assert (p - 1) ** 2 * r >= 2 ** 63
     assert max(int(L.num.max()) for L in left) > 2 ** 30
-    alg = CommutativeAlgebra(field, left, unit)
-    assert alg.left_mult == left and alg.unit == unit
+    alg = CommutativeAlgebra(field, Mat.stack(field, left, (r, r)), unit)
+    assert alg.left_mult == Mat.stack(field, left, (r, r)) and alg.unit == unit
     for _ in range(5):
         x = Mat(field, rng.integers(0, p, size=(r, 1)))
         y = Mat(field, rng.integers(0, p, size=(r, 1)))
@@ -734,7 +734,7 @@ def test_xburn_structure_constants_match_brute_force(name):
          "a5": lambda: group_from_generators(*A5)}.get(name, lambda: builtin_group(name))()
     xb = CrossedBurnsideAlgebra(G)
     oracle = xburn_structure_oracle(G, xb.basis)
-    assert np.array_equal(xb._left, oracle)
+    assert np.array_equal(xb.algebra.left_mult.num, oracle)
 
 
 def _non_unit_index(xb) -> int:
@@ -745,34 +745,33 @@ def test_xburn_verifier_rejects_broken_commutativity():
     xb = CrossedBurnsideAlgebra(builtin_group("s3"))
     i = _non_unit_index(xb)
     j = next(j for j in range(xb.rank) if j not in (i, xb.unit_index))
-    xb._left = xb._left.copy()
-    xb._left[i, 0, j] += 1
+    L = xb.algebra.left_mult
+    L.num[i, 0, j] += 1
     with pytest.raises(ArithmeticError, match="not commutative"):
-        xb._verify()
+        CommutativeAlgebra(QQ, L, xb.algebra.unit)
 
 
 def test_xburn_verifier_rejects_broken_associativity_alone():
     # e_i e_i gains the unit: the unit law and commutativity still hold
     xb = CrossedBurnsideAlgebra(builtin_group("s3"))
     i = _non_unit_index(xb)
-    xb._left = xb._left.copy()
-    xb._left[i, xb.unit_index, i] += 1
-    L = xb._left
-    assert np.array_equal(L[xb.unit_index], np.eye(xb.rank, dtype=np.int64))
-    assert np.array_equal(L, L.transpose(2, 1, 0))
+    L = xb.algebra.left_mult
+    L.num[i, xb.unit_index, i] += 1
+    assert np.array_equal(L.num[xb.unit_index], np.eye(xb.rank, dtype=np.int64))
+    assert np.array_equal(L.num, L.num.transpose(2, 1, 0))
     with pytest.raises(ArithmeticError, match="not associative"):
-        xb._verify()
+        CommutativeAlgebra(QQ, L, xb.algebra.unit)
 
 
-def test_xburn_checks_refuse_inexact_arithmetic():
+def test_xburn_checks_stay_exact_past_float64_and_int64():
     xb = CrossedBurnsideAlgebra(builtin_group("s3"))
     i = _non_unit_index(xb)
-    xb._left = xb._left.copy()
-    xb._left[i, 0, i] = 2 ** 27  # r max|L|^2 >= 2^53: float64 would not be exact
-    with pytest.raises(ValueError, match="may exceed 2\\^53"):
-        xb._verify()
-    xb._left[i, 0, i] = 2 ** 62  # the rho_coh contraction would overflow int64
-    with pytest.raises(ValueError, match="may exceed 2\\^63"):
+    L = xb.algebra.left_mult
+    L.num[i, 0, i] = 2 ** 27  # r max|L|^2 >= 2^53: past exact float64
+    with pytest.raises(ArithmeticError, match="^not associative at basis pair"):
+        CommutativeAlgebra(QQ, L, xb.algebra.unit)
+    xb.algebra._L.num[i, 0, i] = 2 ** 62  # the rho_coh contraction passes int64
+    with pytest.raises(ArithmeticError, match="^rho_coh is not a unital ring homomorphism$"):
         xb.verify_rho_coh(GF(2))
 
 
@@ -837,3 +836,21 @@ def test_gset_restrict_mackey_formula_marks():
         idx = next(i for i, c in enumerate(kcls) if c.is_conjugate_to(inter_in_K))
         rhs[idx] += 1
     assert lhs.tolist() == rhs.tolist()
+
+
+def test_commutative_algebra_refuses_dimension_above_cap_before_any_law(monkeypatch):
+    from mackeykit import burnside
+
+    monkeypatch.setattr(burnside, "_algebra_laws", None)  # a call would raise TypeError
+    r = burnside.ASSOCIATIVITY_DIM_CAP + 1
+    with pytest.raises(ValueError, match=f"^dimension {r} exceeds the verification cap$"):
+        CommutativeAlgebra(QQ, Mat(QQ, np.zeros((r, r, r), dtype=np.int64)),
+                           Mat.identity(QQ, r).col(0))
+
+
+def test_commutative_algebra_takes_one_stack():
+    alg = _poly_algebra(QQ, [-1, 0])
+    with pytest.raises(ValueError, match="r x r x r stack over QQ"):
+        CommutativeAlgebra(QQ, alg.left_mult[:1], alg.unit)
+    with pytest.raises(ValueError, match="r x r x r stack over GF\\(5\\)"):
+        CommutativeAlgebra(GF(5), alg.left_mult, alg.unit)

@@ -87,6 +87,16 @@ REPORT_SHA256 = {
         "ba47bb18e9a3d4e28bab442d412a3098a235719ee557446b8ec4d2d671184fa3",
     ("mackey-check", "--group", "q8", "--functor", "burnside"):
         "5f0530adadc49c7edb9dc29e2a34507f23bea1b5920c6d7f0132ce8caeb701f6",
+    ("blocks", "--group", "s4", "--prime", "2"):
+        "a6238b1ea91276acdb50df7d81388619ad785ffdb79e93816735dc76f89f2e3f",
+    ("blocks", "--group", "d8", "--prime", "2"):
+        "71440b55ce99478aff2cb0f0a5793b8fc8611dfa83bd0727714ba379ed922eb5",
+    ("blocks", "--group", "a4", "--prime", "3"):
+        "ceb92bbf0f7d923a5ef54341eade56e983b53ededabc49d1f66ef5c5cc7c785d",
+    ("xburn", "--group", "s4", "--prime", "3"):
+        "c5c39be185b753c96f9d544f456b49f501e3b760d8cc6d35cf3d10c888be193d",
+    ("verify", "--group", "s3"):
+        "fbd62f90b2f3ca6b1140e7a50a682a2b21bbea9c2e6d92c7ba88c994382d823d",
 }
 # the constant functor's report names no field, so Q, F_2 and F_3 give the
 # same bytes

@@ -3,13 +3,14 @@ conventions, over prime fields and the rationals."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mackeykit.linalg import (GF, QQ, Field, Mat, _imatmul, _isum_segments,
+from mackeykit.linalg import (GF, QQ, Field, Mat, _algebra_laws, _imatmul, _isum_segments,
                               _pow_mod_stack, _rank_mod_stack, perm_to_mat, rref_mod)
 
 
@@ -458,3 +459,90 @@ def test_stacked_power_matches_mat_pow(p):
         for x, y in zip(a, got):
             assert np.array_equal(Mat(GF(p), x).pow(e).num, y), e
     assert _pow_mod_stack(np.zeros((0, d, d), dtype=np.int64), d, p).shape == (0, d, d)
+
+
+# -- the law check of a finite algebra ------------------------------------------
+
+
+def _group_algebra_level(field, scale):
+    """k[S3] as the bottom level of `green_from_monoid`, on the basis
+    scale * e_i: Y = kG under conjugation, whose multiplication is
+    G-equivariant, and Hom_1(k, Y) = kG is a noncommutative algebra."""
+    from mackeykit.catalog import builtin_group
+    from mackeykit.groups import GSet
+    from mackeykit.mackey import green_from_monoid
+    from mackeykit.reps import Module, ModuleHom, tensor, trivial_module
+
+    G = builtin_group("s3")
+    n, t, g = G.order, G.table, np.arange(G.order)[:, None]
+    Y = Module(G, field, n, gset=GSet(G, t[g, t[g.T, G.inverse[g]]]))  # [g, x]: g x g^-1
+    a, b = np.divmod(np.arange(n * n), n)
+    mul = np.zeros((n, n * n), dtype=np.int64)
+    mul[t[a, b], np.arange(n * n)] = 1
+    unit = np.zeros((n, 1), dtype=np.int64)
+    unit[G.identity] = 1
+    X = trivial_module(G, field)
+    Gf = green_from_monoid(X, Y, ModuleHom(tensor(Y, Y), Y, Mat(field, mul)),
+                           ModuleHom(X, Y, Mat(field, unit)))
+    bottom = next(S for S in Gf.underlying.subgroups if S.order == 1)
+    return Gf.products[bottom].scale(scale), Gf.units[bottom].scale(1 / Fraction(scale))
+
+
+def _laws_by_loops(L, u):
+    """The four arrays of `_algebra_laws`, one instance at a time: products
+    of Fraction vectors by a triple loop over L[i, k, j], reduced mod p over
+    F_p."""
+    r, p = L.shape[0], L.field.p
+    T = [[[Fraction(int(L.num[i, k, j]), L.den) for j in range(r)] for k in range(r)]
+         for i in range(r)]
+
+    def mul(x, y):
+        out = [Fraction(0)] * r
+        for i, j in itertools.product(range(r), range(r)):
+            if x[i] and y[j]:
+                out = [c + x[i] * y[j] * T[i][k][j] for k, c in enumerate(out)]
+        return [c % p for c in out] if p else out
+
+    e = [[Fraction(int(a == j)) for a in range(r)] for j in range(r)]
+    one = [Fraction(int(u.num[a, 0]), u.den) for a in range(r)]
+    return (np.array([mul(one, e[j]) == e[j] for j in range(r)]),
+            np.array([mul(e[j], one) == e[j] for j in range(r)]),
+            np.array([[mul(e[i], e[j]) == mul(e[j], e[i]) for j in range(r)] for i in range(r)]),
+            np.array([[[mul(mul(e[i], e[j]), e[k]) == mul(e[i], mul(e[j], e[k]))
+                        for k in range(r)] for j in range(r)] for i in range(r)]))
+
+
+def _assert_laws_match_loops(L, u):
+    got, want = _algebra_laws(L, u), _laws_by_loops(L, u)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    return got
+
+
+@pytest.mark.parametrize("field,scale", [(QQ, 1), (QQ, Fraction(1, 3)), (GF(3), 1)])
+def test_algebra_laws_match_a_triple_loop_on_a_noncommutative_algebra(field, scale):
+    L, u = _group_algebra_level(field, scale)
+    r = L.shape[0]
+    left, right, comm, assoc = _assert_laws_match_loops(L, u)
+    assert left.all() and right.all() and assoc.all()
+    assert not comm.all() and comm.diagonal().all()
+    e = int(np.flatnonzero(u.num[:, 0])[0])  # the identity element's basis index
+    i, j = next((i, j) for i in range(r) for j in range(r)
+                if e not in (i, j) and i != j and comm[i, j])
+    k = next(k for k in range(r) if k != j)
+
+    def tampered(at):
+        num = L.num.copy()
+        num[at] += 1
+        return Mat(field, num, L.den)
+
+    # one entry per law; the instances each flags are exactly the expected ones
+    flagged = _assert_laws_match_loops(tampered((e, k, j)), u)[0]
+    assert np.flatnonzero(~flagged).tolist() == [j]                      # u e_j gains e_k
+    flagged = _assert_laws_match_loops(tampered((j, k, e)), u)[1]
+    assert np.flatnonzero(~flagged).tolist() == [j]                      # e_j u gains e_k
+    flagged = _assert_laws_match_loops(tampered((i, k, j)), u)[2]
+    assert np.argwhere(flagged != comm).tolist() == [[i, j], [j, i]]      # e_i e_j gains e_k
+    # (e_i e_j) e_m gains e_k e_m, and e_i (e_j e_m) gains it too only at m = e
+    flagged = _assert_laws_match_loops(tampered((i, k, j)), u)[3]
+    assert np.flatnonzero(flagged[i, j]).tolist() == [e]

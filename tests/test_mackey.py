@@ -4,6 +4,7 @@ Burnside functor, convolution monoids, and the axiom checker itself
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from mackeykit.burnside import burnside_multiply, burnside_vector, gset_from_sub
 from mackeykit.catalog import builtin_group
 from mackeykit.linalg import GF, QQ, Mat
 from mackeykit.mackey import (
+    GreenFunctorData,
     OrdinaryMackeyFunctor,
     burnside_green_functor,
     cohomological_check,
@@ -22,6 +24,7 @@ from mackeykit.mackey import (
     verify_mackey_axioms,
 )
 from mackeykit.reps import (
+    Module,
     ModuleHom,
     frobenius_object,
     module_from_matrices,
@@ -367,9 +370,8 @@ def test_group_algebra_monoid_green_functor():
     assert verify_mackey_axioms(Gf.underlying).ok
     assert verify_green_axioms(Gf).ok
     triv = next(S for S in Gf.underlying.subgroups if S.order == 1)
-    L0, L1 = Gf.products[triv]
-    assert L0.num.tolist() == [[1, 0], [0, 1]]
-    assert L1.num.tolist() == [[0, 1], [1, 0]]
+    L = Gf.products[triv]
+    assert L.num.tolist() == [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
     # transfer from the bottom level doubles (relative trace over 2 cosets)
     full = next(S for S in Gf.underlying.subgroups if S.order == 2)
     assert Gf.underlying.tr[(triv, full)] == Mat.identity(f, 2).scale(2)
@@ -392,3 +394,67 @@ def test_green_from_monoid_rejects_nontrivial_comonoid():
     fro = frobenius_object(G, H, QQ)
     with pytest.raises(ValueError):
         green_from_monoid(fro.module, fro.module, fro.mul, fro.unit)
+
+
+def test_green_functor_data_refuses_a_level_of_the_wrong_shape():
+    """S3's top level is 4-dimensional: three products, or a unit with
+    three rows, name the level instead of failing inside the axiom suite."""
+    Gf = burnside_green_functor(builtin_group("s3"))
+    top = next(S for S in Gf.underlying.subgroups if S.order == 6)
+    assert Gf.products[top].shape == (4, 4, 4)
+    message = "^" + re.escape(f"level {top.elements} of dimension 4 needs a 4x4x4 product "
+                              "stack and a 4x1 unit over QQ") + "$"
+    for products, units in (({**Gf.products, top: Gf.products[top][:3]}, Gf.units),
+                            (Gf.products, {**Gf.units, top: Gf.units[top][:3]})):
+        with pytest.raises(ValueError, match=message):
+            GreenFunctorData(Gf.underlying, products, units)
+    with pytest.raises(ValueError, match="^level .* over QQ$"):
+        GreenFunctorData(Gf.underlying, {**Gf.products, top: Mat(GF(2), Gf.products[top].num)},
+                         Gf.units)
+
+
+def test_green_from_monoid_refuses_an_oversize_associativity_tensor_before_any_law(monkeypatch):
+    """d = 46 gives a d^4 tensor above the cap; the refusal comes before the
+    law check, as for the Frobenius laws."""
+    from mackeykit import mackey
+    from mackeykit.groups import GSet
+
+    G = builtin_group("c2")
+    Y = Module(G, QQ, 46, gset=GSet(G, np.tile(np.arange(46), (G.order, 1))))
+    X = trivial_module(G, QQ)
+    mul = ModuleHom(tensor(Y, Y), Y, Mat.zeros(QQ, 46, 46 ** 2), check=False)
+    unit = ModuleHom(X, Y, Mat.zeros(QQ, 46, 1), check=False)
+    monkeypatch.setattr(mackey, "_algebra_laws", None)  # a call would raise TypeError
+    with pytest.raises(ValueError, match="^associativity tensor would have 4477456 entries, "
+                                         "above the cap of 4194304$"):
+        green_from_monoid(X, Y, mul, unit)
+
+
+def test_every_algebra_law_check_goes_through_one_routine(monkeypatch):
+    """Z(kG), the crossed Burnside ring, the Frobenius monoid and comonoid,
+    the input of green_from_monoid and every Green functor level are checked
+    by linalg._algebra_laws, once each."""
+    from mackeykit import burnside, linalg, mackey, reps
+
+    dims = []
+
+    def spy(L, u):
+        dims.append(L.shape[0])
+        return linalg._algebra_laws(L, u)
+
+    for module in (burnside, reps, mackey):
+        monkeypatch.setattr(module, "_algebra_laws", spy)
+    G = builtin_group("s3")
+    assert burnside.CenterOfGroupAlgebra(G, GF(2)).dim == 3 and dims == [3]
+    dims.clear()
+    xb = burnside.CrossedBurnsideAlgebra(G)
+    assert dims == [xb.rank]
+    dims.clear()
+    fro = frobenius_object(G, next(S for S in G.subgroups_up_to_conjugacy() if S.order == 2), QQ)
+    assert fro.ok and dims == [3, 3]
+    dims.clear()
+    Gf = green_from_monoid(trivial_module(G, QQ), fro.module, fro.mul, fro.unit)
+    assert dims == [3]
+    dims.clear()
+    assert verify_green_axioms(Gf).ok
+    assert dims == [Gf.products[S].shape[0] for S in Gf.underlying.subgroups]

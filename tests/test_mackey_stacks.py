@@ -133,10 +133,11 @@ def reference_green(Gf):
 
     def product(H, u, v):
         out = Mat.zeros(f, v.nrows, 1)
-        for i, L in enumerate(Ls_of[H]):
+        L = Ls_of[H]
+        for i in range(u.nrows):
             c = u.num[i, 0]
             if c:
-                out = out + (L @ v).scale(int(c) if f.p is not None else Fraction(int(c), u.den))
+                out = out + (L[i] @ v).scale(int(c) if f.p is not None else Fraction(int(c), u.den))
         return out
 
     def e(d, j):
@@ -207,7 +208,7 @@ def rescaled(Gf, scale):
     res = {(K, H): m.scale(s[H] / s[K]) for (K, H), m in M.res.items()}
     tr = {(K, H): m.scale(s[K] / s[H]) for (K, H), m in M.tr.items()}
     M2 = OrdinaryMackeyFunctor(M.group, M.field, M.levels, res, tr, M.conj)
-    products = {H: [L.scale(s[H]) for L in Ls] for H, Ls in Gf.products.items()}
+    products = {H: L.scale(s[H]) for H, L in Gf.products.items()}
     units = {H: u.scale(1 / s[H]) for H, u in Gf.units.items()}
     return GreenFunctorData(M2, products, units)
 
@@ -219,7 +220,7 @@ def corrupted(Gf, kind, seed):
     M = Gf.underlying
     shift = Mat.identity(M.field, 1).scale(Fraction(1, 2) if M.field.p is None else 1)
     maps = {"res": dict(M.res), "tr": dict(M.tr), "conj": dict(M.conj),
-            "T": {(H, i): L for H, Ls in Gf.products.items() for i, L in enumerate(Ls)}}
+            "T": {(H, i): L[i] for H, L in Gf.products.items() for i in range(L.shape[0])}}
     table = maps[kind]
     keys = [key for key, m in table.items() if m.nrows and m.ncols]
     key = keys[rng.integers(len(keys))]
@@ -229,7 +230,8 @@ def corrupted(Gf, kind, seed):
     bump[r, c] = 1
     table[key] = m + Mat(M.field, bump).scale(shift.entry(0, 0))
     M2 = OrdinaryMackeyFunctor(M.group, M.field, M.levels, maps["res"], maps["tr"], maps["conj"])
-    products = {H: [maps["T"][(H, i)] for i in range(len(Ls))] for H, Ls in Gf.products.items()}
+    products = {H: Mat.stack(M.field, [maps["T"][(H, i)] for i in range(L.shape[0])], L.shape[1:])
+                for H, L in Gf.products.items()}
     return GreenFunctorData(M2, products, Gf.units)
 
 
@@ -265,7 +267,7 @@ def test_batched_suites_match_reference_on_sound_functors(name):
 
 def test_wide_entries_take_the_object_path():
     Gf = FUNCTORS["burnside-v4-q-wide"]()
-    assert Gf.underlying._res.flat.num.dtype == object and Gf._T[-1].num.dtype == object
+    assert Gf.underlying._res.flat.num.dtype == object and Gf._L[-1].num.dtype == object
     assert any(m.num.dtype == object for m in Gf.underlying.res.values())
 
 
