@@ -15,22 +15,22 @@ biject with the double cosets K\\G/H, and the vertex group (the
 stabiliser) at the component of g is isomorphic to K n gHg^-1.
 
 A functor is its object map and cocycle, F(γ at x) = (F(x), π(x, γ)).
-Every check is exact and made at the generators s of Γ, which reach every
-composite: the action law at every (object, element, s), a functor's
-endpoints at every (object, s) and its cocycle law on every row of π (one
-when π is the same at every object), naturality at each (x, s), as squares
-paste.  Unit, inverse and associativity hold in Γ's checked factor tables.
+Every check is exact and one law, naturality at the generators s of Γ
+(`groups._unnatural`): the action is its case φ(γ) = (x -> γ·x), a functor's
+endpoints φ = its object map, its cocycle law φ = π on the objects (x, γ)
+with G((x, γ), s) = π(γ·x, s), a natural iso φ = its components.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import FiniteGroup, InjectiveHom, Subgroup
+from .groups import FiniteGroup, InjectiveHom, Subgroup, _in_range, _unnatural
 
 __all__ = [
     "FiniteGroupoid",
@@ -47,10 +47,6 @@ __all__ = [
     "IsocommaReport",
     "find_isomorphism",
 ]
-
-
-def _in_range(a: np.ndarray, n: int) -> bool:
-    return a.size == 0 or (int(a.min()) >= 0 and int(a.max()) < n)
 
 
 def _scalar_or_array(a):
@@ -81,6 +77,7 @@ class FiniteGroupoid:
         self.generators = np.array([self._join(ident[:i] + [s] + ident[i + 1:])
                                     for i, G in enumerate(self.factors)
                                     for s in G.generators()], dtype=np.int64)
+        self.gen_left = self._mul(self.generators, np.arange(self.order)[:, None])  # [γ, j]: s_j γ
 
     # ---- the group Γ, elementwise over arrays of element ids -------------
 
@@ -133,16 +130,15 @@ class FiniteGroupoid:
     def verify(self) -> None:
         """Exact check that `action` is an action of Γ: entries name objects,
         the identity acts trivially and s·(γ·x) = (sγ)·x for every generator
-        s and every (x, γ)."""
-        A = self.action
+        s and every (x, γ), column sγ being column s after column γ."""
+        A, gens = self.action, self.generators
         if not _in_range(A, self.n_objects):
             raise ValueError("action entries out of range")
         if not np.array_equal(A[:, self.identity], np.arange(self.n_objects)):
             raise ValueError("the identity must act trivially")
-        everything = np.arange(self.order)
-        for s in self.generators:
-            if not np.array_equal(A[A, s], A[:, self._mul(s, everything)]):
-                raise ValueError(f"generator {s} does not act compatibly")
+        bad = _unnatural(A.T, self.gen_left, G=A[:, gens].T[None]).any(axis=0)
+        if bad.any():
+            raise ValueError(f"generator {gens[bad.argmax()]} does not act compatibly")
 
 
 class GroupoidFunctor:
@@ -170,10 +166,10 @@ class GroupoidFunctor:
 
     def _validate(self) -> None:
         """Exact, at the generators s of Γ: π(x, e) = e; F(s·x) = π(x, s)·F(x)
-        at every object; π(x, sγ) = π(γx, s)·π(x, γ) on every row of π.
-        Induction on the word length of γ then gives F(γ·x) = π(x, γ)·F(x),
-        so every image has the right endpoints, and on that of δ gives
-        π(x, δγ) = π(γx, δ)·π(x, γ), so F respects every composite."""
+        at every object; π(x, sγ) = π(γx, s)·π(x, γ) on every row of π.  By
+        induction on word lengths F(γ·x) = π(x, γ)·F(x), so every image has
+        the right endpoints, and π(x, δγ) = π(γx, δ)·π(x, γ), so F respects
+        every composite."""
         S, T = self.source_gpd, self.target_gpd
         Fo, pi, rows, gens = self.obj_map, self.pi, len(self.pi), S.generators
         if Fo.shape != (S.n_objects,) or pi.shape[1:] != (S.order,) or rows not in (1, S.n_objects):
@@ -182,14 +178,14 @@ class GroupoidFunctor:
             raise ValueError("functor maps out of range")
         if np.any(pi[:, S.identity] != T.identity):
             raise ValueError("functor breaks the identity")
-        x = np.arange(S.n_objects)[:, None]
-        bad = np.flatnonzero((T.action[Fo[x], self.cocycle(x, gens)]
-                              != Fo[S.action[:, gens]]).any(axis=1))
+        bad = np.flatnonzero(_unnatural(Fo, S.action[:, gens], G=pi[:, gens],
+                                        mul=lambda g, y: T.action[y, g]).any(axis=1))
         if bad.size:
             raise ValueError(f"functor breaks endpoints at object {bad[0]}")
-        nxt = S.action[:rows] % rows  # the row of γ·x: itself, or the one row
-        if not np.array_equal(pi[:, S._mul(gens[:, None], np.arange(S.order))],
-                              T._mul(pi[nxt[:, None, :], gens[:, None]], pi[:, None, :])):
+        # the objects (x, γ) = x·|Γ| + γ on the rows of π, s·(x, γ) = (x, sγ)
+        act = (np.arange(rows)[:, None, None] * S.order + S.gen_left).reshape(pi.size, len(gens))
+        nxt = (S.action[:rows] % rows).reshape(-1, 1)  # the row of γ·x: itself, or the one row
+        if _unnatural(pi.reshape(-1), act, G=pi[nxt, gens], mul=T._mul).any():
             raise ValueError("functor breaks composition")
 
 
@@ -210,12 +206,11 @@ class NaturalIso:
         bad = np.flatnonzero((c // T.order != F.obj_map) | (T.mor_target[c] != G.obj_map))
         if bad.size:
             raise ValueError(f"component at object {bad[0]} has wrong endpoints")
-        x, gens, el = np.arange(S.n_objects)[:, None], S.generators, c % T.order
-        bad = np.flatnonzero(T._mul(el[S.action[:, gens]], F.cocycle(x, gens))
-                             != T._mul(G.cocycle(x, gens), el[:, None]))
-        if bad.size:
-            f = (x * S.order + gens).reshape(-1)[bad[0]]
-            raise ValueError(f"naturality square fails at morphism {f}")
+        gens = S.generators
+        bad = _unnatural(c % T.order, S.action[:, gens], F.pi[:, gens], G.pi[:, gens], T._mul)
+        if bad.any():
+            x, j = np.argwhere(bad)[0]
+            raise ValueError(f"naturality square fails at morphism {x * S.order + gens[j]}")
 
     def component(self, x: int) -> int:
         return int(self.components[x])
@@ -332,62 +327,31 @@ def skeletonize(gpd: FiniteGroupoid) -> SkeletonDecomposition:
 
 
 def find_isomorphism(A: FiniteGroup, B: FiniteGroup) -> Optional[List[int]]:
-    """An isomorphism A -> B as an element map, or None.
-
-    Backtracks over images of a small generating set of A, pruning by
-    element order, and verifies the full multiplication table vectorized.
-    """
-    if A.order != B.order:
-        return None
+    """An isomorphism A -> B as an element map, or None: images of A's
+    generators, tried in lexicographic order among the elements of their
+    orders, fix a map along a tree of words, which `InjectiveHom` checks."""
     ordA, ordB = A.element_orders(), B.element_orders()
-    if sorted(ordA.tolist()) != sorted(ordB.tolist()):
+    if A.order != B.order or sorted(ordA.tolist()) != sorted(ordB.tolist()):
         return None
     gens = A.generators()
-    if not gens:  # trivial group
-        return [B.identity]
-    # BFS words over the generators: phi is determined by the gen images
-    parent = np.full(A.order, -1, dtype=np.int64)
-    via = np.full(A.order, -1, dtype=np.int64)
-    order_found = [A.identity]
-    seen = {A.identity}
-    head = 0
-    while head < len(order_found):
-        w = order_found[head]
-        head += 1
+    # BFS words over the generators: w = parent[w]·gens[via[w]]
+    parent, via, order_found = {}, {}, [A.identity]
+    for w in order_found:
         for gi, s in enumerate(gens):
             ws = A.mul(w, s)
-            if ws not in seen:
-                seen.add(ws)
-                parent[ws] = w
-                via[ws] = gi
+            if ws != A.identity and ws not in parent:
+                parent[ws], via[ws] = w, gi
                 order_found.append(ws)
     if len(order_found) != A.order:
         raise RuntimeError("stored generators do not generate the group")
-
-    tableB = B.table
-    candidates = [[b for b in range(B.order) if ordB[b] == ordA[g]] for g in gens]
-
-    def build(images: List[int]) -> Optional[np.ndarray]:
-        phi = np.full(A.order, -1, dtype=np.int64)
-        phi[A.identity] = B.identity
+    for images in itertools.product(*(np.flatnonzero(ordB == ordA[g]).tolist() for g in gens)):
+        phi = {A.identity: B.identity}
         for w in order_found[1:]:
-            phi[w] = tableB[phi[parent[w]], images[via[w]]]
-        if len(set(phi.tolist())) != A.order:
-            return None
-        if np.array_equal(phi[A.table], tableB[np.ix_(phi, phi)]):
-            return phi
-        return None
-
-    stack: List[List[int]] = [[]]
-    while stack:
-        partial = stack.pop()
-        if len(partial) == len(gens):
-            phi = build(partial)
-            if phi is not None:
-                return [int(x) for x in phi]
+            phi[w] = B.mul(phi[parent[w]], images[via[w]])
+        try:
+            return list(InjectiveHom(A, B, tuple(phi[a] for a in range(A.order))).map)
+        except ValueError:
             continue
-        for c in reversed(candidates[len(partial)]):
-            stack.append(partial + [c])
     return None
 
 

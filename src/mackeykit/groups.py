@@ -19,6 +19,7 @@ questions about whole classes read the group's `SubgroupLattice` tables.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,10 +44,44 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ORDER = 10080
+_CHECK_ENTRIES = 1 << 12  # values of the naturality squares formed at once
 
 
 def max_order_cap() -> int:
     return int(os.environ.get("MACKEYKIT_MAX_ORDER", DEFAULT_MAX_ORDER))
+
+
+def _in_range(a: np.ndarray, n: int) -> bool:
+    return a.size == 0 or (int(a.min()) >= 0 and int(a.max()) < n)
+
+
+def _after(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """f o g for [object, generator] grids of maps over their last axis, f the
+    same at every object: f[0, j, g[x, j, i]], one gather."""
+    return np.take(f, g if f.shape[1] == 1 else g + f.shape[2] * np.arange(f.shape[1])[:, None])
+
+
+def _unnatural(phi, act: np.ndarray, F=None, G=None, mul=None) -> np.ndarray:
+    """Naturality at the generators, the one law of every action, hom, functor
+    and natural transformation checked here (squares paste, so it then holds
+    at every morphism): bad[x, j] is whether phi(s_j·x) o F(x, s_j) !=
+    G(x, s_j) o phi(x), where act[x, j] = s_j·x.  F and G give a value per
+    (x, j), with an object axis of length 1 if constant; None is the identity.
+    `Mat` values compose by their product, ints by `mul` (default `_after`)."""
+    maps = isinstance(phi, np.ndarray)
+    mul = mul or (_after if maps else operator.matmul)
+    step = max(1, _CHECK_ENTRIES // max(1, phi.size if maps else phi.num.size))
+    bad = np.empty(act.shape, dtype=bool)
+    for j in range(0, act.shape[1], step):
+        at, J = act[:, j:j + step], slice(j, j + step)
+        if F is None:
+            lhs = phi[at]
+        else:  # maps compose within the gather: phi(s·x)[F(x, s)]
+            lhs = phi[at[..., None], F[:, J]] if mul is _after else mul(phi[at], F[:, J])
+        rhs = phi[:, None] if G is None else mul(G[:, J], phi[:, None])
+        differ = lhs != rhs if maps else ~lhs.eq(rhs)
+        bad[:, J] = differ if differ.ndim == 2 else differ.any(axis=tuple(range(2, differ.ndim)))
+    return bad
 
 
 def _mask_key(mask: np.ndarray) -> int:
@@ -124,7 +159,7 @@ class FiniteGroup:
     def _check_table(self) -> None:
         n = self.order
         t = self.table
-        if t.size and (t.min() < 0 or t.max() >= n):
+        if not _in_range(t, n):
             raise ValueError("table entries out of range")
         ar = np.arange(n, dtype=np.int32)
         sorted_rows = np.sort(t, axis=1)
@@ -136,14 +171,13 @@ class FiniteGroup:
         if not (np.array_equal(t[e], ar) and np.array_equal(t[:, e], ar)):
             raise ValueError(f"element {e} is not a two-sided identity")
         # Light's test: when every element is e·s_1·...·s_k for generators
-        # s_i, (xy)s = x(ys) for all x, y and each generator s gives
-        # (xy)z = x(yz) for every z, by induction on the length of z
+        # s_i, R_ys = R_s o R_y for the right translations R_y: x -> xy and each
+        # generator s gives (xy)z = x(yz) for every z, by induction on its length
         gens = self.generators()
         if self._closure(gens)[0] != (1 << n) - 1:
             raise ValueError("the generators do not reach every element")
-        for s in gens:
-            if not np.array_equal(t[:, s][t], t[:, t[:, s]]):
-                raise ValueError("multiplication table is not associative")
+        if _unnatural(t.T, t[:, gens], G=t[:, gens].T[None]).any():
+            raise ValueError("multiplication table is not associative")
 
     # ---- element arithmetic ----------------------------------------------
 
@@ -268,7 +302,7 @@ class FiniteGroup:
         """The subgroup on these elements: one object per distinct element
         set, validated the first time the set is seen."""
         el = np.fromiter(elements, dtype=np.int64)
-        if el.size and (el.min() < 0 or el.max() >= self.order):
+        if not _in_range(el, self.order):
             raise ValueError("subgroup elements out of range")
         mask = np.zeros(self.order, dtype=bool)
         mask[el] = True
@@ -594,23 +628,26 @@ class SubgroupLattice:
 
 @dataclass(frozen=True)
 class InjectiveHom:
-    """An injective group homomorphism given elementwise."""
+    """An injective group homomorphism given elementwise, checked at the generators."""
 
     source: FiniteGroup
     target: FiniteGroup
     map: Tuple[int, ...]
 
     def __post_init__(self):
+        H, G = self.source, self.target
         m = np.asarray(self.map, dtype=np.int64)
-        if m.shape != (self.source.order,):
+        if m.shape != (H.order,):
             raise ValueError("hom map has wrong length")
-        if len(set(self.map)) != self.source.order:
+        if not _in_range(m, G.order):
+            raise ValueError("hom map out of range")
+        if len(set(self.map)) != H.order:
             raise ValueError("hom is not injective")
-        if self.map[self.source.identity] != self.target.identity:
+        if self.map[H.identity] != G.identity:
             raise ValueError("hom does not preserve the identity")
-        lhs = m[self.source.table]
-        rhs = self.target.table[np.ix_(m, m)]
-        if not np.array_equal(lhs, rhs):
+        gens = H.generators()
+        if _unnatural(m, H.table[gens].T, G=m[gens][None],
+                      mul=lambda a, b: G.table[a, b]).any():
             raise ValueError("map is not a homomorphism")
 
     def __call__(self, a: int) -> int:
@@ -690,17 +727,16 @@ class GSet:
 
     def verify(self) -> None:
         """Exact check that the table is an action: entries name points, the
-        identity acts trivially and s.(g.x) = (sg).x for every generator s
-        and every g, which gives (wg).x = w.(g.x) for every word w in the
-        generators."""
+        identity acts trivially and row sg is row s after row g (`_unnatural`)
+        for every generator s and every g, so for every word in them."""
         A, G = self.action, self.group
-        if A.size and (A.min() < 0 or A.max() >= self.size):
+        if not _in_range(A, self.size):
             raise ValueError("action table entries out of range")
         if not np.array_equal(A[G.identity], np.arange(self.size)):
             raise ValueError("identity must act trivially")
-        for s in G.generators():
-            if not np.array_equal(A[s][A], A[G.table[s]]):
-                raise ValueError("action is not a homomorphism")
+        gens = G.generators()
+        if _unnatural(A, G.table[gens].T, G=A[gens][None]).any():
+            raise ValueError("action is not a homomorphism")
 
     @property
     def size(self) -> int:

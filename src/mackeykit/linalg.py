@@ -532,10 +532,6 @@ class Mat:
         """Column-major flattening as a single column."""
         return Mat(self.field, self.num.T.reshape(-1, 1).copy(), self.den)
 
-    @classmethod
-    def unvec(cls, field: Field, v: "Mat", nrows: int, ncols: int) -> "Mat":
-        return cls(field, v.num.reshape(ncols, nrows).T.copy(), v.den)
-
     # ---- elimination ----------------------------------------------------
 
     def rref(self) -> Tuple["Mat", List[int]]:

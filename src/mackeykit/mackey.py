@@ -47,7 +47,7 @@ import numpy as np
 
 from .groups import FiniteGroup, Subgroup
 from .linalg import _BATCH_ENTRIES, Field, Mat, QQ, _algebra_laws, _isum_segments
-from .reps import Module, ModuleHom, _refuse_oversize, hom_space, restrict_to
+from .reps import Module, ModuleHom, hom_space, restrict_to
 
 __all__ = [
     "OrdinaryMackeyFunctor",
@@ -547,7 +547,6 @@ def green_from_monoid(X: Module, Y: Module, mul: ModuleHom, unit: ModuleHom) -> 
     d = Y.dim
     if mul.mat.shape != (d, d * d) or unit.mat.shape != (d, 1):
         raise ValueError("multiplication/unit have wrong shapes")
-    _refuse_oversize(d ** 4, "associativity tensor")
     left, right, _, assoc = _algebra_laws(mul.mat.reshape(d, d, d).transpose(1, 0, 2), unit.mat)
     if not assoc.all():
         raise ValueError("input multiplication is not associative")

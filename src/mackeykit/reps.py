@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import FiniteGroup, GSet, InjectiveHom, Subgroup, gset_from_subgroup
+from .groups import FiniteGroup, GSet, InjectiveHom, Subgroup, _unnatural, gset_from_subgroup
 from .linalg import Field, Mat, _algebra_laws, _pow_mod_stack, _rank_mod_stack, perm_to_mat
 
 __all__ = [
@@ -105,10 +105,10 @@ class Module:
     from them stay in this form) or one stack `Mat` A of shape
     [|G|, dim, dim], A[g] the matrix of g.  The matrices passed in are
     stacked once and `action(g)` copies a slice, so editing either leaves
-    the module as it was.  Construction checks the action exactly:
-    A(e) = I and A(s)A(g) = A(sg) for every generator s and every g, which
-    proves A is a homomorphism.  Modules derived by the functors in this
-    file are built by `_of`, skipping the re-check.
+    the module as it was.  Construction checks the action exactly, as every
+    functor is checked (`groups._unnatural`): A(e) = I and A(sg) = A(s)A(g)
+    for every generator s and every g.  Modules derived by the functors in
+    this file are built by `_of`, skipping the re-check.
     """
 
     def __init__(self, group: FiniteGroup, field: Field, dim: int, gset: Optional[GSet] = None,
@@ -150,16 +150,17 @@ class Module:
     def action_inv(self, g: int) -> Mat:
         return self.action(self.group.inv(g))
 
-    def _stack(self) -> Mat:
-        """The action stack, for either kind of module."""
+    def _stack(self, elements=slice(None)) -> Mat:
+        """The action stack A[g] of either kind of module, of every g or of the listed ones."""
         if self.gset is None:
-            return self._A
-        A = np.zeros((self.group.order, self.dim, self.dim), dtype=np.int64)
-        A[np.arange(self.group.order)[:, None], self.gset.action, np.arange(self.dim)] = 1
+            return self._A[elements]
+        rows = self.gset.action[elements]
+        A = np.zeros(rows.shape + (self.dim,), dtype=np.int64)
+        A[np.arange(len(rows))[:, None], rows, np.arange(self.dim)] = 1
         return Mat._of(self.field, A)
 
     def verify_action(self) -> None:
-        """Exact check: A(e) = I and A(s)A(g) = A(sg) for every generator s
+        """Exact check: A(e) = I and A(sg) = A(s)A(g) for every generator s
         and every g, one stacked product A(s)A per generator; a failure
         names the first pair (s, g) in that order."""
         if self.gset is not None:
@@ -168,10 +169,11 @@ class Module:
         G, A = self.group, self._A
         if A[G.identity] != Mat.identity(self.field, self.dim):
             raise ValueError("identity does not act as the identity")
-        for s in G.generators():
-            bad = ~(A[s] @ A).eq(A[G.table[s]]).reshape(G.order, -1).all(axis=1)
-            if bad.any():
-                raise ValueError(f"action is not a homomorphism at pair {(s, int(bad.argmax()))}")
+        gens = G.generators()
+        bad = _unnatural(A, G.table[gens].T, G=A[gens][None])
+        if bad.any():
+            j, g = np.argwhere(bad.T)[0]
+            raise ValueError(f"action is not a homomorphism at pair {(gens[j], int(g))}")
 
     def label(self, idx: int):
         return self.basis_labels[idx] if self.basis_labels is not None else idx
@@ -182,10 +184,10 @@ class Module:
 
 
 class ModuleHom:
-    """A kG-linear map, verified to intertwine the two actions.
-
-    Intertwining is checked on a generating set, which proves it for every
-    element since both actions are verified homomorphisms.
+    """A kG-linear map, verified to intertwine the two actions: a natural
+    transformation between the two functors, checked as every one is
+    (`groups._unnatural`), f A_M(s) = A_N(s) f at each generator s, which
+    proves it for every element since both actions are homomorphisms.
     """
 
     def __init__(self, source: Module, target: Module, mat: Mat, check: bool = True):
@@ -199,15 +201,7 @@ class ModuleHom:
         self.target = target
         self.mat = mat
         if check:
-            perm = source.is_permutation and target.is_permutation
-            for s in source.group.generators():
-                if perm:  # f[s.y, s.x] = f[y, x], one gather
-                    ok = np.array_equal(
-                        mat.num[np.ix_(target.gset.action[s], source.gset.action[s])], mat.num)
-                else:
-                    ok = mat @ source.action(s) == target.action(s) @ mat
-                if not ok:
-                    raise ValueError(f"map does not intertwine generator {s}")
+            _check_intertwines(source, target, mat)
 
     def __matmul__(self, other: "ModuleHom") -> "ModuleHom":
         if other.target is not self.source:
@@ -230,6 +224,20 @@ class ModuleHom:
 
     def __repr__(self) -> str:
         return f"ModuleHom({self.source.dim} -> {self.target.dim} over {self.mat.field!r})"
+
+
+def _check_intertwines(M: Module, N: Module, f: Mat) -> None:
+    """Refuse f: M -> N, or a stack of such maps, unless f A_M(s) = A_N(s) f at
+    each generator s: between permutation modules f[s·y, s·x] = f[y, x]."""
+    gens = M.group.generators()
+    if M.is_permutation and N.is_permutation and f.num.ndim == 2:
+        bad = _unnatural(f.num, N.gset.action[gens].T, F=M.gset.action[gens][None])
+    else:  # each map of a stack is a natural transformation on its own
+        f = f[None] if f.num.ndim == 2 else f
+        bad = _unnatural(f, np.arange(f.shape[0])[:, None].repeat(len(gens), axis=1),
+                         M._stack(gens)[None], N._stack(gens)[None])
+    if bad.any():
+        raise ValueError(f"map does not intertwine generator {gens[bad.any(axis=0).argmax()]}")
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +662,7 @@ def hom_space(M: Module, N: Module) -> List[ModuleHom]:
         lab = act.min(axis=0)  # orbit minimum per point
         # a G-invariant labelling makes every indicator equivariant: one gather
         # per generator checks them all
-        if any(not np.array_equal(lab[act[s]], lab) for s in M.group.generators()):
+        if _unnatural(lab, act[M.group.generators()].T).any():
             raise ArithmeticError("orbit labelling of X x Y is not G-invariant")
         return [ModuleHom(M, N, Mat(f, (lab == m).reshape(M.dim, N.dim).T.astype(np.int64)),
                           check=False)
@@ -665,7 +673,8 @@ def hom_space(M: Module, N: Module) -> List[ModuleHom]:
     if basis.ncols == 0:
         return []
     E = _echelon_basis(basis.T.reshape(basis.ncols, M.dim, N.dim).transpose(0, 2, 1))
-    return [ModuleHom(M, N, E[k].copy()) for k in range(E.shape[0])]
+    _check_intertwines(M, N, E)
+    return [ModuleHom(M, N, E[k].copy(), check=False) for k in range(E.shape[0])]
 
 
 def _may_be_isomorphic(M: Module, N: Module) -> bool:
@@ -848,18 +857,12 @@ def decompose(M: Module, seed: int = 0) -> DecompositionResult:
 
     B = _end_basis(M) if M.dim > 1 else None
     leaves, P = split(M, B, 0)
-    # certificate: P^-1 A(s) P is block diagonal with the leaf actions
-    gens = list(M.group.generators()) + [M.group.identity]
-    Pinv = P.inv()
-    C = Pinv @ (M._stack()[gens] @ P)
-    off = 0
-    for leaf in leaves:
-        nxt = off + leaf.dim
-        if C[:, off:nxt, off:nxt] != leaf._stack()[gens]:
-            raise DecompositionError("certificate verification failed")
-        if C.num[:, off:nxt, nxt:].any() or C.num[:, nxt:, off:nxt].any():
-            raise DecompositionError("certificate has off-diagonal leakage")
-        off = nxt
+    # certificate: the invertible P intertwines the sum of the leaves with M
+    gens, Pinv = M.group.generators(), P.inv()
+    leaves_at = Mat.block_diag(M.field, [leaf._stack(gens) for leaf in leaves])
+    if _unnatural(P[None], np.zeros((1, len(gens)), dtype=np.int64), leaves_at[None],
+                  M._stack(gens)[None]).any():
+        raise DecompositionError("certificate verification failed")
     iso_classes: List[Tuple[int, List[int]]] = []
     E = None  # P^-1 End(M) P, formed when two leaves are first compared
     for idx, leaf in enumerate(leaves):

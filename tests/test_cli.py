@@ -97,6 +97,12 @@ REPORT_SHA256 = {
         "c5c39be185b753c96f9d544f456b49f501e3b760d8cc6d35cf3d10c888be193d",
     ("verify", "--group", "s3"):
         "fbd62f90b2f3ca6b1140e7a50a682a2b21bbea9c2e6d92c7ba88c994382d823d",
+    ("verify", "--group", "s4", "--prime", "2"):
+        "93e393c2c4ff4c246661f2da3908b4cbde42274977feb434177e46444328f688",
+    ("verify", "--group", "s4", "--prime", "3"):
+        "24dafb1bab8a2cf11617a801c17cb8cc2b6aecd1709863ab67cbb51a992c3c20",
+    ("verify", "--group", "a4", "--prime", "3"):
+        "c9b19aab7983d09ea4ae22f42da901eb9f1b91da2f77240e651bbd74d817d27f",
 }
 # the constant functor's report names no field, so Q, F_2 and F_3 give the
 # same bytes

@@ -49,6 +49,23 @@ def test_functor_validation_rejects_broken_map():
         GroupoidFunctor(one, gpd, [0], [1])
 
 
+def test_groupoid_action_rejects_a_table_wrong_in_one_non_generator_column():
+    """S4 on its four points: the action law is checked at the generators
+    only, so a column that is no generator's, corrupted alone (still a
+    permutation of the objects), is the control that the generators reach
+    it."""
+    G = group_from_generators(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
+    action = np.ascontiguousarray(G.perms.T)  # action[x, γ] = γ(x)
+    gpd = FiniteGroupoid([G], action)
+    gpd.verify()
+    col = next(g for g in range(G.order)
+               if g != G.identity and g not in gpd.generators.tolist())
+    broken = action.copy()
+    broken[[0, 1], col] = broken[[1, 0], col]
+    with pytest.raises(ValueError, match="^generator [0-9]+ does not act compatibly$"):
+        FiniteGroupoid([G], broken).verify()
+
+
 def test_natural_iso_rejects_non_natural_components():
     G = builtin_group("s3")
     gpd = groupoid_from_group(G)

@@ -12,6 +12,7 @@ import pytest
 from mackeykit.catalog import BUILTIN_NAMES, builtin_group
 from mackeykit.groups import (
     FiniteGroup,
+    InjectiveHom,
     group_from_generators,
     group_from_table,
     gset_from_subgroup,
@@ -351,6 +352,40 @@ def test_inclusion_hom_composition():
     comp = inc.compose(inner)
     for i in range(V.order):
         assert comp(i) == inc(inner(i))
+
+
+def test_injective_hom_refusals():
+    """Every refusal of InjectiveHom, on maps S3 -> S4 made from the
+    inclusion.  The hom law is checked at the generators only, so the map
+    wrong at one element that is no generator, still injective and still
+    sending e to e, is the control that the generators reach that element."""
+    G = builtin_group("s4")
+    H = next(S for S in G.subgroups_up_to_conjugacy() if S.order == 6)
+    Hgrp, el = H.as_group()
+    InjectiveHom(Hgrp, G, el)
+    e, gens = Hgrp.identity, Hgrp.generators()
+    x = next(a for a in range(Hgrp.order) if a != e and a not in gens)
+    y = next(a for a in range(Hgrp.order) if a not in (e, x))
+    outside = next(g for g in range(G.order) if g not in H)
+
+    def replaced(**images):
+        m = list(el)
+        for a, g in images.items():
+            m[{"e": e, "x": x, "y": y}[a]] = g
+        return tuple(m)
+
+    with pytest.raises(ValueError, match="^hom map has wrong length$"):
+        InjectiveHom(Hgrp, G, el[:-1])
+    with pytest.raises(ValueError, match="^hom map out of range$"):
+        InjectiveHom(Hgrp, G, replaced(x=-1))
+    with pytest.raises(ValueError, match="^hom is not injective$"):
+        InjectiveHom(Hgrp, G, replaced(x=el[y]))
+    with pytest.raises(ValueError, match="^hom does not preserve the identity$"):
+        InjectiveHom(Hgrp, G, replaced(e=el[y], y=el[e]))
+    wrong = replaced(x=outside)
+    assert len(set(wrong)) == Hgrp.order and wrong[e] == G.identity
+    with pytest.raises(ValueError, match="^map is not a homomorphism$"):
+        InjectiveHom(Hgrp, G, wrong)
 
 
 def test_group_from_generators_bfs_order():

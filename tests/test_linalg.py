@@ -205,11 +205,6 @@ def test_kron_vec_convention():
     assert lhs == rhs
 
 
-def test_vec_unvec_roundtrip():
-    m = Mat(GF(3), np.arange(12).reshape(3, 4))
-    assert Mat.unvec(GF(3), m.vec(), 3, 4) == m
-
-
 def test_block_diag_and_stacks():
     a = Mat(QQ, np.array([[1]]))
     b = Mat(QQ, np.array([[2, 3], [4, 5]]))

@@ -24,6 +24,7 @@ from mackeykit.mackey import (
     verify_mackey_axioms,
 )
 from mackeykit.reps import (
+    MAX_DENSE_ENTRIES,
     Module,
     ModuleHom,
     frobenius_object,
@@ -413,10 +414,10 @@ def test_green_functor_data_refuses_a_level_of_the_wrong_shape():
                          Gf.units)
 
 
-def test_green_from_monoid_refuses_an_oversize_associativity_tensor_before_any_law(monkeypatch):
-    """d = 46 gives a d^4 tensor above the cap; the refusal comes before the
-    law check, as for the Frobenius laws."""
-    from mackeykit import mackey
+def test_green_from_monoid_checks_the_laws_of_a_monoid_past_the_dense_cap():
+    """d = 46, whose d^4 associativity tensor would pass MAX_DENSE_ENTRIES:
+    the batched law check never builds it, so the zero multiplication
+    reaches the laws and is refused for its unit."""
     from mackeykit.groups import GSet
 
     G = builtin_group("c2")
@@ -424,9 +425,8 @@ def test_green_from_monoid_refuses_an_oversize_associativity_tensor_before_any_l
     X = trivial_module(G, QQ)
     mul = ModuleHom(tensor(Y, Y), Y, Mat.zeros(QQ, 46, 46 ** 2), check=False)
     unit = ModuleHom(X, Y, Mat.zeros(QQ, 46, 1), check=False)
-    monkeypatch.setattr(mackey, "_algebra_laws", None)  # a call would raise TypeError
-    with pytest.raises(ValueError, match="^associativity tensor would have 4477456 entries, "
-                                         "above the cap of 4194304$"):
+    assert 46 ** 4 > MAX_DENSE_ENTRIES
+    with pytest.raises(ValueError, match="^input multiplication is not unital$"):
         green_from_monoid(X, Y, mul, unit)
 
 

@@ -1362,3 +1362,63 @@ def test_dense_module_is_a_snapshot_of_its_matrices():
             N.action(g).num[...] = 5
         assert [N.action(g).to_fractions() for g in range(G.order)] == before
         N.verify_action()
+
+
+def test_every_naturality_check_goes_through_one_routine(monkeypatch):
+    """A group table, an injective hom, a G-set, a groupoid's action, a
+    functor's endpoints and cocycle, a natural iso, a module's action, a
+    module map, hom_space's orbit labelling and its dense basis are each one
+    call of groups._unnatural."""
+    from mackeykit import groupoids, groups
+
+    real, calls = groups._unnatural, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].shape)
+        return real(*args, **kwargs)
+
+    for module in (groups, groupoids, reps):
+        monkeypatch.setattr(module, "_unnatural", spy)
+
+    def count(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    G = builtin_group("s3")
+    H = next(S for S in G.subgroups_up_to_conjugacy() if S.order == 2)
+    Hgrp, el = H.as_group()
+    gpd = groupoids.groupoid_from_group(G)
+    ident = groupoids.GroupoidFunctor(gpd, gpd, [0], list(range(G.order)))
+    X, sign = permutation_module(G, H, QQ), sign_module(QQ)
+    assert count(groups.group_from_table, G.table.tolist()) == 1
+    assert count(groups.InjectiveHom, Hgrp, G, el) == 1
+    assert count(GSet, G, X.gset.action) == 1
+    assert count(gpd.verify) == 1
+    assert count(groupoids.GroupoidFunctor, gpd, gpd, [0], list(range(G.order))) == 2
+    assert count(groupoids.NaturalIso, ident, ident, [G.identity]) == 1
+    assert count(module_from_matrices, G, QQ, [sign.action(g) for g in range(G.order)]) == 1
+    assert count(ModuleHom, X, X, Mat.identity(QQ, X.dim)) == 1
+    assert count(ModuleHom, sign, sign, Mat.identity(QQ, 1)) == 1
+    assert count(hom_space, X, X) == 1
+    assert count(hom_space, sign, sign) == 1
+
+
+def test_hom_space_checks_its_dense_basis_as_one_stack(monkeypatch):
+    """The nullspace basis of a dense hom space is checked as one stack: a
+    basis with one entry moved is refused, naming a generator."""
+    G = builtin_group("s3")
+    C3 = next(S for S in G.subgroups_up_to_conjugacy() if S.order == 3)
+    X, sign = permutation_module(G, C3, QQ), sign_module(QQ)
+    assert len(hom_space(X, sign)) == 1
+    real = reps._echelon_basis
+
+    def moved(S):
+        E = real(S)
+        num = E.num.copy()
+        num[0, 0, 0] += E.den
+        return Mat(QQ, num, E.den)
+
+    monkeypatch.setattr(reps, "_echelon_basis", moved)
+    with pytest.raises(ValueError, match="^map does not intertwine generator [0-9]+$"):
+        hom_space(X, sign)
