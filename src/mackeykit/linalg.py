@@ -11,6 +11,7 @@ dtype) before they could overflow, and drop back once they fit again.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,6 +196,11 @@ def _rank_mod_stack(a: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The residues mod p of the exact product `_imatmul(a, b)`, in int64."""
+    return (_imatmul(a, b) % p).astype(np.int64)
+
+
 def _pow_mod_stack(a: np.ndarray, e: int, p: int) -> np.ndarray:
     """a[k]^e mod p for every square matrix of a stack, by square and
     multiply through the stacked exact product `_imatmul`."""
@@ -202,10 +208,10 @@ def _pow_mod_stack(a: np.ndarray, e: int, p: int) -> np.ndarray:
     base = np.asarray(a, dtype=np.int64) % p
     while e:
         if e & 1:
-            out = base if out is None else (_imatmul(out, base) % p).astype(np.int64)
+            out = base if out is None else _mulmod(out, base, p)
         e >>= 1
         if e:
-            base = (_imatmul(base, base) % p).astype(np.int64)
+            base = _mulmod(base, base, p)
     if out is None:
         return np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape).copy()
     return out
@@ -657,6 +663,79 @@ def _algebra_laws(L: Mat, u: Mat) -> Tuple[np.ndarray, np.ndarray, np.ndarray, n
             eq = (d % p if d.dtype == object else np.fmod(d, p)) == 0
         assoc[i:i + step] = True if eq.all() else eq.all(axis=2)
     return left_unit, right_unit, comm, assoc
+
+
+def _span_mod(chunks: Iterable[np.ndarray], p: int, e: int) -> Tuple[np.ndarray, List[int]]:
+    """A basis of the span over F_p of the rows of every chunk [n, e], as
+    rows R [m, e] with pivot columns `piv` (R[:, piv] is the identity).
+
+    Each chunk is reduced against R by one exact product and only what is
+    left is eliminated, so no more than one chunk and R are held at once;
+    the chunks stop being read once R spans F_p^e."""
+    R, piv = np.zeros((0, e), dtype=np.int64), []
+    for V in chunks:
+        if len(piv) == e:
+            break
+        if piv:
+            V = (V - _mulmod(V[:, piv], R, p)) % p
+        V = V[V.any(axis=1)]
+        if len(V):
+            W, new = rref_mod(V, p)
+            W = W[:len(new)]
+            R = np.concatenate([(R - _mulmod(R[:, new], W, p)) % p, W])
+            piv = piv + new
+    return R, piv
+
+
+def _is_local_algebra(L: Mat) -> bool:
+    """Whether the unital associative algebra E over F_p with left-
+    multiplication stack L[i, k, j] (the coefficient of b_k in b_i b_j, as
+    in `_algebra_laws`) is local, decided exactly.
+
+    Let N be the two-sided ideal generated by the commutators; it is
+    E [E, E], since [a, b] c = [a, bc] - b [a, c].  E is local iff E/N is
+    local and N is nilpotent.  If so, N lies in J(E) and units lift from
+    E/N.  Conversely E/J(E) is a finite division ring, hence a field
+    (Wedderburn), so N lies in J(E), and E/N is a quotient of a local ring.
+    E/N is commutative, so x -> x^p is F_p-linear on it, and its fixed
+    space has one dimension per local factor (in a local factor x = c + n
+    with c in F_p and n nilpotent, and x^p = x forces n^p = n, so n = 0):
+    E/N is local iff b_i^p - b_i and N span a space of dimension e - 1.
+    N is nilpotent iff its powers N, N^2, N^4, ... reach 0 before one
+    repeats.  Every span is built by `_span_mod` from chunks of at most
+    _BATCH_ENTRIES entries of products, all exact (`_mulmod`)."""
+    p, e, A = L.field.p, L.shape[0], L.num
+    step = max(1, _BATCH_ENTRIES // (e * e))
+    chunks = range(0, e, step)
+
+    def times(Lu: np.ndarray, V: np.ndarray) -> np.ndarray:
+        # the coordinates of u v for the u with left-multiplication stack Lu
+        # and every row v of V, u-major
+        return _mulmod(Lu, V.T, p).transpose(0, 2, 1).reshape(-1, e)
+
+    def left(U: np.ndarray) -> np.ndarray:
+        # the left-multiplication stacks of the rows of U, read off a few
+        # rows k of L at a time, so that no copy of L is made
+        return np.concatenate([_mulmod(U, A[:, k:k + step].reshape(e, -1), p)
+                               .reshape(len(U), -1, e) for k in chunks], axis=1)
+
+    swapped = A.transpose(2, 1, 0)  # [j, k, i]: the coefficient of b_k in b_i b_j
+    comm, _ = _span_mod((((A[i:i + step] - swapped[i:i + step]) % p).transpose(0, 2, 1)
+                         .reshape(-1, e) for i in chunks), p, e)
+    N, _ = _span_mod((times(A[i:i + step], comm) for i in chunks), p, e)
+    # N, then the coordinates of b_i^p - b_i; b_i^p is column i of L[i]^(p-1)
+    frobenius = itertools.chain([N], ((_pow_mod_stack(A[b], p - 1, p)[np.arange(len(b)), :, b]
+                                       - np.eye(e, dtype=np.int64)[b]) % p
+                                      for b in (np.arange(i, min(e, i + step)) for i in chunks)))
+    if len(_span_mod(frobenius, p, e)[1]) != e - 1:
+        return False
+    S = N
+    while len(S):
+        S2, _ = _span_mod((times(left(S[k:k + step]), S) for k in range(0, len(S), step)), p, e)
+        if len(S2) == len(S):  # S^2 = S is not 0
+            return False
+        S = S2
+    return True
 
 
 def perm_to_mat(field: Field, perm: Sequence[int]) -> Mat:

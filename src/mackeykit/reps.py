@@ -41,7 +41,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, GSet, InjectiveHom, Subgroup, _unnatural, gset_from_subgroup
-from .linalg import Field, Mat, _algebra_laws, _pow_mod_stack, _rank_mod_stack, perm_to_mat
+from .linalg import (Field, Mat, _BATCH_ENTRIES, _algebra_laws, _is_local_algebra, _mulmod,
+                     _pow_mod_stack, _rank_mod_stack, perm_to_mat)
 
 __all__ = [
     "Module",
@@ -737,15 +738,17 @@ def _combinations(B: Mat, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _sampled(B: Mat, seed: int):
-    """`make` for the seeded random combinations of B.  Each combination's
-    coefficients come from one `rng.integers(0, p, size=e)` call, drawn
-    only when a window asks for them; windows ask for consecutive rows, so
-    the stream is the one that a one-by-one search draws."""
+    """`make` for the seeded random combinations of B.  A window's
+    coefficients are one `rng.integers(0, p, size=(hi - lo, e))` draw, made
+    only when the window asks for them; numpy fills it row by row from the
+    stream that one `size=e` draw per combination reads, and windows ask
+    for consecutive rows, so the combinations are those that a one-by-one
+    search draws."""
     rng = np.random.default_rng(seed)
     e, p = B.shape[0], B.field.p
 
     def make(lo: int, hi: int) -> np.ndarray:
-        return _combinations(B, np.array([rng.integers(0, p, size=e) for _ in range(lo, hi)]))
+        return _combinations(B, rng.integers(0, p, size=(hi - lo, e)))
     return make
 
 
@@ -792,7 +795,9 @@ class DecompositionResult:
     summands: List[Module]
     transform: Mat  # P with P^-1 A(g) P block-diagonal in summand order
     iso_classes: List[Tuple[int, List[int]]]  # (representative index, member indices)
-    certified: bool  # every leaf's endomorphism ring certified local exhaustively
+    # every leaf's End is one-dimensional, or local (an exact test) with at
+    # most EXHAUSTIVE_END_CAP elements; a larger local End still reads False
+    certified: bool
 
     def multiplicities(self) -> List[Tuple[Module, int]]:
         return [(self.summands[rep], len(members)) for rep, members in self.iso_classes]
@@ -801,16 +806,18 @@ class DecompositionResult:
 def decompose(M: Module, seed: int = 0) -> DecompositionResult:
     """Split M into indecomposable summands with a change-of-basis certificate.
 
-    Splitting elements are drawn from End(M) in a fixed order: basis
-    elements, pairwise products, then seeded random combinations; a z with
+    Splitting elements are drawn from End(M) in a fixed order
+    (`_find_splitter`): basis elements, then, only when End is not local,
+    pairwise products, seeded random combinations and, when |End| is at
+    most EXHAUSTIVE_END_CAP, every combination; a z with
     0 < rank(z^dim) < dim yields a Fitting splitting ker(z^dim) + im(z^dim).
     The candidates are tested in batches, and the first one that splits is
     used, the same one that testing them one by one would find, so the
-    result does not depend on the batching.  A leaf is accepted when End is
-    one-dimensional or, when |End| is at most EXHAUSTIVE_END_CAP, after an
-    exhaustive search finds no splitting element (a complete locality
-    test); otherwise every sampled candidate was nilpotent or invertible
-    and the leaf is marked uncertified.
+    result does not depend on the batching.  A leaf is an X whose End(X) is
+    local, decided exactly by `linalg._is_local_algebra`; it is certified
+    when End(X) is one-dimensional or has at most EXHAUSTIVE_END_CAP
+    elements.  A larger local End(X), and a non-local one in which no
+    sampled candidate splits, leave the leaf uncertified.
 
     End(M) is one `hom_space` call.  After X = X1 + X2 is split by P, End(Xi)
     is spanned by the blocks (P^-1 f P)_ii over End(X), and Hom(Xi, Xj) by
@@ -895,45 +902,93 @@ def _echelon_basis(S: Mat) -> Mat:
     return R[:len(piv)].reshape(len(piv), c, r).transpose(0, 2, 1)
 
 
+def _end_structure(B: Mat) -> Mat:
+    """The structure tensor L[i, k, j] (the coefficient of b_k in b_i b_j,
+    `_algebra_laws`' layout) of the matrix algebra spanned by the stack B
+    [e, d, d] over F_p, reduced by `_echelon_basis` first unless it is
+    already in that form.  An element's coordinates in the echelon basis
+    are its entries at the pivots (r_k, c_k), so L[i, k, j] is
+    sum_t b_i[r_k, t] b_j[t, c_k]: one gather of rows r_k and columns c_k
+    and one stacked product, a few pivots at a time; no d x d product is
+    formed."""
+    e, d, _ = B.shape
+    c, r = np.divmod((B.num != 0).transpose(0, 2, 1).reshape(e, d * d).argmax(axis=1), d)
+    if not (np.all(np.diff(c * d + r) > 0) and np.array_equal(B.num[:, r, c],
+                                                              np.eye(e, dtype=np.int64))):
+        return _end_structure(_echelon_basis(B))
+    step, p = max(1, _BATCH_ENTRIES // (e * d)), B.field.p
+    L = np.empty((e, e, e), dtype=np.int64)
+    for k in range(0, e, step):
+        L[:, k:k + step] = _mulmod(B.num[:, r[k:k + step]].transpose(1, 0, 2),  # [k, i, t]
+                                   B.num[:, :, c[k:k + step]].transpose(2, 1, 0),  # [k, t, j]
+                                   p).transpose(1, 0, 2)
+    return Mat._of(B.field, L)
+
+
+def _splitting(d: int, p: int):
+    """The vectorised test 0 < rank(z^d) < d of a Fitting splitting of a
+    d-dimensional module over F_p, for a stack of endomorphisms z; a
+    scalar z has rank(z^d) 0 or d, so it never passes."""
+    def splits(z: np.ndarray) -> np.ndarray:
+        r = _rank_mod_stack(_pow_mod_stack(z, d, p), p)
+        return (0 < r) & (r < d)
+    return splits
+
+
+def _basis_splitter(B: Mat) -> Optional[Mat]:
+    """The first element of the basis stack B of End(X) that splits X, or
+    None."""
+    d = B.shape[1]
+    hit = _first_passing([(B.shape[0], lambda lo, hi: B.num[lo:hi])], _splitting(d, B.field.p),
+                         d * d)
+    return None if hit is None else Mat(B.field, hit[2])
+
+
 def _find_splitter(X: Module, B: Mat, seed: int):
     """A splitting endomorphism of X, or True/False for a leaf, searched in
     the span of B, the basis stack of End(X) that `hom_space` returns.
 
-    True means the leaf is certified indecomposable: End(X) is one-
-    dimensional, or all of its p^e elements were searched.  False means
-    only the sampled candidates were searched.  The candidates, in order:
-    the basis of End(X), the pairwise products of its first eight elements,
-    40 + 10e seeded random combinations, and, when p^e is at most
+    The basis of End(X) is tested first.  If no basis element splits X, the
+    exact locality test (`linalg._is_local_algebra` on `_end_structure(B)`)
+    follows, and a local End(X) makes X a leaf.  The leaf is True
+    (certified) when End(X) is one-dimensional or has at most
+    EXHAUSTIVE_END_CAP elements.  It is False when End(X) is larger, the
+    verdict of a search that could only sample it.  Only a non-local End(X)
+    is searched further: the pairwise products of its first eight basis
+    elements, 40 + 10e seeded random combinations and, when p^e is at most
     EXHAUSTIVE_END_CAP, every combination in `itertools.product` order.
-    They are tested in batches (`_first_passing`) and the first z with
-    0 < rank(z^dim) < dim is returned, the one that testing them one by
-    one would find; a scalar z has rank(z^dim) 0 or dim, so it never passes.
+    False means none of those split X and not every combination was tried.
+    The candidates are tested in batches (`_first_passing`), and the first
+    z with 0 < rank(z^dim) < dim is returned, the one that testing them one
+    by one would find; the locality test skips only candidates that cannot
+    split X.
     """
     d, e = X.dim, B.shape[0]
     if e == 1:
         return True
+    z = _basis_splitter(B)
+    if z is not None:
+        return z
     p = X.field.p
+    exhaustive = p**e <= EXHAUSTIVE_END_CAP
+    if _is_local_algebra(_end_structure(B)):
+        return exhaustive
     q = min(e, 8)
 
     def products(lo, hi):
         k = np.arange(lo, hi)
         return (B[k // q] @ B[k % q]).num
 
-    sections = [(e, lambda lo, hi: B.num[lo:hi]),
-                (q * q, products),
-                (40 + 10 * e, _sampled(B, seed))]
-    exhaustive = p**e <= EXHAUSTIVE_END_CAP
+    sections = [(q * q, products), (40 + 10 * e, _sampled(B, seed))]
     if exhaustive:
         sections.append((p**e, _every_combination(B)))
-
-    def splits(z):
-        r = _rank_mod_stack(_pow_mod_stack(z, d, p), p)
-        return (0 < r) & (r < d)
-
-    hit = _first_passing(sections, splits, d * d)
-    if hit is None:
-        return exhaustive  # certified only if no idempotent other than 0 and 1 exists
-    return Mat(X.field, hit[2])
+    hit = _first_passing(sections, _splitting(d, p), d * d)
+    if hit is not None:
+        return Mat(X.field, hit[2])
+    if exhaustive:
+        raise DecompositionError("End(X) is not local, yet none of its elements splits X "
+                                 "(broken invariant)")
+    return False
 
 
 @dataclass
@@ -1045,22 +1100,24 @@ def vertex(M: Module, require_indecomposable: bool = True) -> VertexResult:
     otherwise) and returns the unique minimal class; a hard error is raised
     if the minimal relatively projective classes are not a single conjugacy
     class.  With `require_indecomposable`, M must first be certified
-    indecomposable by `_find_splitter` (End(M) one-dimensional or searched
-    exhaustively): a ValueError is raised if a splitting element is found,
-    and also if End(M) is too large to search, since a sampled search
-    proves nothing.
+    indecomposable, as `_find_splitter` certifies a leaf (End(M) one-
+    dimensional, or local with at most EXHAUSTIVE_END_CAP elements): a
+    ValueError is raised if a basis element of End(M) splits M or End(M) is
+    not local (`linalg._is_local_algebra`), and also if End(M) is local but
+    larger than that, the refusal of a search that could only sample it.
+    No splitting element is searched for beyond the basis.
     """
     p = M.field.p
     if p is None:
         raise ValueError("vertices are defined over prime fields here")
-    if require_indecomposable:
-        s = M.dim == 1 or _find_splitter(M, _end_basis(M), seed=0)
-        if s is False:
+    if require_indecomposable and M.dim > 1:
+        B = _end_basis(M)
+        if _basis_splitter(B) is not None or not _is_local_algebra(_end_structure(B)):
+            raise ValueError("vertex requires an indecomposable module")
+        if p ** B.shape[0] > EXHAUSTIVE_END_CAP:
             raise ValueError(
                 "indecomposability could not be certified: End(M) has more than "
                 f"{EXHAUSTIVE_END_CAP} elements and a sampled search found no splitting")
-        if s is not True:
-            raise ValueError("vertex requires an indecomposable module")
     G = M.group
     # n is a power of p exactly when n divides p^n
     pclasses = [S for S in G.subgroups_up_to_conjugacy() if pow(p, S.order, S.order) == 0]

@@ -14,7 +14,7 @@ import pytest
 from mackeykit.burnside import block_decomposition
 from mackeykit.catalog import BUILTIN_NAMES, builtin_group
 from mackeykit.groups import GSet, group_from_generators
-from mackeykit.linalg import GF, QQ, Mat, perm_to_mat
+from mackeykit.linalg import GF, QQ, Mat, _is_local_algebra, perm_to_mat
 from mackeykit.reps import (
     FrobeniusObject,
     Module,
@@ -914,6 +914,226 @@ def test_batched_searches_pick_the_candidates_of_the_one_by_one_loops(name, p, m
             if M.dim == N.dim:
                 iso(M, N)
     assert calls["split"] >= len([M for M in modules if M.dim > 1])
+
+
+# -- the exact locality test of End(M) -------------------------------------------------
+
+
+def _ends_reached(M, monkeypatch):
+    """(X, B) for every call decompose(M) makes to the splitting search."""
+    seen, real = [], reps._find_splitter
+
+    def spy(X, B, seed):
+        seen.append((X, B))
+        return real(X, B, seed)
+    with monkeypatch.context() as mp:
+        mp.setattr(reps, "_find_splitter", spy)
+        decompose(M)
+    return seen
+
+
+def _some_element_splits(B, seed=0):
+    """Whether an element of the span of B splits the module: all p^e
+    combinations are tried when there are at most EXHAUSTIVE_END_CAP (the
+    enumeration pinned to the one-by-one loops above), else seeded samples,
+    and None means that no sample splits."""
+    e, d, p = B.shape[0], B.shape[1], B.field.p
+    exhaustive = p**e <= EXHAUSTIVE_END_CAP
+    section = ((p**e, reps._every_combination(B)) if exhaustive
+               else (40 + 10 * e, reps._sampled(B, seed)))
+    if reps._first_passing([section], reps._splitting(d, p), d * d) is not None:
+        return True
+    return False if exhaustive else None
+
+
+def _is_local(B):
+    return _is_local_algebra(reps._end_structure(B))
+
+
+@pytest.mark.parametrize("name,p", REFERENCE_CASES)
+def test_locality_test_agrees_with_the_exhaustive_search(name, p, monkeypatch):
+    """Every End that decomposing a k[G/H] (the regular module included)
+    reaches is local exactly when no element of it splits the module."""
+    checked = 0
+    for M in coset_modules(builtin_group(name), GF(p)):
+        for X, B in _ends_reached(M, monkeypatch):
+            if B.shape[0] == 1:
+                continue
+            splits = _some_element_splits(B)
+            assert splits is not None, (name, p, X.dim, B.shape[0])
+            assert _is_local(B) == (not splits), (name, p, X.dim, B.shape[0])
+            checked += 1
+    assert checked > 0
+
+
+def _cyclic(n):
+    return group_from_generators(n, [[(i + 1) % n for i in range(n)]])
+
+
+@pytest.mark.parametrize("n,dims", [(3, [1, 2]), (7, [1, 3, 3])])
+def test_locality_test_sees_residue_fields_larger_than_f2(n, dims):
+    # x^n - 1 over F_2 is (x - 1) times irreducible factors of degree 2 (n = 3)
+    # and 3, 3 (n = 7): F_2[Cn] is F_2 + F_4 or F_2 + F_8 + F_8, commutative and
+    # not local, and each field summand is a leaf whose End is that field
+    M = regular_module(_cyclic(n), GF(2))
+    assert not _is_local(reps._end_basis(M))
+    D = decompose(M)
+    assert sorted(S.dim for S in D.summands) == dims and D.certified
+    for S in D.summands:
+        B = reps._end_basis(S)
+        assert B.shape[0] == S.dim  # End(S) is the field F_(2^dim S)
+        assert _is_local(B) and _some_element_splits(B) is False
+
+
+def test_locality_test_on_a_local_noncommutative_end():
+    # F_2[Q8] is local (a 2-group) and not commutative, so the commutator ideal
+    # N is a nonzero nilpotent ideal
+    M = regular_module(builtin_group("q8"), GF(2))
+    B = reps._end_basis(M)
+    L = reps._end_structure(B)
+    assert not np.array_equal(L.num, L.num.transpose(2, 1, 0))
+    assert _is_local_algebra(L) and _some_element_splits(B) is False
+    D = decompose(M)
+    assert len(D.summands) == 1 and D.certified
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_locality_test_rejects_an_end_whose_basis_and_products_do_not_split(p):
+    # End of the regular F_p[S4]-module is not local, yet every basis element
+    # and every product of the first eight is invertible or nilpotent: only a
+    # sampled combination splits it
+    M = regular_module(builtin_group("s4"), GF(p))
+    B = reps._end_basis(M)
+    splits = reps._splitting(M.dim, p)
+    assert not splits(B.num).any()
+    assert not splits(np.stack([(B[i] @ B[j]).num for i in range(8) for j in range(8)])).any()
+    assert not _is_local(B)
+    assert isinstance(reps._find_splitter(M, B, 0), Mat)
+
+
+@pytest.mark.parametrize("name,p,which", [("q8", 2, 0), ("s4", 2, 0), ("s4", 3, 0), ("d8", 2, 3),
+                                          ("s3", 3, 0)])
+def test_locality_test_reads_a_basis_that_is_not_echelon(name, p, which):
+    # a random invertible change of coefficients spans the same End: the
+    # test reduces it first, so tensor and verdict are those of the echelon basis
+    G = builtin_group(name)
+    M = permutation_module(G, G.subgroups_up_to_conjugacy()[which], GF(p))
+    B = reps._end_basis(M)
+    e, rng = B.shape[0], np.random.default_rng(5)
+    while True:
+        C = Mat(GF(p), rng.integers(0, p, size=(e, e)))
+        if C.is_invertible():
+            break
+    mixed = (C @ B.reshape(e, -1)).reshape(B.shape)
+    assert mixed != B
+    assert reps._end_structure(mixed) == reps._end_structure(B)
+    assert _is_local(mixed) == _is_local(B)
+
+
+LARGE_PRIME = 3037000493  # the largest p that Field admits, (p - 1)^2 < 2^63
+
+
+def _dense_conjugate(M, rng):
+    """M with every matrix replaced by P^-1 A(g) P for a random dense P."""
+    d, f = M.dim, M.field
+    while True:
+        P = Mat(f, rng.integers(0, f.p, size=(d, d)))
+        if P.is_invertible():
+            break
+    Pinv = P.inv()
+    return module_from_matrices(M.group, f, [Pinv @ M.action(g) @ P for g in range(M.group.order)])
+
+
+def _reference_structure(B):
+    """L[i, k, j] with every product in Python integers and every
+    coordinate solved for, not read at the pivots."""
+    e, d, p = B.shape[0], B.shape[1], B.field.p
+    A = B.num.astype(object)
+    basis = Mat(B.field, B.num.transpose(0, 2, 1).reshape(e, d * d).T.copy())
+    L = np.zeros((e, e, e), dtype=np.int64)
+    for i in range(e):
+        for j in range(e):
+            prod = (A[i] @ A[j]) % p
+            x = basis.solve(Mat(B.field, prod.T.reshape(-1, 1).astype(np.int64)))
+            assert x is not None
+            L[i, :, j] = x.num[:, 0]
+    return L
+
+
+def test_locality_test_is_exact_at_the_largest_prime():
+    p, rng = LARGE_PRIME, np.random.default_rng(11)
+    F = GF(p)
+    assert p % 3 == 2  # x^2 + x + 1 is irreducible: the rotation module's End is F_(p^2)
+    C3 = _cyclic(3)
+    s = C3.generators()[0]
+    A = Mat(F, np.array([[0, -1], [1, -1]]))
+    power = {C3.power(s, k): A.pow(k) for k in range(3)}
+    rotation = module_from_matrices(C3, F, [power[g] for g in range(3)])
+    # End of 1 + 1 + rotation is M_2(F_p) x F_(p^2), e = 6 on d = 4, so no vector
+    # generates the module: the pivots leave whole columns of the echelon
+    # basis and a structure constant is a sum of products of dense residues
+    trivial = trivial_module(C3, F)
+    cases = [(rotation, True),
+             (reps.direct_sum([rotation, trivial])[0], False),
+             (reps.direct_sum([trivial, trivial, rotation])[0], False),
+             (regular_module(builtin_group("s3"), F), False)]
+    wraps = False
+    for M, local in cases:
+        X = _dense_conjugate(M, rng)
+        B = reps._end_basis(X)
+        L = reps._end_structure(B)
+        assert np.array_equal(L.num, _reference_structure(B)), X.dim
+        assert _is_local_algebra(L) is local, X.dim
+        # plain int64 products of these residues wrap silently
+        wraps |= not np.array_equal((B.num @ B.num) % p,
+                                    (B.num.astype(object) @ B.num.astype(object)) % p)
+    assert wraps and cases[-1][0].dim >= 6
+
+
+def test_locality_test_rejects_the_s3_coset_modules_at_a_large_prime():
+    # at p = 1000003 a random combination splits these modules with
+    # probability about 2/p, so the sampled search misses; the test sees that
+    # End is not local (at p <= 101 they split as 1+1, 1+2 and 1+2+1+2)
+    G, F = builtin_group("s3"), GF(1000003)
+    for K in G.subgroups_up_to_conjugacy()[:-1]:
+        M = permutation_module(G, K, F)
+        assert M.dim in (2, 3, 6)
+        assert not _is_local(reps._end_basis(M)), M.dim
+
+
+def test_find_splitter_refuses_a_non_local_end_that_nothing_splits(monkeypatch):
+    # a broken invariant: an enumerated End that is not local has a splitter
+    M = permutation_module(builtin_group("d8"), builtin_group("d8").subgroups_up_to_conjugacy()[0],
+                           GF(2))
+    B = reps._end_basis(M)
+    assert reps._find_splitter(M, B, 0) is True
+    monkeypatch.setattr(reps, "_is_local_algebra", lambda L: False)
+    with pytest.raises(reps.DecompositionError, match="broken invariant"):
+        reps._find_splitter(M, B, 0)
+
+
+def test_vertex_reads_only_the_verdict(monkeypatch):
+    # the regular F_2[S4]-module is refused after its basis and the locality
+    # test, without the sampled search that finds its splitter
+    monkeypatch.setattr(reps, "_sampled", None)
+    monkeypatch.setattr(reps, "_every_combination", None)
+    with pytest.raises(ValueError, match="requires an indecomposable"):
+        vertex(regular_module(builtin_group("s4"), GF(2)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 1000003, LARGE_PRIME])
+def test_sampled_windows_draw_the_one_by_one_stream(p):
+    for e in (1, 2, 5, 9, 24):
+        B = Mat(GF(p), np.zeros((e, 1, 1), dtype=np.int64))
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reps, "_combinations", lambda B, coeffs: seen.append(coeffs) or coeffs)
+            make = reps._sampled(B, 3)
+            for lo, hi in ((0, 4), (4, 20), (20, 21), (21, 85)):
+                make(lo, hi)
+        rng = np.random.default_rng(3)
+        want = np.array([rng.integers(0, p, size=e) for _ in range(85)])
+        assert np.array_equal(np.concatenate(seen), want), (p, e)
 
 
 # -- isomorphism testing -------------------------------------------------------------
